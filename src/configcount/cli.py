@@ -1,32 +1,33 @@
 """Command-line front end: count, enumerate, verify, explain, render.
 
-Exit codes: 0 on success (and on verify when every problem PASSes), 1 when
-verification finds a discrepancy, 2 on usage, parse, or budget errors.  All
-output is deterministic for fixed inputs and flags; counts appear in JSON as
-decimal strings so consumers never round them through a fixed-width type.
+The commands parse arguments, format output and map errors to exit codes;
+which closed form and which enumerator a problem uses is decided in
+``verify``.  Exit codes: 0 on success (and on verify when every problem
+PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
+budget errors; a budget error names the problem that overran.  All output is
+deterministic for fixed inputs and flags; counts appear in JSON as decimal
+strings so consumers never round them through a fixed-width type.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 
-from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
-from .geometry import LatticeGrid
+from .budget import OracleBudgetError
 from .render import render_problem
 from .speclang import ProblemSpec, SpecError, parse_spec
-from .squares import count_all_squares, count_axis_squares, enumerate_all_squares, enumerate_axis_squares
-from .verify import VerifyReport, build_step_trace, has_registered_closed_form, verify_problem
-from .wordgrid import (
-    corner_class_decomposition,
-    count_word_paths_closed,
-    enumerate_word_paths,
-    generate_manhattan_rings,
-    letter_grid_from_rows,
+from .verify import (
+    VerifyReport,
+    build_step_trace,
+    class_counts,
+    class_label,
+    enumerate_witnesses,
+    verify_problem,
 )
 
 
@@ -66,37 +67,13 @@ def _describe(spec: ProblemSpec) -> str:
     return " ".join(parts)
 
 
-def _word_grid(spec: ProblemSpec):
-    if spec.layout == "explicit":
-        return letter_grid_from_rows(spec.rows_data)
-    return generate_manhattan_rings(spec.word)
-
-
-def _count_classes(spec: ProblemSpec) -> tuple[list[tuple[str, int]], int]:
-    """Class labels and counts plus the total, via closed form where registered."""
-    if spec.kind == "squares":
-        if spec.variant == "axis":
-            breakdown = count_axis_squares(spec.cols, spec.rows)
-        else:
-            breakdown = count_all_squares(spec.cols, spec.rows)
-        return [(f"k={k}", n) for k, n in sorted(breakdown.per_k.items())], breakdown.total
-    if has_registered_closed_form(spec):
-        report = count_word_paths_closed(spec.word)
-        return [(f"({x},{y})", n) for (x, y), n in report.per_class.items()], report.total
-    witnesses = enumerate_word_paths(
-        _word_grid(spec), spec.word, spec.adjacency, spec.distinct_cells,
-        max_visits=DEFAULT_ORACLE_BUDGET,
-    )
-    decomposition = corner_class_decomposition(witnesses)
-    classes = [(f"({x},{y})", n) for (x, y), n in decomposition.classes.items()]
-    return classes, decomposition.total
-
-
-def _run_per_problem(specs, worker, parallel: bool) -> list:
-    if parallel and len(specs) > 1:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(worker, specs))
-    return [worker(spec) for spec in specs]
+@contextlib.contextmanager
+def _naming(spec: ProblemSpec, errors=OracleBudgetError):
+    """Exit 2 on ``errors``, with a message that names the problem."""
+    try:
+        yield
+    except errors as exc:
+        _fail(f"problem {spec.name}: {exc}")
 
 
 @click.group()
@@ -114,37 +91,32 @@ _PROBLEM_REQUIRED = click.option("--problem", "problem_name", required=True, met
                                  help="The problem to operate on.")
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                        default="text", help="Output format.")
-_PARALLEL = click.option("--parallel", is_flag=True,
-                         help="Process problems concurrently; output stays in file order.")
 
 
 @main.command()
 @_SPEC_FILE
 @_PROBLEM
 @_FORMAT
-@_PARALLEL
-def count(spec_file, problem_name, fmt, parallel):
+def count(spec_file, problem_name, fmt):
     """Print the total and class breakdown for each problem."""
-    specs = _select(_load_specs(spec_file), problem_name)
-
-    def one(spec: ProblemSpec) -> str:
-        classes, total = _count_classes(spec)
+    blocks = []
+    for spec in _select(_load_specs(spec_file), problem_name):
+        with _naming(spec):
+            classes = class_counts(spec)
+        total = sum(classes.values())
         if fmt == "json":
-            return json.dumps({
+            blocks.append(json.dumps({
                 "problem": spec.name,
                 "kind": spec.kind,
                 "total": str(total),
-                "classes": [{"label": label, "count": str(n)} for label, n in classes],
-            })
+                "classes": [{"label": class_label(key), "count": str(n)}
+                            for key, n in classes.items()],
+            }))
+            continue
         lines = [f"problem {spec.name}: {_describe(spec)}"]
-        lines += [f"{label}: {n}" for label, n in classes]
+        lines += [f"{class_label(key)}: {n}" for key, n in classes.items()]
         lines.append(f"total {total}")
-        return "\n".join(lines)
-
-    try:
-        blocks = _run_per_problem(specs, one, parallel)
-    except OracleBudgetError as exc:
-        _fail(str(exc))
+        blocks.append("\n".join(lines))
     click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
 
 
@@ -157,20 +129,8 @@ def count(spec_file, problem_name, fmt, parallel):
 def enumerate_cmd(spec_file, problem_name, fmt, limit):
     """List every witness of a problem in canonical order."""
     spec = _select(_load_specs(spec_file), problem_name)[0]
-    try:
-        if spec.kind == "squares":
-            grid = LatticeGrid(spec.cols, spec.rows)
-            if spec.variant == "axis":
-                witnesses = enumerate_axis_squares(grid, max_candidates=DEFAULT_ORACLE_BUDGET)
-            else:
-                witnesses = enumerate_all_squares(grid, max_candidates=DEFAULT_ORACLE_BUDGET)
-        else:
-            witnesses = enumerate_word_paths(
-                _word_grid(spec), spec.word, spec.adjacency, spec.distinct_cells,
-                max_visits=DEFAULT_ORACLE_BUDGET,
-            )
-    except OracleBudgetError as exc:
-        _fail(str(exc))
+    with _naming(spec):
+        witnesses = enumerate_witnesses(spec)
 
     shown = witnesses if limit is None else witnesses[:limit]
     omitted = len(witnesses) - len(shown)
@@ -240,14 +200,12 @@ def _verify_json(report: VerifyReport) -> str:
 @_SPEC_FILE
 @_PROBLEM
 @_FORMAT
-@_PARALLEL
-def verify(spec_file, problem_name, fmt, parallel):
+def verify(spec_file, problem_name, fmt):
     """Cross-check closed forms against enumeration; exit 1 on any FAIL."""
-    specs = _select(_load_specs(spec_file), problem_name)
-    try:
-        reports = _run_per_problem(specs, verify_problem, parallel)
-    except OracleBudgetError as exc:
-        _fail(str(exc))
+    reports = []
+    for spec in _select(_load_specs(spec_file), problem_name):
+        with _naming(spec):
+            reports.append(verify_problem(spec))
     blocks = [(_verify_json if fmt == "json" else _verify_text)(r) for r in reports]
     click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
     if any(r.verdict != "PASS" for r in reports):
@@ -274,10 +232,8 @@ def _step_iv_text(trace) -> str:
 def explain(spec_file, problem_name, fmt):
     """Walk through a problem in four steps: objects, constraints, classes, total."""
     spec = _select(_load_specs(spec_file), problem_name)[0]
-    try:
+    with _naming(spec):
         trace = build_step_trace(spec)
-    except OracleBudgetError as exc:
-        _fail(str(exc))
     if fmt == "json":
         click.echo(json.dumps({
             "problem": trace.problem,
@@ -328,10 +284,8 @@ def render(spec_file, problem_name, highlight, cell_size, output_path):
     """Draw a problem (and optionally one witness or size class) as an SVG."""
     spec = _select(_load_specs(spec_file), problem_name)[0]
     parsed = None if highlight is None else _parse_highlight(highlight)
-    try:
+    with _naming(spec, (ValueError, OracleBudgetError)):
         svg = render_problem(spec, cell_size=cell_size, highlight=parsed)
-    except (ValueError, OracleBudgetError) as exc:
-        _fail(str(exc))
     try:
         with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)

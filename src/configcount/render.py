@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .budget import DEFAULT_ORACLE_BUDGET
-from .geometry import LatticeGrid, square_vertices
+from .geometry import square_vertices
 from .speclang import ProblemSpec
-from .squares import enumerate_all_squares, enumerate_axis_squares
-from .wordgrid import enumerate_word_paths, generate_manhattan_rings, letter_grid_from_rows
+from .verify import enumerate_witnesses, letter_grid
 
 Highlight = tuple[str, int]  # ("class", k) or ("witness", index)
 
@@ -45,11 +43,7 @@ def _document(width: int, height: int, cell_size: int, body: list[str]) -> str:
 
 
 def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
-    grid = LatticeGrid(spec.cols, spec.rows)
-    if spec.variant == "axis":
-        squares = enumerate_axis_squares(grid, max_candidates=DEFAULT_ORACLE_BUDGET)
-    else:
-        squares = enumerate_all_squares(grid, max_candidates=DEFAULT_ORACLE_BUDGET)
+    squares = enumerate_witnesses(spec)
 
     highlighted = set()
     if highlight is not None:
@@ -64,15 +58,15 @@ def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | No
             highlighted = {value}
 
     margin = cell_size
-    width = 2 * margin + (grid.cols - 1) * cell_size
-    height = 2 * margin + (grid.rows - 1) * cell_size
+    width = 2 * margin + (spec.cols - 1) * cell_size
+    height = 2 * margin + (spec.rows - 1) * cell_size
 
     def px(x: int) -> int:
         return margin + x * cell_size
 
     def py(y: int) -> int:
         # lattice y grows upward, svg y grows downward
-        return margin + (grid.rows - 1 - y) * cell_size
+        return margin + (spec.rows - 1 - y) * cell_size
 
     body = []
     for i, s in enumerate(squares):
@@ -80,27 +74,21 @@ def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | No
         cls = "sq hl" if i in highlighted else "sq"
         body.append(f'<polygon class="{cls}" points="{pts}"/>')
     radius = max(cell_size // 10, 2)
-    for x in range(grid.cols):
-        for y in range(grid.rows):
+    for x in range(spec.cols):
+        for y in range(spec.rows):
             body.append(f'<circle class="pt" cx="{px(x)}" cy="{py(y)}" r="{radius}"/>')
     return _document(width, height, cell_size, body)
 
 
 def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
-    if spec.layout == "explicit":
-        grid = letter_grid_from_rows(spec.rows_data)
-    else:
-        grid = generate_manhattan_rings(spec.word)
+    grid = letter_grid(spec)
 
     witness = None
     if highlight is not None:
         mode, value = highlight
         if mode == "class":
             raise ValueError("size-class highlight only applies to squares problems")
-        witnesses = enumerate_word_paths(
-            grid, spec.word, spec.adjacency, spec.distinct_cells,
-            max_visits=DEFAULT_ORACLE_BUDGET,
-        )
+        witnesses = enumerate_witnesses(spec)
         if not 0 <= value < len(witnesses):
             raise ValueError(f"witness index {value} out of range (have {len(witnesses)})")
         witness = witnesses[value]

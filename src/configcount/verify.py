@@ -13,6 +13,13 @@ Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
 are still enumerated and audited; only the totals comparison is skipped.
 
+The per-family decisions live here as well, each in one function that every
+command calls: ``letter_grid`` builds a word problem's table,
+``enumerate_witnesses`` runs the family's enumerator under the oracle budget,
+``class_key`` names the class a witness falls in (a square's size k, a
+reading's final cell), and ``closed_form_classes`` returns the registered
+closed form's per-class counts, or None.
+
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
 classes, and how the class counts recombine into the total.
@@ -28,7 +35,8 @@ from .geometry import LatticeGrid
 from .speclang import ProblemSpec
 from .squares import count_all_squares, count_axis_squares, enumerate_all_squares, enumerate_axis_squares
 from .wordgrid import (
-    corner_class_decomposition,
+    LetterGrid,
+    PathWitness,
     count_word_paths_closed,
     enumerate_word_paths,
     generate_manhattan_rings,
@@ -109,41 +117,6 @@ def audit_partition(classes, universe) -> AuditResult:
     return AuditResult(not findings, tuple(findings))
 
 
-def _word_grid(spec: ProblemSpec):
-    if spec.layout == "explicit":
-        return letter_grid_from_rows(spec.rows_data)
-    return generate_manhattan_rings(spec.word)
-
-
-def _class_label(key) -> str:
-    if isinstance(key, int):
-        return f"k={key}"
-    x, y = key
-    return f"({x},{y})"
-
-
-def _enumerate_classes(spec: ProblemSpec, budget: int | None):
-    """Run the enumeration oracle; return (witnesses, classes keyed by k or cell)."""
-    if spec.kind == "squares":
-        grid = LatticeGrid(spec.cols, spec.rows)
-        if spec.variant == "axis":
-            witnesses = enumerate_axis_squares(grid, max_candidates=budget)
-        else:
-            witnesses = enumerate_all_squares(grid, max_candidates=budget)
-        classes: dict = {}
-        for s in witnesses:
-            classes.setdefault(s.k, []).append(s)
-    else:
-        grid = _word_grid(spec)
-        witnesses = enumerate_word_paths(
-            grid, spec.word, spec.adjacency, spec.distinct_cells, max_visits=budget
-        )
-        classes = {}
-        for w in witnesses:
-            classes.setdefault(w.final_cell, []).append(w)
-    return witnesses, dict(sorted(classes.items()))
-
-
 def has_registered_closed_form(spec: ProblemSpec) -> bool:
     """Whether a closed form is registered for this problem.
 
@@ -161,28 +134,72 @@ def has_registered_closed_form(spec: ProblemSpec) -> bool:
     )
 
 
-def _registered_closed_form(spec: ProblemSpec):
-    """(family, total, per-class counts keyed like the oracle classes, rule), or None."""
+def letter_grid(spec: ProblemSpec) -> LetterGrid:
+    """The letter table a word-paths problem is read in."""
+    if spec.layout == "explicit":
+        return letter_grid_from_rows(spec.rows_data)
+    return generate_manhattan_rings(spec.word)
+
+
+def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> list:
+    """Every witness of the problem in canonical order, within the oracle budget."""
+    if spec.kind == "word-paths":
+        return enumerate_word_paths(
+            letter_grid(spec), spec.word, spec.adjacency, spec.distinct_cells, max_visits=budget
+        )
+    grid = LatticeGrid(spec.cols, spec.rows)
+    if spec.variant == "axis":
+        return enumerate_axis_squares(grid, max_candidates=budget)
+    return enumerate_all_squares(grid, max_candidates=budget)
+
+
+def class_key(witness):
+    """The class a witness falls in: a square's size k, a reading's final cell."""
+    return witness.final_cell if isinstance(witness, PathWitness) else witness.k
+
+
+def class_label(key) -> str:
+    """How a class key prints: ``k=3`` or ``(x,y)``."""
+    if isinstance(key, int):
+        return f"k={key}"
+    x, y = key
+    return f"({x},{y})"
+
+
+def closed_form_classes(spec: ProblemSpec) -> dict | None:
+    """Closed-form count per class, keyed like ``class_key``, or None if unregistered."""
     if not has_registered_closed_form(spec):
         return None
-    if spec.kind == "squares":
-        if spec.variant == "axis":
-            family, breakdown = "squares-axis", count_axis_squares(spec.cols, spec.rows)
-        else:
-            family, breakdown = "squares-all", count_all_squares(spec.cols, spec.rows)
-        total = breakdown.total + _FAULT_OFFSETS.get(family, 0)
-        return family, total, dict(breakdown.per_k), "addition"
-    report = count_word_paths_closed(spec.word)
-    total = report.total + _FAULT_OFFSETS.get("word-side", 0)
-    return "word-side", total, dict(report.per_class), "product"
+    if spec.kind == "word-paths":
+        return count_word_paths_closed(spec.word).per_class
+    if spec.variant == "axis":
+        return count_axis_squares(spec.cols, spec.rows).per_k
+    return count_all_squares(spec.cols, spec.rows).per_k
+
+
+def _group(witnesses) -> dict:
+    """Witnesses grouped by class key, classes in ascending key order."""
+    classes: dict = {}
+    for w in witnesses:
+        classes.setdefault(class_key(w), []).append(w)
+    return dict(sorted(classes.items()))
+
+
+def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> dict:
+    """Count per class: the closed form where registered, else enumerated class sizes."""
+    closed = closed_form_classes(spec)
+    if closed is not None:
+        return closed
+    return {key: len(members) for key, members in _group(enumerate_witnesses(spec, budget)).items()}
 
 
 def verify_problem(
     spec: ProblemSpec, *, oracle_budget: int | None = DEFAULT_ORACLE_BUDGET
 ) -> VerifyReport:
     """Enumerate, audit, and compare against the closed form where one exists."""
-    closed = _registered_closed_form(spec)
-    witnesses, observed = _enumerate_classes(spec, oracle_budget)
+    expected_classes = closed_form_classes(spec)
+    witnesses = enumerate_witnesses(spec, oracle_budget)
+    observed = _group(witnesses)
     oracle_total = len(witnesses)
     duplicates = oracle_total - len(set(witnesses))
     audit = audit_partition(observed, witnesses)
@@ -193,15 +210,16 @@ def verify_problem(
 
     rows = []
     ok = audit.passed and duplicates == 0
-    if closed is None:
+    if expected_classes is None:
         closed_total = None
         for key, members in observed.items():
-            rows.append(PartitionRow(_class_label(key), None, len(members)))
+            rows.append(PartitionRow(class_label(key), None, len(members)))
     else:
-        _, closed_total, expected_classes, _ = closed
+        family = "word-side" if spec.kind == "word-paths" else f"squares-{spec.variant}"
+        closed_total = sum(expected_classes.values()) + _FAULT_OFFSETS.get(family, 0)
         for key in sorted(set(expected_classes) | set(observed)):
             row = PartitionRow(
-                _class_label(key),
+                class_label(key),
                 expected_classes.get(key),
                 len(observed.get(key, ())),
             )
@@ -237,18 +255,28 @@ def build_step_trace(
     spec: ProblemSpec, *, oracle_budget: int | None = DEFAULT_ORACLE_BUDGET
 ) -> StepTrace:
     """Lay out the problem as configuration, constraints, classes, recombination."""
+    classes = class_counts(spec, oracle_budget)
     if spec.kind == "squares":
-        return _squares_trace(spec)
-    closed = _registered_closed_form(spec)
-    if closed is not None:
-        return _word_trace_closed(spec)
-    return _oracle_only_trace(spec, oracle_budget)
+        rule, steps = "addition", _squares_steps
+    elif has_registered_closed_form(spec):
+        rule, steps = "product", _word_steps_closed
+    else:
+        rule, steps = "enumeration-only", _word_steps_enumerated
+    step_i, step_ii, step_iii = steps(spec, classes)
+    return StepTrace(
+        problem=spec.name,
+        step_i=step_i,
+        step_ii=step_ii,
+        step_iii=step_iii,
+        step_iv_classes=tuple((class_label(key), n) for key, n in classes.items()),
+        step_iv_rule=rule,
+        step_iv_total=sum(classes.values()),
+    )
 
 
-def _squares_trace(spec: ProblemSpec) -> StepTrace:
+def _squares_steps(spec: ProblemSpec, per_k: dict):
     cols, rows = spec.cols, spec.rows
     if spec.variant == "axis":
-        breakdown = count_axis_squares(cols, rows)
         step_i = f"axis-aligned squares drawn on a {cols}x{rows} grid of points"
         step_ii = (
             "all four vertices are grid points",
@@ -256,30 +284,19 @@ def _squares_trace(spec: ProblemSpec) -> StepTrace:
         )
         step_iii = tuple(
             (f"k={k}", f"{rows - k} rail pairs at distance {k}, {cols - k} squares per pair")
-            for k in breakdown.per_k
+            for k in per_k
         )
     else:
-        breakdown = count_all_squares(cols, rows)
         step_i = f"squares of any tilt drawn on a {cols}x{rows} grid of points"
         step_ii = ("all four vertices are grid points",)
         step_iii = tuple(
             (f"k={k}", f"{k} tilt offsets per box, {(cols - k) * (rows - k)} box positions")
-            for k in breakdown.per_k
+            for k in per_k
         )
-    classes = tuple((f"k={k}", n) for k, n in sorted(breakdown.per_k.items()))
-    return StepTrace(
-        problem=spec.name,
-        step_i=step_i,
-        step_ii=step_ii,
-        step_iii=step_iii,
-        step_iv_classes=classes,
-        step_iv_rule="addition",
-        step_iv_total=breakdown.total,
-    )
+    return step_i, step_ii, step_iii
 
 
-def _word_trace_closed(spec: ProblemSpec) -> StepTrace:
-    report = count_word_paths_closed(spec.word)
+def _word_steps_closed(spec: ProblemSpec, per_class: dict):
     length = len(spec.word)
     half = (length - 1) // 2
     step_i = f"readings of {spec.word!r} in the {length}x{length} manhattan-rings letter grid"
@@ -289,30 +306,17 @@ def _word_trace_closed(spec: ProblemSpec) -> StepTrace:
     else:
         step_iii = tuple(
             (
-                _class_label(cell),
-                f"readings ending at corner {_class_label(cell)}: "
+                class_label(cell),
+                f"readings ending at corner {class_label(cell)}: "
                 f"{half} vertical and {half} horizontal moves interleaved",
             )
-            for cell in report.per_class
+            for cell in per_class
         )
-    classes = tuple((_class_label(cell), n) for cell, n in report.per_class.items())
-    return StepTrace(
-        problem=spec.name,
-        step_i=step_i,
-        step_ii=step_ii,
-        step_iii=step_iii,
-        step_iv_classes=classes,
-        step_iv_rule="product",
-        step_iv_total=report.total,
-    )
+    return step_i, step_ii, step_iii
 
 
-def _oracle_only_trace(spec: ProblemSpec, budget: int | None) -> StepTrace:
-    grid = _word_grid(spec)
-    witnesses = enumerate_word_paths(
-        grid, spec.word, spec.adjacency, spec.distinct_cells, max_visits=budget
-    )
-    decomposition = corner_class_decomposition(witnesses)
+def _word_steps_enumerated(spec: ProblemSpec, per_class: dict):
+    grid = letter_grid(spec)
     layout = (
         f"the {grid.cols}x{grid.rows} manhattan-rings letter grid"
         if spec.layout == "manhattan-rings"
@@ -322,18 +326,6 @@ def _oracle_only_trace(spec: ProblemSpec, budget: int | None) -> StepTrace:
     if spec.distinct_cells:
         step_ii.append("no cell is visited twice")
     step_iii = tuple(
-        (_class_label(cell), f"readings ending at cell {_class_label(cell)}")
-        for cell in decomposition.classes
+        (class_label(cell), f"readings ending at cell {class_label(cell)}") for cell in per_class
     )
-    classes = tuple(
-        (_class_label(cell), n) for cell, n in decomposition.classes.items()
-    )
-    return StepTrace(
-        problem=spec.name,
-        step_i=f"readings of {spec.word!r} in {layout}",
-        step_ii=tuple(step_ii),
-        step_iii=step_iii,
-        step_iv_classes=classes,
-        step_iv_rule="enumeration-only",
-        step_iv_total=decomposition.total,
-    )
+    return f"readings of {spec.word!r} in {layout}", tuple(step_ii), step_iii

@@ -132,10 +132,11 @@ def enumerate_word_paths(
 ) -> list[PathWitness]:
     """All readings of ``word`` in the grid, in lexicographic coordinate order.
 
-    Depth-first search from every cell holding the first symbol; candidates
-    are tried in ascending (x, y) order, which makes the output order
-    lexicographic.  ``max_visits`` caps the number of cells the search may
-    touch; exceeding it raises OracleBudgetError.
+    Depth-first search from every cell holding the first symbol, kept on an
+    explicit stack so long words cannot exhaust the interpreter's recursion
+    limit.  Candidates are tried in ascending (x, y) order, which makes the
+    output order lexicographic.  ``max_visits`` caps the number of cells the
+    search may touch; exceeding it raises OracleBudgetError.
     """
     if adjacency not in ADJACENCY_RULES:
         raise ValueError(f"unknown adjacency rule: {adjacency!r}")
@@ -144,10 +145,7 @@ def enumerate_word_paths(
 
     by_sym = _cells_by_symbol(grid)
     offsets = _SIDE_OFFSETS if adjacency == "side" else _KING_OFFSETS
-    witnesses: list[PathWitness] = []
-    path: list[tuple[int, int]] = []
-    on_path: set[tuple[int, int]] = set()
-    visits = 0
+    last = len(word) - 1
 
     def candidates(cell: tuple[int, int], symbol: str) -> list[tuple[int, int]]:
         if adjacency == "none":
@@ -160,28 +158,34 @@ def enumerate_word_paths(
         found.sort()
         return found
 
-    def extend(i: int, cell: tuple[int, int]) -> None:
-        nonlocal visits
-        visits += 1
-        if max_visits is not None and visits > max_visits:
-            raise OracleBudgetError(
-                f"oracle budget exceeded: more than {max_visits} cell visits"
-            )
-        path.append(cell)
-        on_path.add(cell)
-        if i == len(word) - 1:
-            witnesses.append(PathWitness(tuple(path)))
+    witnesses: list[PathWitness] = []
+    visits = 0
+    path: list[tuple[int, int]] = []
+    # Only consulted under distinct_cells, where a path never repeats a cell.
+    on_path: set[tuple[int, int]] = set()
+    # pending[i] holds the untried candidates for position i; len(path) == len(pending) - 1.
+    pending = [iter(by_sym.get(word[0], []))]
+    while pending:
+        i = len(path)
+        for cell in pending[-1]:
+            if distinct_cells and cell in on_path:
+                continue
+            visits += 1
+            if max_visits is not None and visits > max_visits:
+                raise OracleBudgetError(
+                    f"oracle budget exceeded: more than {max_visits} cell visits"
+                )
+            if i == last:
+                witnesses.append(PathWitness((*path, cell)))
+                continue
+            path.append(cell)
+            on_path.add(cell)
+            pending.append(iter(candidates(cell, word[i + 1])))
+            break
         else:
-            for nxt in candidates(cell, word[i + 1]):
-                if distinct_cells and nxt in on_path:
-                    continue
-                extend(i + 1, nxt)
-        path.pop()
-        if cell not in path:
-            on_path.discard(cell)
-
-    for start in by_sym.get(word[0], []):
-        extend(0, start)
+            pending.pop()
+            if path:
+                on_path.discard(path.pop())
     return witnesses
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from configcount.budget import OracleBudgetError
 from configcount.counting import MoveWord, count_move_words
 from configcount.wordgrid import (
+    ADJACENCY_RULES,
     corner_class_decomposition,
     count_paths_by_symbol_product,
     count_word_paths_closed,
@@ -194,6 +195,37 @@ def test_budget_guard():
     with pytest.raises(OracleBudgetError, match="oracle budget exceeded"):
         enumerate_word_paths(g, "Open!", "none", max_visits=10)
     assert len(enumerate_word_paths(g, "Open!", "side", max_visits=10_000)) == 24
+
+
+def _min_budget(g, word, adjacency, distinct):
+    lo, hi = 0, 10_000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            enumerate_word_paths(g, word, adjacency, distinct, max_visits=mid)
+            hi = mid
+        except OracleBudgetError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("adjacency", ADJACENCY_RULES)
+@pytest.mark.parametrize("distinct", [False, True])
+def test_budget_counts_one_visit_per_reading_prefix(adjacency, distinct):
+    # The search visits each cell once per prefix of the word it extends, so
+    # the smallest budget that succeeds is the number of readings of all prefixes.
+    g = letter_grid_from_rows(["aba", "bab", "aab"])
+    word = "ababa"
+    prefixes = sum(
+        len(enumerate_word_paths(g, word[:j], adjacency, distinct)) for j in range(1, len(word) + 1)
+    )
+    assert _min_budget(g, word, adjacency, distinct) == prefixes
+
+
+def test_deep_word_does_not_recurse():
+    g = letter_grid_from_rows(["a"])
+    assert [w.cells for w in enumerate_word_paths(g, "a" * 5000, "none")] == [((0, 0),) * 5000]
+    assert enumerate_word_paths(g, "a" * 5000, "none", distinct_cells=True) == []
 
 
 def test_bad_arguments_rejected():
