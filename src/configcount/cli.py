@@ -4,9 +4,10 @@ The commands parse arguments, format output and map errors to exit codes;
 which closed form and which enumerator a problem uses is decided in
 ``verify``.  Exit codes: 0 on success (and on verify when every problem
 PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
-budget errors; a budget error names the problem that overran.  All output is
-deterministic for fixed inputs and flags; counts appear in JSON as decimal
-strings so consumers never round them through a fixed-width type.
+budget errors; a budget error names the problem that overran, and outranks a
+FAIL.  All output is deterministic for fixed inputs and flags; counts appear
+in JSON as decimal strings so consumers never round them through a
+fixed-width type.
 """
 
 from __future__ import annotations
@@ -201,13 +202,23 @@ def _verify_json(report: VerifyReport) -> str:
 @_PROBLEM
 @_FORMAT
 def verify(spec_file, problem_name, fmt):
-    """Cross-check closed forms against enumeration; exit 1 on any FAIL."""
-    reports = []
+    """Cross-check closed forms against enumeration; exit 1 on any FAIL.
+
+    A problem that overruns the oracle budget gets an error line on stderr;
+    the others are still reported, and the exit code is 2.
+    """
+    reports, overran = [], False
     for spec in _select(_load_specs(spec_file), problem_name):
-        with _naming(spec):
+        try:
             reports.append(verify_problem(spec))
+        except OracleBudgetError as exc:
+            click.echo(f"error: problem {spec.name}: {exc}", err=True)
+            overran = True
     blocks = [(_verify_json if fmt == "json" else _verify_text)(r) for r in reports]
-    click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
+    if blocks or not overran:
+        click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
+    if overran:
+        sys.exit(2)
     if any(r.verdict != "PASS" for r in reports):
         sys.exit(1)
 

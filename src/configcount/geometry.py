@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LatticePoint:
     """An integer point, compared and ordered componentwise."""
 
@@ -41,7 +41,7 @@ class LatticeGrid:
             raise ValueError("grid needs at least one point column and row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Square:
     """Canonical square representation: bounding-box anchor, size k, tilt offset a."""
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
-from .budget import OracleBudgetError
+from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid, LatticePoint, Square
 
 
@@ -134,7 +135,7 @@ def _is_axis_square_quad(quad) -> bool:
     return set(quad) == {(x, y) for x in xs for y in ys}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _subset_square_counts(cols: int, rows: int) -> tuple[int, int]:
     pts = [(x, y) for x in range(cols) for y in range(rows)]
     axis = every = 0
@@ -146,12 +147,20 @@ def _subset_square_counts(cols: int, rows: int) -> tuple[int, int]:
     return axis, every
 
 
-def count_squares_by_point_subsets(grid: LatticeGrid, variant: str = "all") -> int:
+def count_squares_by_point_subsets(
+    grid: LatticeGrid, variant: str = "all", max_candidates: int | None = DEFAULT_ORACLE_BUDGET
+) -> int:
     """Naive oracle: test all 4-point subsets of the grid for squareness.
 
     ``variant`` is "axis" or "all".  Runtime is O(points^4); intended for
-    desk-scale grids only.
+    desk-scale grids only, and refused with ``OracleBudgetError`` before any
+    work when C(points, 4) exceeds ``max_candidates``.
     """
+    subsets = comb(grid.cols * grid.rows, 4)
+    if max_candidates is not None and subsets > max_candidates:
+        raise OracleBudgetError(
+            f"oracle budget exceeded: {subsets} candidate 4-point subsets > {max_candidates}"
+        )
     axis, every = _subset_square_counts(grid.cols, grid.rows)
     if variant == "axis":
         return axis

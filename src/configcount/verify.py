@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .budget import DEFAULT_ORACLE_BUDGET
 from .geometry import LatticeGrid
@@ -93,27 +94,36 @@ def audit_partition(classes, universe) -> AuditResult:
     """Check that ``classes`` partition ``universe`` exactly.
 
     Every universe witness must appear in exactly one class exactly once;
-    findings name each witness that breaks this.
+    findings name each witness that breaks this.  ``universe`` is the
+    enumerated witnesses, or a ``Counter`` of them, which is used as it is.
+
+    The check is one linear pass: the multiset of classed witnesses is
+    compared with the universe's.  Only when they differ are the offending
+    witnesses' classes collected and their findings built, classed offenders
+    first and then missing ones, each group sorted by ``repr``.
     """
-    universe_counts = Counter(universe)
-    member_counts: Counter = Counter()
-    holders: dict = {}
+    universe_counts = universe if isinstance(universe, Counter) else Counter(universe)
+    member_counts = Counter(chain.from_iterable(classes.values()))
+    # Counter's own == walks every key in Python; dict equality runs in C.  Equal
+    # counts mean an exact partition; any difference is examined below.
+    if dict.__eq__(member_counts, universe_counts):
+        return AuditResult(True, ())
+    extra = [w for w, have in member_counts.items() if have > universe_counts[w]]
+    missing = [w for w, want in universe_counts.items() if member_counts[w] < want]
+    holders = {w: [] for w in extra}
     for label, members in classes.items():
         for w in members:
-            member_counts[w] += 1
-            holders.setdefault(w, []).append(label)
+            if w in holders:
+                holders[w].append(label)
     findings = []
-    for w in sorted(member_counts, key=repr):
-        have, want = member_counts[w], universe_counts.get(w, 0)
-        if want == 0:
+    for w in sorted(extra, key=repr):
+        if universe_counts[w] == 0:
             findings.append(f"witness {w!r} classed under {holders[w]} is not in the universe")
-        elif have > want:
+        else:
             findings.append(
-                f"witness {w!r} appears {have} times across classes {holders[w]}"
+                f"witness {w!r} appears {member_counts[w]} times across classes {holders[w]}"
             )
-    for w in sorted(universe_counts, key=repr):
-        if member_counts[w] < universe_counts[w]:
-            findings.append(f"witness {w!r} is missing from every class")
+    findings += [f"witness {w!r} is missing from every class" for w in sorted(missing, key=repr)]
     return AuditResult(not findings, tuple(findings))
 
 
@@ -201,8 +211,9 @@ def verify_problem(
     witnesses = enumerate_witnesses(spec, oracle_budget)
     observed = _group(witnesses)
     oracle_total = len(witnesses)
-    duplicates = oracle_total - len(set(witnesses))
-    audit = audit_partition(observed, witnesses)
+    universe_counts = Counter(witnesses)
+    duplicates = oracle_total - len(universe_counts)
+    audit = audit_partition(observed, universe_counts)
 
     notes = list(audit.findings)
     if duplicates:

@@ -55,7 +55,7 @@ class LetterGrid:
                 raise ValueError(f"cell {xy} must hold a single symbol")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathWitness:
     """One concrete reading: the cell coordinates visited, in order."""
 

@@ -147,6 +147,25 @@ def test_verify_budget_exceeded_exits_2(runner, tmp_path):
     result = invoke(runner, "verify", spec)
     assert result.exit_code == 2
     assert result.stderr.startswith("error: problem big: oracle budget exceeded: ")
+    assert result.stdout.startswith("problem small: PASS")
+
+
+def test_verify_reports_every_problem_around_overruns(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {"squares-axis": 1})
+    spec = tmp_path / "mixed.ccspec"
+    spec.write_text("problem big1 { kind: squares cols: 4000 rows: 4000 variant: all }\n"
+                    "problem small { kind: squares cols: 3 rows: 3 variant: all }\n"
+                    "problem big2 { kind: squares cols: 5000 rows: 5000 variant: all }\n"
+                    "problem failing { kind: squares cols: 3 rows: 3 variant: axis }")
+    result = invoke(runner, "verify", spec, "--format", "json")
+    # a budget error outranks the FAIL
+    assert result.exit_code == 2
+    errors = result.stderr.splitlines()
+    assert len(errors) == 2
+    assert errors[0].startswith("error: problem big1: oracle budget exceeded: ")
+    assert errors[1].startswith("error: problem big2: oracle budget exceeded: ")
+    docs = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(d["problem"], d["verdict"]) for d in docs] == [("small", "PASS"), ("failing", "FAIL")]
 
 
 @pytest.mark.parametrize("command", ["enumerate", "render"])

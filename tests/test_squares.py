@@ -10,6 +10,7 @@ from configcount.squares import (
     count_squares_by_point_subsets,
     enumerate_all_squares,
     enumerate_axis_squares,
+    _subset_square_counts,
     rail_decomposition,
 )
 
@@ -151,6 +152,17 @@ def test_enumeration_budget_guard():
         enumerate_all_squares(LatticeGrid(500, 500), max_candidates=100)
     # generous budgets change nothing
     assert len(enumerate_axis_squares(LatticeGrid(5, 5), max_candidates=10_000)) == 30
+
+
+def test_subset_oracle_refuses_large_grids_before_searching():
+    searched = _subset_square_counts.cache_info()
+    with pytest.raises(OracleBudgetError, match="416416712497500 candidate 4-point subsets"):
+        count_squares_by_point_subsets(LatticeGrid(100, 100))
+    assert _subset_square_counts.cache_info() == searched
+    # C(9, 4) = 126 subsets on a 3x3 grid: the budget is inclusive
+    with pytest.raises(OracleBudgetError):
+        count_squares_by_point_subsets(LatticeGrid(3, 3), "axis", max_candidates=125)
+    assert count_squares_by_point_subsets(LatticeGrid(3, 3), "axis", max_candidates=126) == 5
 
 
 def test_bad_arguments_rejected():
