@@ -14,6 +14,8 @@ from configcount.speclang import ProblemSpec
 from configcount.squares import enumerate_axis_squares
 from configcount.verify import (
     AuditResult,
+    PartitionRow,
+    VerifyReport,
     audit_partition,
     build_step_trace,
     class_key,
@@ -132,6 +134,91 @@ def test_budget_exceeded_is_an_error_not_a_pass():
         verify_problem(huge)
     with pytest.raises(OracleBudgetError):
         verify_problem(OPEN_FREE, oracle_budget=10)
+
+
+# ---------------------------------------------------------------------------
+# faulty enumerations: one witness duplicated or dropped before verify sees it
+
+
+def _duplicate_first(witnesses):
+    return witnesses + [witnesses[0]]
+
+
+def _drop_first(witnesses):
+    return witnesses[1:]
+
+
+def _with_faulty_enumeration(monkeypatch, fault):
+    real = verify_mod.enumerate_witnesses
+    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
+                        lambda spec, budget=None: fault(real(spec, budget)))
+
+
+def _rows(*rows):
+    return tuple(PartitionRow(*row) for row in rows)
+
+
+def test_duplicated_witness_fails_closed_form_problem(monkeypatch):
+    _with_faulty_enumeration(monkeypatch, _duplicate_first)
+    assert verify_problem(AXIS5) == VerifyReport(
+        problem=AXIS5,
+        closed_form_total=30,
+        oracle_total=31,
+        verdict="FAIL",
+        partition_rows=_rows(("k=1", 16, 17), ("k=2", 9, 9), ("k=3", 4, 4), ("k=4", 1, 1)),
+        duplicate_witnesses=1,
+        notes=(
+            "1 duplicate witnesses in the enumeration",
+            "class k=1: closed form 16 != oracle 17",
+            "closed-form total 30 != oracle total 31",
+        ),
+    )
+
+
+def test_dropped_witness_fails_closed_form_problem(monkeypatch):
+    _with_faulty_enumeration(monkeypatch, _drop_first)
+    assert verify_problem(AXIS5) == VerifyReport(
+        problem=AXIS5,
+        closed_form_total=30,
+        oracle_total=29,
+        verdict="FAIL",
+        partition_rows=_rows(("k=1", 16, 15), ("k=2", 9, 9), ("k=3", 4, 4), ("k=4", 1, 1)),
+        duplicate_witnesses=0,
+        notes=(
+            "class k=1: closed form 16 != oracle 15",
+            "closed-form total 30 != oracle total 29",
+        ),
+    )
+
+
+def test_duplicated_witness_fails_enumeration_only_problem(monkeypatch):
+    _with_faulty_enumeration(monkeypatch, _duplicate_first)
+    assert verify_problem(OPEN_FREE) == VerifyReport(
+        problem=OPEN_FREE,
+        closed_form_total=None,
+        oracle_total=1025,
+        verdict="FAIL",
+        partition_rows=_rows(("(0,0)", None, 257), ("(0,4)", None, 256),
+                             ("(4,0)", None, 256), ("(4,4)", None, 256)),
+        duplicate_witnesses=1,
+        notes=("1 duplicate witnesses in the enumeration",),
+    )
+
+
+def test_dropped_witness_passes_enumeration_only_problem(monkeypatch):
+    # With no closed form there is nothing to compare a class size against, so
+    # a lost witness cannot be seen: the report just counts one fewer.
+    _with_faulty_enumeration(monkeypatch, _drop_first)
+    assert verify_problem(OPEN_FREE) == VerifyReport(
+        problem=OPEN_FREE,
+        closed_form_total=None,
+        oracle_total=1023,
+        verdict="PASS",
+        partition_rows=_rows(("(0,0)", None, 255), ("(0,4)", None, 256),
+                             ("(4,0)", None, 256), ("(4,4)", None, 256)),
+        duplicate_witnesses=0,
+        notes=(),
+    )
 
 
 # ---------------------------------------------------------------------------
