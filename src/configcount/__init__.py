@@ -32,11 +32,9 @@ from .squares import (
     rail_decomposition,
 )
 from .verify import (
-    AuditResult,
     PartitionRow,
     StepTrace,
     VerifyReport,
-    audit_partition,
     build_step_trace,
     has_registered_closed_form,
     verify_problem,
@@ -86,11 +84,9 @@ __all__ = [
     "enumerate_all_squares",
     "enumerate_axis_squares",
     "rail_decomposition",
-    "AuditResult",
     "PartitionRow",
     "StepTrace",
     "VerifyReport",
-    "audit_partition",
     "build_step_trace",
     "has_registered_closed_form",
     "verify_problem",
