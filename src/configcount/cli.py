@@ -94,31 +94,58 @@ _FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                        default="text", help="Output format.")
 
 
+def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
+    """Print ``block(spec, run(spec))`` for each problem in file order; the results.
+
+    A problem that overruns the oracle budget gets one error line on stderr
+    and no block; the others are still printed, and then the command exits 2.
+    Stdout stays empty when every problem overran.
+    """
+    results, blocks, overran = [], [], False
+    for spec in specs:
+        try:
+            result = run(spec)
+        except OracleBudgetError as exc:
+            click.echo(f"error: problem {spec.name}: {exc}", err=True)
+            overran = True
+            continue
+        results.append(result)
+        blocks.append(block(spec, result))
+    if blocks or not overran:
+        click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
+    if overran:
+        sys.exit(2)
+    return results
+
+
+def _count_text(spec: ProblemSpec, classes: dict) -> str:
+    lines = [f"problem {spec.name}: {_describe(spec)}"]
+    lines += [f"{class_label(key)}: {n}" for key, n in classes.items()]
+    lines.append(f"total {sum(classes.values())}")
+    return "\n".join(lines)
+
+
+def _count_json(spec: ProblemSpec, classes: dict) -> str:
+    return json.dumps({
+        "problem": spec.name,
+        "kind": spec.kind,
+        "total": str(sum(classes.values())),
+        "classes": [{"label": class_label(key), "count": str(n)} for key, n in classes.items()],
+    })
+
+
 @main.command()
 @_SPEC_FILE
 @_PROBLEM
 @_FORMAT
 def count(spec_file, problem_name, fmt):
-    """Print the total and class breakdown for each problem."""
-    blocks = []
-    for spec in _select(_load_specs(spec_file), problem_name):
-        with _naming(spec):
-            classes = class_counts(spec)
-        total = sum(classes.values())
-        if fmt == "json":
-            blocks.append(json.dumps({
-                "problem": spec.name,
-                "kind": spec.kind,
-                "total": str(total),
-                "classes": [{"label": class_label(key), "count": str(n)}
-                            for key, n in classes.items()],
-            }))
-            continue
-        lines = [f"problem {spec.name}: {_describe(spec)}"]
-        lines += [f"{class_label(key)}: {n}" for key, n in classes.items()]
-        lines.append(f"total {total}")
-        blocks.append("\n".join(lines))
-    click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
+    """Print the total and class breakdown for each problem.
+
+    A problem that overruns the oracle budget gets an error line on stderr;
+    the others are still reported, and the exit code is 2.
+    """
+    _report_each(_select(_load_specs(spec_file), problem_name), class_counts,
+                 _count_json if fmt == "json" else _count_text, fmt)
 
 
 @main.command("enumerate")
@@ -207,18 +234,9 @@ def verify(spec_file, problem_name, fmt):
     A problem that overruns the oracle budget gets an error line on stderr;
     the others are still reported, and the exit code is 2.
     """
-    reports, overran = [], False
-    for spec in _select(_load_specs(spec_file), problem_name):
-        try:
-            reports.append(verify_problem(spec))
-        except OracleBudgetError as exc:
-            click.echo(f"error: problem {spec.name}: {exc}", err=True)
-            overran = True
-    blocks = [(_verify_json if fmt == "json" else _verify_text)(r) for r in reports]
-    if blocks or not overran:
-        click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
-    if overran:
-        sys.exit(2)
+    as_block = _verify_json if fmt == "json" else _verify_text
+    reports = _report_each(_select(_load_specs(spec_file), problem_name), verify_problem,
+                           lambda spec, report: as_block(report), fmt)
     if any(r.verdict != "PASS" for r in reports):
         sys.exit(1)
 

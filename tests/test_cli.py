@@ -168,6 +168,48 @@ def test_verify_reports_every_problem_around_overruns(runner, tmp_path, monkeypa
     assert [(d["problem"], d["verdict"]) for d in docs] == [("small", "PASS"), ("failing", "FAIL")]
 
 
+def _small_budget(monkeypatch, budget=1000):
+    # Under the default budget an overrunning word search takes seconds; a
+    # small one keeps the overrun real without the wait.
+    real = verify_mod.enumerate_witnesses
+    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
+                        lambda spec, _budget=None: real(spec, budget))
+
+
+_OVERRUN_BETWEEN = (
+    "problem small { kind: squares cols: 3 rows: 3 variant: all }\n"
+    'problem big { kind: word-paths word: "aaaaaa" layout: explicit '
+    'rows-data: ["aaa", "aaa", "aaa"] adjacency: none }\n'
+    'problem tiny { kind: word-paths word: "ab" layout: explicit rows-data: ["ab"] adjacency: side }'
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_reports_every_problem_around_an_overrun(runner, tmp_path, monkeypatch, fmt):
+    _small_budget(monkeypatch)
+    spec = tmp_path / "mixed.ccspec"
+    spec.write_text(_OVERRUN_BETWEEN)
+    result = invoke(runner, "count", spec, "--format", fmt)
+    assert result.exit_code == 2
+    assert result.stderr == "error: problem big: oracle budget exceeded: more than 1000 cell visits\n"
+    if fmt == "text":
+        assert result.stdout == ("problem small: squares all 3x3\nk=1: 4\nk=2: 2\ntotal 6\n\n"
+                                 "problem tiny: word-paths 'ab' explicit side\n(1,0): 1\ntotal 1\n")
+    else:
+        docs = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [(d["problem"], d["total"]) for d in docs] == [("small", "6"), ("tiny", "1")]
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+def test_every_problem_overrunning_leaves_stdout_empty(runner, tmp_path, monkeypatch, command):
+    _small_budget(monkeypatch)
+    spec = tmp_path / "big.ccspec"
+    spec.write_text(_OVERRUN_BETWEEN)
+    result = invoke(runner, command, spec, "--problem", "big")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["enumerate", "render"])
 def test_budget_error_names_the_problem(runner, tmp_path, command):
     spec = tmp_path / "big.ccspec"
