@@ -144,11 +144,18 @@ class _Tokenizer:
             return _Token("punct", ch, line, column)
         if ch == '"':
             return self._string(line, column)
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() takes exactly the decimal digits of any
+        # script, and refuses superscripts such as "²" that isdigit accepts.
+        if ch.isdecimal():
             digits = []
-            while self.pos < len(self.source) and self._peek().isdigit():
+            while self.pos < len(self.source) and self._peek().isdecimal():
                 digits.append(self._advance())
-            return _Token("int", int("".join(digits)), line, column)
+            try:
+                value = int("".join(digits))
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ParseError(line, column,
+                                 f"integer literal too long ({len(digits)} digits)") from None
+            return _Token("int", value, line, column)
         if _is_ident_start(ch):
             parts = [self._advance()]
             while self.pos < len(self.source) and _is_ident_part(self._peek()):

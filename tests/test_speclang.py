@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from configcount.speclang import (
     ParseError,
     ProblemSpec,
+    SpecError,
     ValidationError,
     parse_spec,
     print_spec,
@@ -214,6 +215,8 @@ _EXPECTED_POSITIONS = {
     "e11_missing_keyword.ccspec": (1, 1),
     "e12_list_missing_comma.ccspec": (1, 47),
     "e13_stray_brace.ccspec": (1, 59),
+    "e14_superscript_digit.ccspec": (1, 33),
+    "e15_long_integer.ccspec": (1, 33),
 }
 
 
@@ -231,3 +234,31 @@ def test_error_corpus_positions(name):
     assert (err.line, err.column) == _EXPECTED_POSITIONS[name]
     assert err.line >= 1 and err.column >= 1
     assert f"{err.line}:{err.column}:" in str(err)
+
+
+def test_decimal_digits_of_any_script_parse_as_integers():
+    (spec,) = parse_spec("problem a { kind: squares cols: \u0663 rows: \u0661\u0662 variant: axis }")
+    assert (spec.cols, spec.rows) == (3, 12)
+
+
+# ---------------------------------------------------------------------------
+# arbitrary input: a list of problems or a SpecError, nothing else
+
+_SPEC_TOKENS = (
+    "problem", "p", "q", "kind", "cols", "rows", "variant", "word", "layout", "rows-data",
+    "adjacency", "distinct-cells", "squares", "word-paths", "axis", "all", "manhattan-rings",
+    "explicit", "side", "king", "none", "true", "false",
+    "{", "}", ":", ",", "[", "]", '"', '"ab"', "\\", '\\"', "#", " ", "\n",
+    "0", "7", "\u0663", "\u00b2", "\u2460", "9" * 4301,
+    "problem p { kind: squares cols: ",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SPEC_TOKENS), st.text(max_size=3)), max_size=16))
+def test_parse_returns_problems_or_raises_spec_error(pieces):
+    try:
+        result = parse_spec("".join(pieces))
+    except SpecError:
+        return
+    assert isinstance(result, list)
