@@ -236,6 +236,69 @@ def test_error_corpus_positions(name):
     assert f"{err.line}:{err.column}:" in str(err)
 
 
+_EXPECTED_MESSAGES = {
+    "e01_unclosed_block.ccspec": "6:1: unterminated problem block (expected '}')",
+    "e02_bad_character.ccspec": "1:10: unexpected character '$'",
+    "e03_missing_colon.ccspec": "1:18: expected ':' (expected ':')",
+    "e04_unknown_field.ccspec": "1:27: unknown field: colour",
+    "e05_duplicate_field.ccspec": "1:35: duplicate field: cols",
+    "e06_unterminated_string.ccspec": "3:9: unterminated string",
+    "e07_bad_escape.ccspec": "1:39: invalid escape \\q",
+    "e08_int_for_string.ccspec": "1:36: field word takes a quoted string (expected quoted string)",
+    "e09_string_for_int.ccspec": "1:33: field cols takes an integer (expected integer)",
+    "e10_bad_enum.ccspec": "1:36: field variant must be one of axis, all",
+    "e11_missing_keyword.ccspec": "1:1: expected 'problem' (expected 'problem')",
+    "e12_list_missing_comma.ccspec": "1:47: expected ',' or ']' (expected ',' or ']')",
+    "e13_stray_brace.ccspec": "1:59: expected 'problem' (expected 'problem')",
+    "e14_superscript_digit.ccspec": "1:33: unexpected character '\u00b2'",
+    "e15_long_integer.ccspec": "1:33: integer literal too long (5000 digits)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPECTED_POSITIONS))
+def test_error_corpus_messages(name):
+    with pytest.raises(ParseError) as exc_info:
+        parse_spec(Path(ERROR_CORPUS, name).read_text(encoding="utf-8"))
+    assert str(exc_info.value) == _EXPECTED_MESSAGES[name]
+
+
+_WORD = 'problem w { kind: word-paths word: "a'
+
+
+@pytest.mark.parametrize("source, message", [
+    pytest.param(_WORD + '\tb" }', "1:36: control character in string", id="tab-in-string"),
+    pytest.param(_WORD + '\x7f" }', "1:36: control character in string", id="del-in-string"),
+    pytest.param(_WORD + '\\\nb" }', "1:39: invalid escape \\\n", id="backslash-newline"),
+    pytest.param(_WORD + "\\", "1:36: unterminated string", id="backslash-at-eof"),
+    pytest.param(_WORD, "1:36: unterminated string", id="string-at-eof"),
+    pytest.param("problem a {\r kind: squares cols: 2\r rows: x }",
+                 "1:43: field rows takes an integer (expected integer)", id="carriage-return"),
+    pytest.param("problem a { # no close",
+                 "1:23: unterminated problem block (expected '}')", id="comment-at-eof"),
+    pytest.param("problem \u00b2 {", "1:9: unexpected character '\u00b2'", id="superscript-first"),
+    pytest.param("problem \u00bd {", "1:9: unexpected character '\u00bd'", id="fraction-first"),
+    pytest.param("problem\u00a0a {", "1:8: unexpected character '\\xa0'", id="no-break-space"),
+    pytest.param("problem \u0663 {", "1:9: expected problem name (expected problem name)",
+                 id="arabic-indic-name"),
+    pytest.param("problem a { kind: squares cols: \u0663\u0660 rows: \u0662 variant: \u0663 }",
+                 "1:53: field variant takes an identifier (expected identifier)",
+                 id="arabic-indic-columns"),
+    pytest.param("problem a { kind squares }\n\u00b2", "1:18: expected ':' (expected ':')",
+                 id="parse-error-before-bad-character"),
+    pytest.param('problem a { kind squares }\n"\\q', "1:18: expected ':' (expected ':')",
+                 id="parse-error-before-bad-escape"),
+])
+def test_parse_error_texts(source, message):
+    with pytest.raises(ParseError) as exc_info:
+        parse_spec(source)
+    assert str(exc_info.value) == message
+
+
+def test_identifier_continues_with_any_alphanumeric():
+    (spec,) = parse_spec("problem x\u00b2 { kind: squares cols: 2 rows: 2 variant: axis } # end")
+    assert spec.name == "x\u00b2"
+
+
 def test_decimal_digits_of_any_script_parse_as_integers():
     (spec,) = parse_spec("problem a { kind: squares cols: \u0663 rows: \u0661\u0662 variant: axis }")
     assert (spec.cols, spec.rows) == (3, 12)
