@@ -27,6 +27,7 @@ The manhattan-rings layout additionally requires an odd word length.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -97,164 +98,107 @@ class _Token:
     column: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha()
+# Whitespace and comments, then at most one token.  \d is str.isdecimal, the
+# digits int() accepts, and [\w-] is isalnum() or "_-"; [^\W\d_] also admits
+# non-decimal digits such as "²", so an identifier's first character is
+# checked with isalpha() as well.  A string group stops before the first
+# character that cannot continue it; that character decides the outcome.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]|\#[^\n]*)*
+    (?:(?P<punct>[{}:,\[\]])
+      |(?P<string>"(?:[^"\\\x00-\x1f\x7f]|\\["\\])*)
+      |(?P<int>\d+)
+      |(?P<ident>[^\W\d_][\w-]*))?
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
 
 
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-"
-
-
-class _Tokenizer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _peek(self) -> str:
-        return self.source[self.pos] if self.pos < len(self.source) else ""
-
-    def next_token(self) -> _Token:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                break
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return _Token("eof", None, line, column)
-        ch = self._peek()
-        if ch in "{}:,[]":
-            self._advance()
-            return _Token("punct", ch, line, column)
-        if ch == '"':
-            return self._string(line, column)
-        # isdecimal, not isdigit: int() takes exactly the decimal digits of any
-        # script, and refuses superscripts such as "²" that isdigit accepts.
-        if ch.isdecimal():
-            digits = []
-            while self.pos < len(self.source) and self._peek().isdecimal():
-                digits.append(self._advance())
+def _tokens(source: str):
+    """Yield the tokens of ``source``, ending with one eof token."""
+    pos, line, line_start = 0, 1, 0
+    while True:
+        match = _TOKEN.match(source, pos)
+        kind = match.lastgroup
+        start = match.start(kind) if kind else match.end()
+        newline = source.rfind("\n", pos, start)
+        if newline >= 0:
+            line += source.count("\n", pos, start)
+            line_start = newline + 1
+        column = start - line_start + 1
+        pos = match.end()
+        if kind is None:
+            if pos == len(source):
+                yield _Token("eof", None, line, column)
+                return
+            raise ParseError(line, column, f"unexpected character {source[pos]!r}")
+        text = match.group(kind)
+        if kind == "ident" and not text[0].isalpha():
+            raise ParseError(line, column, f"unexpected character {text[0]!r}")
+        if kind == "int":
             try:
-                value = int("".join(digits))
+                text = int(text)
             except ValueError:  # longer than sys.get_int_max_str_digits()
                 raise ParseError(line, column,
-                                 f"integer literal too long ({len(digits)} digits)") from None
-            return _Token("int", value, line, column)
-        if _is_ident_start(ch):
-            parts = [self._advance()]
-            while self.pos < len(self.source) and _is_ident_part(self._peek()):
-                parts.append(self._advance())
-            return _Token("ident", "".join(parts), line, column)
-        raise ParseError(line, column, f"unexpected character {ch!r}")
+                                 f"integer literal too long ({len(text)} digits)") from None
+        elif kind == "string":
+            end = source[pos:pos + 1]
+            if end == "\\" and pos + 1 < len(source):
+                raise ParseError(line, pos + 2 - line_start, f"invalid escape \\{source[pos + 1]}")
+            if end != '"':
+                raise ParseError(line, column, "unterminated string" if end in ("", "\\", "\n")
+                                 else "control character in string")
+            pos += 1
+            text = _ESCAPE.sub(r"\1", text[1:])
+        yield _Token(kind, text, line, column)
 
-    def _string(self, line: int, column: int) -> _Token:
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self.pos >= len(self.source):
-                raise ParseError(line, column, "unterminated string")
-            ch = self._advance()
-            if ch == '"':
-                return _Token("string", "".join(chars), line, column)
-            if ch == "\n":
-                raise ParseError(line, column, "unterminated string")
-            if ch == "\\":
-                esc_line, esc_col = self.line, self.column
-                if self.pos >= len(self.source):
-                    raise ParseError(line, column, "unterminated string")
-                esc = self._advance()
-                if esc not in ('"', "\\"):
-                    raise ParseError(esc_line, esc_col, f"invalid escape \\{esc}")
-                chars.append(esc)
-            elif ord(ch) < 0x20 or ch == "\x7f":
-                raise ParseError(line, column, "control character in string")
-            else:
-                chars.append(ch)
+
+def _expect(tok: _Token, kind: str, value: str | None, what: str) -> _Token:
+    if tok.kind != kind or (value is not None and tok.value != value):
+        raise ParseError(tok.line, tok.column, f"expected {what}", expected=what)
+    return tok
 
 
 class _Parser:
-    # Tokens are pulled lazily so an early parse error is reported before a
-    # tokenizer error further down the file.
-    def __init__(self, tokenizer: _Tokenizer):
-        self.tokenizer = tokenizer
-        self.lookahead: _Token | None = None
-
-    def _peek(self) -> _Token:
-        if self.lookahead is None:
-            self.lookahead = self.tokenizer.next_token()
-        return self.lookahead
-
-    def _take(self) -> _Token:
-        tok = self._peek()
-        if tok.kind != "eof":
-            self.lookahead = None
-        return tok
-
-    def _expect_punct(self, ch: str) -> _Token:
-        tok = self._take()
-        if tok.kind != "punct" or tok.value != ch:
-            raise ParseError(tok.line, tok.column, f"expected {ch!r}", expected=repr(ch))
-        return tok
-
-    def _expect_ident(self, what: str) -> _Token:
-        tok = self._take()
-        if tok.kind != "ident":
-            raise ParseError(tok.line, tok.column, f"expected {what}", expected=what)
-        return tok
+    # Pulls one token at a time and never reads ahead; tokens are made only
+    # when asked for, so an early parse error is reported before a tokenizer
+    # error further down the file.
+    def __init__(self, source: str):
+        self.tokens = _tokens(source)
 
     def parse_file(self) -> list[ProblemSpec]:
         specs = []
         names = set()
-        while self._peek().kind != "eof":
-            spec = self._parse_block()
+        for tok in self.tokens:
+            if tok.kind == "eof":
+                break
+            spec = self._parse_block(tok)
             if spec.name in names:
                 raise ValidationError(f"duplicate problem name: {spec.name}")
             names.add(spec.name)
             specs.append(spec)
         return specs
 
-    def _parse_block(self) -> ProblemSpec:
-        kw = self._expect_ident("'problem'")
-        if kw.value != "problem":
-            raise ParseError(kw.line, kw.column, "expected 'problem'", expected="'problem'")
-        name = self._expect_ident("problem name")
-        self._expect_punct("{")
+    def _parse_block(self, keyword: _Token) -> ProblemSpec:
+        _expect(keyword, "ident", "problem", "'problem'")
+        name = _expect(next(self.tokens), "ident", None, "problem name")
+        _expect(next(self.tokens), "punct", "{", "'{'")
         fields: dict[str, object] = {}
-        while True:
-            tok = self._peek()
+        for tok in self.tokens:
             if tok.kind == "punct" and tok.value == "}":
-                self._take()
                 break
             if tok.kind == "eof":
                 raise ParseError(tok.line, tok.column, "unterminated problem block", expected="'}'")
-            key_tok = self._expect_ident("field name")
-            key = key_tok.value
+            key = _expect(tok, "ident", None, "field name").value
             if key not in _KEYS:
-                raise ParseError(key_tok.line, key_tok.column, f"unknown field: {key}")
+                raise ParseError(tok.line, tok.column, f"unknown field: {key}")
             if key in fields:
-                raise ParseError(key_tok.line, key_tok.column, f"duplicate field: {key}")
-            self._expect_punct(":")
+                raise ParseError(tok.line, tok.column, f"duplicate field: {key}")
+            _expect(next(self.tokens), "punct", ":", "':'")
             fields[key] = self._parse_value(key)
         return _validate(str(name.value), fields)
 
     def _parse_value(self, key: str):
-        tok = self._take()
+        tok = next(self.tokens)
         if key in ("cols", "rows"):
             if tok.kind != "int":
                 raise ParseError(tok.line, tok.column, f"field {key} takes an integer",
@@ -283,22 +227,21 @@ class _Parser:
 
     def _parse_string_list(self) -> tuple[str, ...]:
         items: list[str] = []
-        tok = self._peek()
+        tok = next(self.tokens)
         if tok.kind == "punct" and tok.value == "]":
-            self._take()
             return ()
         while True:
-            tok = self._take()
             if tok.kind != "string":
                 raise ParseError(tok.line, tok.column, "expected a quoted string",
                                  expected="quoted string")
             items.append(str(tok.value))
-            tok = self._take()
+            tok = next(self.tokens)
             if tok.kind == "punct" and tok.value == "]":
                 return tuple(items)
             if not (tok.kind == "punct" and tok.value == ","):
                 raise ParseError(tok.line, tok.column, "expected ',' or ']'",
                                  expected="',' or ']'")
+            tok = next(self.tokens)
 
 
 def _require(fields: dict, name: str, key: str):
@@ -362,7 +305,7 @@ def _validate(name: str, fields: dict) -> ProblemSpec:
 
 def parse_spec(source: str) -> list[ProblemSpec]:
     """Parse a spec file into validated problem descriptions."""
-    return _Parser(_Tokenizer(source)).parse_file()
+    return _Parser(source).parse_file()
 
 
 def _quote(s: str) -> str:
