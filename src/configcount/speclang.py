@@ -69,17 +69,21 @@ class ProblemSpec:
     distinct_cells: bool = False
 
 
-_KEYS = (
-    "kind",
-    "cols",
-    "rows",
-    "variant",
-    "word",
-    "layout",
-    "rows-data",
-    "adjacency",
-    "distinct-cells",
-)
+_IDENTIFIER = ("ident", None, "an identifier", "identifier")
+
+# Every field, with the token its value starts with: kind, value (None for
+# any), what the field takes, and the expected text of the error.
+_FIELDS = {
+    "kind": _IDENTIFIER,
+    "cols": ("int", None, "an integer", "integer"),
+    "rows": ("int", None, "an integer", "integer"),
+    "variant": _IDENTIFIER,
+    "word": ("string", None, "a quoted string", "quoted string"),
+    "layout": _IDENTIFIER,
+    "rows-data": ("punct", "[", "a list of quoted strings", "'['"),
+    "adjacency": _IDENTIFIER,
+    "distinct-cells": _IDENTIFIER,
+}
 
 _ENUM_VALUES = {
     "kind": ("squares", "word-paths"),
@@ -152,9 +156,11 @@ def _tokens(source: str):
         yield _Token(kind, text, line, column)
 
 
-def _expect(tok: _Token, kind: str, value: str | None, what: str) -> _Token:
+def _expect(tok: _Token, kind: str, value: str | None, what: str,
+            message: str | None = None) -> _Token:
+    """``tok`` if it has this kind (and value, unless None); else a ParseError."""
     if tok.kind != kind or (value is not None and tok.value != value):
-        raise ParseError(tok.line, tok.column, f"expected {what}", expected=what)
+        raise ParseError(tok.line, tok.column, message or f"expected {what}", expected=what)
     return tok
 
 
@@ -189,7 +195,7 @@ class _Parser:
             if tok.kind == "eof":
                 raise ParseError(tok.line, tok.column, "unterminated problem block", expected="'}'")
             key = _expect(tok, "ident", None, "field name").value
-            if key not in _KEYS:
+            if key not in _FIELDS:
                 raise ParseError(tok.line, tok.column, f"unknown field: {key}")
             if key in fields:
                 raise ParseError(tok.line, tok.column, f"duplicate field: {key}")
@@ -198,31 +204,13 @@ class _Parser:
         return _validate(str(name.value), fields)
 
     def _parse_value(self, key: str):
-        tok = next(self.tokens)
-        if key in ("cols", "rows"):
-            if tok.kind != "int":
-                raise ParseError(tok.line, tok.column, f"field {key} takes an integer",
-                                 expected="integer")
-            return tok.value
-        if key == "word":
-            if tok.kind != "string":
-                raise ParseError(tok.line, tok.column, "field word takes a quoted string",
-                                 expected="quoted string")
-            return tok.value
+        kind, value, takes, what = _FIELDS[key]
+        tok = _expect(next(self.tokens), kind, value, what, f"field {key} takes {takes}")
         if key == "rows-data":
-            if tok.kind != "punct" or tok.value != "[":
-                raise ParseError(tok.line, tok.column,
-                                 "field rows-data takes a list of quoted strings",
-                                 expected="'['")
             return self._parse_string_list()
-        # remaining keys are enumerations over bare identifiers
-        if tok.kind != "ident":
-            raise ParseError(tok.line, tok.column, f"field {key} takes an identifier",
-                             expected="identifier")
-        allowed = _ENUM_VALUES[key]
-        if tok.value not in allowed:
-            raise ParseError(tok.line, tok.column,
-                             f"field {key} must be one of {', '.join(allowed)}")
+        if key in _ENUM_VALUES and tok.value not in _ENUM_VALUES[key]:
+            allowed = ", ".join(_ENUM_VALUES[key])
+            raise ParseError(tok.line, tok.column, f"field {key} must be one of {allowed}")
         return tok.value
 
     def _parse_string_list(self) -> tuple[str, ...]:
@@ -231,16 +219,12 @@ class _Parser:
         if tok.kind == "punct" and tok.value == "]":
             return ()
         while True:
-            if tok.kind != "string":
-                raise ParseError(tok.line, tok.column, "expected a quoted string",
-                                 expected="quoted string")
-            items.append(str(tok.value))
+            items.append(_expect(tok, "string", None, "quoted string",
+                                 "expected a quoted string").value)
             tok = next(self.tokens)
             if tok.kind == "punct" and tok.value == "]":
                 return tuple(items)
-            if not (tok.kind == "punct" and tok.value == ","):
-                raise ParseError(tok.line, tok.column, "expected ',' or ']'",
-                                 expected="',' or ']'")
+            _expect(tok, "punct", ",", "',' or ']'")
             tok = next(self.tokens)
 
 
