@@ -9,8 +9,9 @@ squares or traces one enumerated witness as an arrowed polyline.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
+from .budget import DEFAULT_ORACLE_BUDGET
 from .geometry import square_vertices
 from .speclang import ProblemSpec
 from .verify import enumerate_witnesses, letter_grid
@@ -44,6 +45,10 @@ def _document(width: int, height: int, cell_size: int, body: list[str]) -> str:
 
 def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
     squares = enumerate_witnesses(spec)
+    # A one-row grid has no squares for the budget to refuse, but many points.
+    elements = len(squares) + spec.cols * spec.rows
+    if elements > DEFAULT_ORACLE_BUDGET:
+        raise ValueError(f"figure too large: {elements} elements > {DEFAULT_ORACLE_BUDGET}")
 
     highlighted = set()
     if highlight is not None:
@@ -111,9 +116,8 @@ def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None)
         for x in range(grid.cols):
             cx = margin + x * cell_size + cell_size // 2
             cy = margin + y * cell_size + cell_size // 2 + font // 3
-            body.append(
-                f'<text class="glyph" x="{cx}" y="{cy}">{escape(grid.cells[(x, y)])}</text>'
-            )
+            glyph = escape(grid.cells[(x, y)], quote=False)
+            body.append(f'<text class="glyph" x="{cx}" y="{cy}">{glyph}</text>')
     if witness is not None:
         pts = " ".join(
             f"{margin + x * cell_size + cell_size // 2},{margin + y * cell_size + cell_size // 2}"

@@ -80,6 +80,20 @@ def rail_decomposition(grid: LatticeGrid, k: int) -> RailReport:
     return RailReport(k, rail_pairs, per_pair, rail_pairs * per_pair)
 
 
+def _square_totals(cols: int, rows: int) -> tuple[int, int]:
+    """(axis, all) square counts without a loop over k.
+
+    With n = min(cols, rows) - 1, the sums of (cols-k)(rows-k) and
+    k(cols-k)(rows-k) over k = 1..n expand into the power sums of k.
+    """
+    n = min(cols, rows) - 1
+    s1 = n * (n + 1) // 2
+    s2 = n * (n + 1) * (2 * n + 1) // 6
+    s3 = s1 * s1
+    return (n * cols * rows - (cols + rows) * s1 + s2,
+            cols * rows * s1 - (cols + rows) * s2 + s3)
+
+
 def _guard_candidates(count: int, max_candidates: int | None) -> None:
     if max_candidates is not None and count > max_candidates:
         raise OracleBudgetError(
@@ -91,8 +105,7 @@ def enumerate_axis_squares(
     grid: LatticeGrid, max_candidates: int | None = None
 ) -> list[Square]:
     """Every axis-aligned square on the grid, ordered by (k, anchor.y, anchor.x)."""
-    total = sum((grid.cols - k) * (grid.rows - k) for k in range(1, min(grid.cols, grid.rows)))
-    _guard_candidates(total, max_candidates)
+    _guard_candidates(_square_totals(grid.cols, grid.rows)[0], max_candidates)
     return [
         Square(LatticePoint(x, y), k, 0)
         for k in range(1, min(grid.cols, grid.rows))
@@ -105,10 +118,7 @@ def enumerate_all_squares(
     grid: LatticeGrid, max_candidates: int | None = None
 ) -> list[Square]:
     """Every square (tilted or not) on the grid, ordered by (k, a, anchor.y, anchor.x)."""
-    total = sum(
-        k * (grid.cols - k) * (grid.rows - k) for k in range(1, min(grid.cols, grid.rows))
-    )
-    _guard_candidates(total, max_candidates)
+    _guard_candidates(_square_totals(grid.cols, grid.rows)[1], max_candidates)
     return [
         Square(LatticePoint(x, y), k, a)
         for k in range(1, min(grid.cols, grid.rows))

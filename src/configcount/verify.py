@@ -161,8 +161,10 @@ def verify_problem(
     spec: ProblemSpec, *, oracle_budget: int | None = DEFAULT_ORACLE_BUDGET
 ) -> VerifyReport:
     """Enumerate, count the classes, and compare with the closed form where one exists."""
-    expected_classes = closed_form_classes(spec)
+    # Enumerate first: its budget check refuses a huge grid before the closed
+    # form builds one entry per class.
     witnesses = enumerate_witnesses(spec, oracle_budget)
+    expected_classes = closed_form_classes(spec)
     observed = _class_sizes(witnesses)
     oracle_total = len(witnesses)
     duplicates = oracle_total - len(set(witnesses))

@@ -158,6 +158,17 @@ def enumerate_word_paths(
         found.sort()
         return found
 
+    overrun = f"oracle budget exceeded: more than {max_visits} cell visits"
+    if adjacency == "none" and not distinct_cells and max_visits is not None:
+        # Every prefix is extended by every cell holding the next symbol, so the
+        # search would visit exactly this many cells: refuse an overrun up front.
+        needed, prefixes = 0, 1
+        for symbol in word:
+            prefixes *= len(by_sym.get(symbol, ()))
+            needed += prefixes
+            if needed > max_visits:
+                raise OracleBudgetError(overrun)
+
     witnesses: list[PathWitness] = []
     visits = 0
     path: list[tuple[int, int]] = []
@@ -172,9 +183,7 @@ def enumerate_word_paths(
                 continue
             visits += 1
             if max_visits is not None and visits > max_visits:
-                raise OracleBudgetError(
-                    f"oracle budget exceeded: more than {max_visits} cell visits"
-                )
+                raise OracleBudgetError(overrun)
             if i == last:
                 witnesses.append(PathWitness((*path, cell)))
                 continue

@@ -1,13 +1,26 @@
 """Command-line behavior: formats, exit codes, determinism, error messages."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import configcount.cli as cli_mod
+import configcount.render as render_mod
 import configcount.verify as verify_mod
 from configcount.cli import main
+from configcount.speclang import ProblemSpec, print_spec
 
-from conftest import ERROR_CORPUS, SAMPLES
+from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES
+from test_speclang import _SPEC_TOKENS, _explicit_specs, _rings_specs
 
 
 def invoke(runner, *args):
@@ -318,3 +331,99 @@ def test_every_command_is_deterministic_in_process(runner, tmp_path):
         second = invoke(runner, *command)
         assert first.output == second.output
         assert first.exit_code == second.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# refusals come before the work; every failure exits 2
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate", "render"])
+def test_huge_grid_is_refused_before_enumerating(runner, tmp_path, command):
+    spec = tmp_path / "huge.ccspec"
+    spec.write_text("problem huge { kind: squares cols: 100000000 rows: 100000000 variant: all }")
+    args = [command, spec, "--problem", "huge"]
+    if command == "render":
+        args += ["-o", tmp_path / "huge.svg"]
+    start = time.perf_counter()
+    result = invoke(runner, *args)
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    assert result.stderr == ("error: problem huge: oracle budget exceeded: "
+                             "8333333333333332500000000000000 candidate squares > 10000000\n")
+
+
+def test_unconstrained_reading_overrun_is_refused_before_searching(runner, tmp_path):
+    spec = tmp_path / "mixed.ccspec"
+    spec.write_text("problem small { kind: squares cols: 3 rows: 3 variant: all }\n"
+                    'problem big { kind: word-paths word: "' + "a" * 36 + '" layout: explicit '
+                    'rows-data: ["aaa", "aaa", "aaa"] adjacency: none }')
+    start = time.perf_counter()
+    result = invoke(runner, "count", spec)
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    assert result.stdout == "problem small: squares all 3x3\nk=1: 4\nk=2: 2\ntotal 6\n"
+    assert result.stderr == ("error: problem big: oracle budget exceeded: "
+                             "more than 10000000 cell visits\n")
+
+
+def test_one_row_grid_too_large_to_draw_exits_2(runner, tmp_path):
+    # No squares fit, so the enumeration budget never trips; the points still do.
+    spec = tmp_path / "row.ccspec"
+    spec.write_text("problem row { kind: squares cols: 100000000000 rows: 1 variant: all }")
+    result = invoke(runner, "render", spec, "--problem", "row", "-o", tmp_path / "row.svg")
+    assert result.exit_code == 2
+    assert result.stderr == ("error: problem row: figure too large: "
+                             "100000000000 elements > 10000000\n")
+
+
+def test_importing_the_cli_skips_network_and_xml_modules():
+    # Every command imports cli; xml.sax.saxutils pulled in urllib.request,
+    # http.client and email at start-up.
+    code = ("import sys, configcount.cli; "
+            "print(sorted({'urllib.request', 'xml.sax'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "[]\n"
+
+
+def _small_budget_everywhere(monkeypatch, budget=1000):
+    # Each command looks the enumerator up in its own module; render also caps
+    # a figure's size by the default budget.
+    real = verify_mod.enumerate_witnesses
+    for module in (verify_mod, cli_mod, render_mod):
+        monkeypatch.setattr(module, "enumerate_witnesses",
+                            lambda spec, _budget=None: real(spec, budget))
+    monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
+
+
+@st.composite
+def _cli_cases(draw):
+    command = draw(st.sampled_from(["count", "explain", "verify", "enumerate", "render"]))
+    # count and explain print one line per size class, so their grids stay small.
+    side = st.integers(1, 10**4 if command in ("count", "explain") else 10**30)
+    squares = st.builds(lambda cols, rows, variant: ProblemSpec("p", "squares", cols=cols,
+                                                                rows=rows, variant=variant),
+                        side, side, st.sampled_from(["axis", "all"]))
+    printed = st.one_of(squares, _rings_specs, _explicit_specs).map(
+        lambda spec: print_spec([dataclasses.replace(spec, name="p")]))
+    soup = st.lists(st.sampled_from(_SPEC_TOKENS), max_size=16).map("".join)
+    return command, draw(st.one_of(soup, printed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_cases())
+def test_cli_exits_0_1_or_2_without_a_traceback(case):
+    command, text = case
+    args = [command, "spec.ccspec"]
+    if command not in ("count", "verify"):
+        args += ["--problem", "p"]
+    if command == "render":
+        args += ["-o", "out.svg"]
+    runner = CliRunner()
+    with pytest.MonkeyPatch.context() as mp, runner.isolated_filesystem():
+        _small_budget_everywhere(mp)
+        Path("spec.ccspec").write_text(text, encoding="utf-8")
+        result = runner.invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

@@ -10,6 +10,7 @@ from configcount.squares import (
     count_squares_by_point_subsets,
     enumerate_all_squares,
     enumerate_axis_squares,
+    _square_totals,
     _subset_square_counts,
     rail_decomposition,
 )
@@ -152,6 +153,14 @@ def test_enumeration_budget_guard():
         enumerate_all_squares(LatticeGrid(500, 500), max_candidates=100)
     # generous budgets change nothing
     assert len(enumerate_axis_squares(LatticeGrid(5, 5), max_candidates=10_000)) == 30
+
+
+def test_budget_totals_match_the_closed_forms():
+    for cols in range(1, 40):
+        for rows in range(1, 40):
+            assert _square_totals(cols, rows) == (
+                count_axis_squares(cols, rows).total, count_all_squares(cols, rows).total
+            )
 
 
 def test_subset_oracle_refuses_large_grids_before_searching():
