@@ -45,7 +45,7 @@ def _document(width: int, height: int, cell_size: int, body: list[str]) -> str:
 
 def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
     squares = enumerate_witnesses(spec)
-    # A one-row grid has no squares for the budget to refuse, but many points.
+    # A one-row grid has no squares to refuse, but it still draws every point.
     elements = len(squares) + spec.cols * spec.rows
     if elements > DEFAULT_ORACLE_BUDGET:
         raise ValueError(f"figure too large: {elements} elements > {DEFAULT_ORACLE_BUDGET}")

@@ -135,15 +135,15 @@ def _tokens(source: str):
                 yield _Token("eof", None, line, column)
                 return
             raise ParseError(line, column, f"unexpected character {source[pos]!r}")
-        text = match.group(kind)
-        if kind == "ident" and not text[0].isalpha():
-            raise ParseError(line, column, f"unexpected character {text[0]!r}")
+        value = match.group(kind)
+        if kind == "ident" and not value[0].isalpha():
+            raise ParseError(line, column, f"unexpected character {value[0]!r}")
         if kind == "int":
             try:
-                text = int(text)
+                value = int(value)
             except ValueError:  # longer than sys.get_int_max_str_digits()
                 raise ParseError(line, column,
-                                 f"integer literal too long ({len(text)} digits)") from None
+                                 f"integer literal too long ({len(value)} digits)") from None
         elif kind == "string":
             end = source[pos:pos + 1]
             if end == "\\" and pos + 1 < len(source):
@@ -152,8 +152,8 @@ def _tokens(source: str):
                 raise ParseError(line, column, "unterminated string" if end in ("", "\\", "\n")
                                  else "control character in string")
             pos += 1
-            text = _ESCAPE.sub(r"\1", text[1:])
-        yield _Token(kind, text, line, column)
+            value = _ESCAPE.sub(r"\1", value[1:])
+        yield _Token(kind, value, line, column)
 
 
 def _expect(tok: _Token, kind: str, value: str | None, what: str,
