@@ -15,9 +15,6 @@ from .geometry import (
     LatticeGrid,
     LatticePoint,
     Square,
-    grid_contains,
-    grid_points,
-    square_in_grid,
     square_vertices,
 )
 from .speclang import ParseError, ProblemSpec, SpecError, ValidationError, parse_spec, print_spec
@@ -40,11 +37,9 @@ from .verify import (
     verify_problem,
 )
 from .wordgrid import (
-    CornerClassReport,
     CountReport,
     LetterGrid,
     PathWitness,
-    corner_class_decomposition,
     count_paths_by_symbol_product,
     count_word_paths_closed,
     enumerate_word_paths,
@@ -66,9 +61,6 @@ __all__ = [
     "LatticeGrid",
     "LatticePoint",
     "Square",
-    "grid_contains",
-    "grid_points",
-    "square_in_grid",
     "square_vertices",
     "ParseError",
     "ProblemSpec",
@@ -90,11 +82,9 @@ __all__ = [
     "build_step_trace",
     "has_registered_closed_form",
     "verify_problem",
-    "CornerClassReport",
     "CountReport",
     "LetterGrid",
     "PathWitness",
-    "corner_class_decomposition",
     "count_paths_by_symbol_product",
     "count_word_paths_closed",
     "enumerate_word_paths",

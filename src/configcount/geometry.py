@@ -56,16 +56,6 @@ class Square:
             raise ValueError("tilt offset a must satisfy 0 <= a < k")
 
 
-def grid_contains(grid: LatticeGrid, p: LatticePoint) -> bool:
-    """True iff the point lies on the grid."""
-    return 0 <= p.x < grid.cols and 0 <= p.y < grid.rows
-
-
-def grid_points(grid: LatticeGrid) -> list[LatticePoint]:
-    """All grid points in (x, y) order."""
-    return [LatticePoint(x, y) for x in range(grid.cols) for y in range(grid.rows)]
-
-
 def square_vertices(s: Square) -> list[LatticePoint]:
     """The four vertices, counter-clockwise, starting from (x+a, y).
 
@@ -78,8 +68,3 @@ def square_vertices(s: Square) -> list[LatticePoint]:
         LatticePoint(x + k - a, y + k),
         LatticePoint(x, y + k - a),
     ]
-
-
-def square_in_grid(s: Square, grid: LatticeGrid) -> bool:
-    """True iff all four vertices lie on the grid."""
-    return all(grid_contains(grid, v) for v in square_vertices(s))

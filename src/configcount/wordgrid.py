@@ -67,20 +67,11 @@ class PathWitness:
 
 
 @dataclass(frozen=True)
-class CornerClassReport:
-    """Witness counts grouped by terminal cell."""
-
-    classes: dict[tuple[int, int], int]
-    total: int
-
-
-@dataclass(frozen=True)
 class CountReport:
     """A closed-form count with its per-terminal-cell class sizes."""
 
     total: int
     per_class: dict[tuple[int, int], int]
-    formula: str
 
 
 def letter_grid_from_rows(rows_data) -> LetterGrid:
@@ -136,7 +127,8 @@ def enumerate_word_paths(
     explicit stack so long words cannot exhaust the interpreter's recursion
     limit.  Candidates are tried in ascending (x, y) order, which makes the
     output order lexicographic.  ``max_visits`` caps the number of cells the
-    search may touch; exceeding it raises OracleBudgetError.
+    search may touch; exceeding it raises OracleBudgetError.  Without
+    ``distinct_cells`` an overrun is refused before the search starts.
     """
     if adjacency not in ADJACENCY_RULES:
         raise ValueError(f"unknown adjacency rule: {adjacency!r}")
@@ -150,24 +142,34 @@ def enumerate_word_paths(
     def candidates(cell: tuple[int, int], symbol: str) -> list[tuple[int, int]]:
         if adjacency == "none":
             return by_sym.get(symbol, [])
-        found = [
+        # The offsets ascend in (dx, dy), so the neighbours come out in (x, y) order.
+        return [
             (cell[0] + dx, cell[1] + dy)
             for dx, dy in offsets
             if grid.cells.get((cell[0] + dx, cell[1] + dy)) == symbol
         ]
-        found.sort()
-        return found
 
     overrun = f"oracle budget exceeded: more than {max_visits} cell visits"
-    if adjacency == "none" and not distinct_cells and max_visits is not None:
-        # Every prefix is extended by every cell holding the next symbol, so the
-        # search would visit exactly this many cells: refuse an overrun up front.
-        needed, prefixes = 0, 1
-        for symbol in word:
-            prefixes *= len(by_sym.get(symbol, ()))
-            needed += prefixes
+    if not distinct_cells and max_visits is not None:
+        # The search visits one cell per reading prefix.  Count the prefixes
+        # level by level, one count per end cell (a transfer matrix), and
+        # refuse an overrun before searching.
+        level = dict.fromkeys(by_sym.get(word[0], ()), 1)
+        needed = len(level)
+        for symbol in word[1:]:
             if needed > max_visits:
-                raise OracleBudgetError(overrun)
+                break
+            if adjacency == "none":
+                level = dict.fromkeys(by_sym.get(symbol, ()), sum(level.values()))
+            else:
+                counts: dict[tuple[int, int], int] = {}
+                for cell, n in level.items():
+                    for nbr in candidates(cell, symbol):
+                        counts[nbr] = counts.get(nbr, 0) + n
+                level = counts
+            needed += sum(level.values())
+        if needed > max_visits:
+            raise OracleBudgetError(overrun)
 
     witnesses: list[PathWitness] = []
     visits = 0
@@ -198,16 +200,6 @@ def enumerate_word_paths(
     return witnesses
 
 
-def corner_class_decomposition(witnesses) -> CornerClassReport:
-    """Group witnesses by their final cell."""
-    classes: dict[tuple[int, int], int] = {}
-    total = 0
-    for w in witnesses:
-        classes[w.final_cell] = classes.get(w.final_cell, 0) + 1
-        total += 1
-    return CornerClassReport(dict(sorted(classes.items())), total)
-
-
 def count_word_paths_closed(word: str) -> CountReport:
     """Closed-form reading count on the manhattan-rings board, side adjacency.
 
@@ -220,15 +212,13 @@ def count_word_paths_closed(word: str) -> CountReport:
     if length < 1 or length % 2 == 0:
         raise ValueError("manhattan-rings layout requires odd word length")
     if length == 1:
-        return CountReport(1, {(0, 0): 1}, "1")
+        return CountReport(1, {(0, 0): 1})
     half = (length - 1) // 2
     per_corner = count_move_words(MoveWord(half, half))
     corners = {
         (x, y): per_corner for x in (0, length - 1) for y in (0, length - 1)
     }
-    return CountReport(
-        4 * per_corner, dict(sorted(corners.items())), f"4 × {per_corner} = {4 * per_corner}"
-    )
+    return CountReport(4 * per_corner, dict(sorted(corners.items())))
 
 
 def count_paths_by_symbol_product(grid: LetterGrid, word: str) -> int:

@@ -366,6 +366,20 @@ def test_unconstrained_reading_overrun_is_refused_before_searching(runner, tmp_p
                              "more than 10000000 cell visits\n")
 
 
+def test_adjacent_reading_overrun_is_refused_before_searching(runner, tmp_path):
+    spec = tmp_path / "mixed.ccspec"
+    spec.write_text("problem small { kind: squares cols: 3 rows: 3 variant: all }\n"
+                    'problem big { kind: word-paths word: "' + "a" * 40 + '" layout: explicit '
+                    'rows-data: ["aaa", "aaa", "aaa"] adjacency: king }')
+    start = time.perf_counter()
+    result = invoke(runner, "count", spec)
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    assert result.stdout == "problem small: squares all 3x3\nk=1: 4\nk=2: 2\ntotal 6\n"
+    assert result.stderr == ("error: problem big: oracle budget exceeded: "
+                             "more than 10000000 cell visits\n")
+
+
 def test_one_row_grid_too_large_to_draw_exits_2(runner, tmp_path):
     # No squares fit, so the enumeration budget never trips; the points still do.
     spec = tmp_path / "row.ccspec"

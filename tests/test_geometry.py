@@ -1,4 +1,4 @@
-"""Grid membership and the canonical (anchor, k, a) square encoding."""
+"""The canonical (anchor, k, a) square encoding."""
 
 import pytest
 
@@ -6,26 +6,8 @@ from configcount.geometry import (
     LatticeGrid,
     LatticePoint,
     Square,
-    grid_contains,
-    grid_points,
-    square_in_grid,
     square_vertices,
 )
-
-
-def test_grid_contains_corners_and_outside():
-    g = LatticeGrid(5, 5)
-    assert grid_contains(g, LatticePoint(0, 0))
-    assert not grid_contains(g, LatticePoint(5, 0))
-    assert grid_contains(g, LatticePoint(4, 4))
-    assert not grid_contains(g, LatticePoint(0, -1))
-
-
-def test_grid_points_count_and_order():
-    g = LatticeGrid(3, 2)
-    pts = grid_points(g)
-    assert len(pts) == 6
-    assert pts == sorted(pts)
 
 
 def test_vertices_unit_axis_square():
@@ -47,13 +29,6 @@ def test_vertices_translated_axis_square():
     assert square_vertices(s) == [
         LatticePoint(1, 1), LatticePoint(4, 1), LatticePoint(4, 4), LatticePoint(1, 4),
     ]
-
-
-def test_square_in_grid():
-    five = LatticeGrid(5, 5)
-    assert square_in_grid(Square(LatticePoint(0, 0), 4, 0), five)
-    assert not square_in_grid(Square(LatticePoint(1, 0), 4, 0), five)
-    assert square_in_grid(Square(LatticePoint(0, 0), 2, 1), LatticeGrid(3, 3))
 
 
 def _side_vectors(s):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from configcount import wordgrid
 from configcount.budget import OracleBudgetError
 from configcount.counting import MoveWord, count_move_words
+from configcount.verify import _class_sizes
 from configcount.wordgrid import (
     ADJACENCY_RULES,
-    corner_class_decomposition,
     count_paths_by_symbol_product,
     count_word_paths_closed,
     enumerate_word_paths,
@@ -103,7 +104,6 @@ def test_closed_form_examples():
     report = count_word_paths_closed("Open!")
     assert report.total == 24
     assert report.per_class == {(0, 0): 6, (0, 4): 6, (4, 0): 6, (4, 4): 6}
-    assert report.formula == "4 × 6 = 24"
     assert count_word_paths_closed("X").total == 1
     report = count_word_paths_closed("abc")
     assert report.total == 8
@@ -126,30 +126,26 @@ def test_closed_form_matches_enumeration_for_distinct_words():
 
 def test_corner_class_decomposition():
     g = generate_manhattan_rings("Open!")
-    side = corner_class_decomposition(enumerate_word_paths(g, "Open!", "side"))
-    assert side.total == 24
-    assert side.classes == {(0, 0): 6, (0, 4): 6, (4, 0): 6, (4, 4): 6}
-    empty = corner_class_decomposition([])
-    assert empty.total == 0 and empty.classes == {}
-    free = corner_class_decomposition(enumerate_word_paths(g, "Open!", "none"))
-    assert free.classes == {(0, 0): 256, (0, 4): 256, (4, 0): 256, (4, 4): 256}
+    side = _class_sizes(enumerate_word_paths(g, "Open!", "side"))
+    assert sum(side.values()) == 24
+    assert side == {(0, 0): 6, (0, 4): 6, (4, 0): 6, (4, 4): 6}
+    assert _class_sizes([]) == {}
+    free = _class_sizes(enumerate_word_paths(g, "Open!", "none"))
+    assert free == {(0, 0): 256, (0, 4): 256, (4, 0): 256, (4, 4): 256}
 
 
 def test_class_sizes_sum_to_total():
     g = generate_manhattan_rings("abcde")
     for adjacency in ("side", "king", "none"):
         witnesses = enumerate_word_paths(g, "abcde", adjacency)
-        report = corner_class_decomposition(witnesses)
-        assert sum(report.classes.values()) == report.total == len(witnesses)
+        assert sum(_class_sizes(witnesses).values()) == len(witnesses)
 
 
 def test_four_fold_symmetry_of_corner_classes():
     for word in ("abc", "abcde", "abcdefg"):
         g = generate_manhattan_rings(word)
         for adjacency in ("side", "none"):
-            classes = corner_class_decomposition(
-                enumerate_word_paths(g, word, adjacency)
-            ).classes
+            classes = _class_sizes(enumerate_word_paths(g, word, adjacency))
             assert len(classes) == 4
             assert len(set(classes.values())) == 1
 
@@ -222,6 +218,22 @@ def test_budget_counts_one_visit_per_reading_prefix(adjacency, distinct):
     assert _min_budget(g, word, adjacency, distinct) == prefixes
 
 
+def test_overrun_is_refused_before_any_reading_is_stored(monkeypatch):
+    built = []
+
+    class SpyWitness(wordgrid.PathWitness):
+        def __init__(self, cells):
+            built.append(cells)
+            super().__init__(cells)
+
+    monkeypatch.setattr(wordgrid, "PathWitness", SpyWitness)
+    g = letter_grid_from_rows(["aaa", "aaa", "aaa"])
+    with pytest.raises(OracleBudgetError, match="more than 50 cell visits"):
+        enumerate_word_paths(g, "aaaa", "king", max_visits=50)
+    assert built == []
+    assert len(enumerate_word_paths(g, "aa", "king", max_visits=50)) == len(built) == 40
+
+
 def test_deep_word_does_not_recurse():
     g = letter_grid_from_rows(["a"])
     assert [w.cells for w in enumerate_word_paths(g, "a" * 5000, "none")] == [((0, 0),) * 5000]
@@ -245,6 +257,20 @@ _tiny_grids = st.integers(min_value=1, max_value=4).flatmap(
         max_size=4,
     )
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_tiny_grids, word=st.text(alphabet="ab", min_size=1, max_size=5))
+def test_witnesses_come_out_in_cell_order(rows, word):
+    # Candidates are generated in (x, y) order, never sorted afterwards.
+    grid = letter_grid_from_rows(rows)
+    for adjacency in ADJACENCY_RULES:
+        for distinct in (False, True):
+            try:
+                witnesses = enumerate_word_paths(grid, word, adjacency, distinct, max_visits=50_000)
+            except OracleBudgetError:
+                continue
+            assert witnesses == sorted(witnesses, key=lambda w: w.cells)
 
 
 @settings(max_examples=60, deadline=None)
