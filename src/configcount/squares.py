@@ -1,13 +1,14 @@
 """Counting and enumerating squares whose vertices lie on a lattice grid.
 
-Two problem variants share the size-class structure:
+Both variants group squares by bounding-box size k.  A k-box fits in
+(cols-k)(rows-k) positions, and one loop serves both, keyed by how many tilts
+a k-box admits:
 
-* axis: only squares with sides parallel to the axes.  A square of side k
-  fits in (cols-k)(rows-k) positions, which is exactly the rail picture:
-  rows-k pairs of horizontal rails k units apart, cols-k slots per pair.
-* all: tilted squares included.  Grouped by bounding-box size k, each box
-  position admits k tilt offsets (a = 0..k-1), giving k(cols-k)(rows-k)
-  squares per class.
+* axis: one tilt (a = 0).  This is the rail picture: rows-k pairs of
+  horizontal rails k units apart, cols-k slots per pair.
+* all: k tilts (a = 0..k-1), so k(cols-k)(rows-k) squares per class.
+
+Enumerated squares share one ``LatticePoint`` per anchor.
 
 ``count_squares_by_point_subsets`` is a deliberately naive cross-check that
 never looks at the (anchor, k, a) encoding: it tests every 4-point subset of
@@ -44,27 +45,20 @@ class RailReport:
     total: int
 
 
-def _check_grid_args(cols: int, rows: int) -> None:
-    if cols < 1 or rows < 1:
-        raise ValueError("grid needs at least one point column and row")
+def _size_classes(cols: int, rows: int, tilted: bool) -> SizeClassBreakdown:
+    LatticeGrid(cols, rows)  # refuses an empty grid with the grid's own message
+    per_k = {k: (k if tilted else 1) * (cols - k) * (rows - k) for k in range(1, min(cols, rows))}
+    return SizeClassBreakdown(per_k, sum(per_k.values()))
 
 
 def count_axis_squares(cols: int, rows: int) -> SizeClassBreakdown:
     """Axis-aligned squares per side length k: (cols-k)(rows-k)."""
-    _check_grid_args(cols, rows)
-    per_k = {k: (cols - k) * (rows - k) for k in range(1, min(cols, rows))}
-    return SizeClassBreakdown(per_k, sum(per_k.values()))
+    return _size_classes(cols, rows, tilted=False)
 
 
 def count_all_squares(cols: int, rows: int) -> SizeClassBreakdown:
-    """All squares per bounding-box size k: k(cols-k)(rows-k).
-
-    Every bounding box admits one square per tilt offset, so the class for
-    bounding size k is k times the axis class.
-    """
-    _check_grid_args(cols, rows)
-    per_k = {k: k * (cols - k) * (rows - k) for k in range(1, min(cols, rows))}
-    return SizeClassBreakdown(per_k, sum(per_k.values()))
+    """All squares per bounding-box size k, one per tilt offset: k(cols-k)(rows-k)."""
+    return _size_classes(cols, rows, tilted=True)
 
 
 def rail_decomposition(grid: LatticeGrid, k: int) -> RailReport:
@@ -94,38 +88,35 @@ def _square_totals(cols: int, rows: int) -> tuple[int, int]:
             cols * rows * s1 - (cols + rows) * s2 + s3)
 
 
-def _guard_candidates(count: int, max_candidates: int | None) -> None:
+def _enumerate_squares(grid: LatticeGrid, tilted: bool, max_candidates: int | None) -> list[Square]:
+    cols, rows = grid.cols, grid.rows
+    count = _square_totals(cols, rows)[tilted]
     if max_candidates is not None and count > max_candidates:
         raise OracleBudgetError(
             f"oracle budget exceeded: {count} candidate squares > {max_candidates}"
         )
+    if not count:
+        return []
+    # Only x < cols-1 and y < rows-1 anchor a square, so the table is no larger
+    # than the k=1 class, which the guard above has bounded.
+    anchors = [[LatticePoint(x, y) for x in range(cols - 1)] for y in range(rows - 1)]
+    return [
+        Square(anchor, k, a)
+        for k in range(1, min(cols, rows))
+        for a in range(k if tilted else 1)
+        for row in anchors[: rows - k]
+        for anchor in row[: cols - k]
+    ]
 
 
-def enumerate_axis_squares(
-    grid: LatticeGrid, max_candidates: int | None = None
-) -> list[Square]:
+def enumerate_axis_squares(grid: LatticeGrid, max_candidates: int | None = None) -> list[Square]:
     """Every axis-aligned square on the grid, ordered by (k, anchor.y, anchor.x)."""
-    _guard_candidates(_square_totals(grid.cols, grid.rows)[0], max_candidates)
-    return [
-        Square(LatticePoint(x, y), k, 0)
-        for k in range(1, min(grid.cols, grid.rows))
-        for y in range(grid.rows - k)
-        for x in range(grid.cols - k)
-    ]
+    return _enumerate_squares(grid, False, max_candidates)
 
 
-def enumerate_all_squares(
-    grid: LatticeGrid, max_candidates: int | None = None
-) -> list[Square]:
+def enumerate_all_squares(grid: LatticeGrid, max_candidates: int | None = None) -> list[Square]:
     """Every square (tilted or not) on the grid, ordered by (k, a, anchor.y, anchor.x)."""
-    _guard_candidates(_square_totals(grid.cols, grid.rows)[1], max_candidates)
-    return [
-        Square(LatticePoint(x, y), k, a)
-        for k in range(1, min(grid.cols, grid.rows))
-        for a in range(k)
-        for y in range(grid.rows - k)
-        for x in range(grid.cols - k)
-    ]
+    return _enumerate_squares(grid, True, max_candidates)
 
 
 def _is_square_quad(quad) -> bool:

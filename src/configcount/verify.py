@@ -169,36 +169,27 @@ def verify_problem(
     oracle_total = len(witnesses)
     duplicates = oracle_total - len(set(witnesses))
 
-    notes = []
-    if duplicates:
-        notes.append(f"{duplicates} duplicate witnesses in the enumeration")
-
-    rows = []
-    ok = duplicates == 0
-    if expected_classes is None:
-        closed_total = None
-        for key, n in observed.items():
-            rows.append(PartitionRow(class_label(key), None, n))
-    else:
+    # Every failed check adds one note, so the verdict is read off the notes.
+    notes = [f"{duplicates} duplicate witnesses in the enumeration"] if duplicates else []
+    expected = expected_classes or {}
+    rows = [
+        PartitionRow(class_label(key), expected.get(key), observed.get(key, 0))
+        for key in sorted(expected.keys() | observed.keys())
+    ]
+    closed_total = None
+    if expected_classes is not None:
         family = "word-side" if spec.kind == "word-paths" else f"squares-{spec.variant}"
         closed_total = sum(expected_classes.values()) + _FAULT_OFFSETS.get(family, 0)
-        for key in sorted(set(expected_classes) | set(observed)):
-            row = PartitionRow(class_label(key), expected_classes.get(key), observed.get(key, 0))
-            rows.append(row)
-            if row.expected != row.observed:
-                ok = False
-                notes.append(
-                    f"class {row.label}: closed form {row.expected} != oracle {row.observed}"
-                )
+        notes += [f"class {r.label}: closed form {r.expected} != oracle {r.observed}"
+                  for r in rows if r.expected != r.observed]
         if closed_total != oracle_total:
-            ok = False
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
 
     return VerifyReport(
         problem=spec,
         closed_form_total=closed_total,
         oracle_total=oracle_total,
-        verdict="PASS" if ok else "FAIL",
+        verdict="FAIL" if notes else "PASS",
         partition_rows=tuple(rows),
         duplicate_witnesses=duplicates,
         notes=tuple(notes),

@@ -1,5 +1,7 @@
 """Square counting: closed forms, enumerators, rails, and the naive subset oracle."""
 
+import time
+
 import pytest
 
 from configcount.budget import OracleBudgetError
@@ -54,6 +56,47 @@ def test_enumerate_all_order():
     squares = enumerate_all_squares(LatticeGrid(5, 4))
     keys = [(s.k, s.a, s.anchor.y, s.anchor.x) for s in squares]
     assert keys == sorted(keys)
+
+
+def test_squares_share_one_anchor_per_point():
+    for enumerate_squares in (enumerate_axis_squares, enumerate_all_squares):
+        # 7x5 points: only the 6x4 points with x < 6 and y < 4 anchor a square
+        squares = enumerate_squares(LatticeGrid(7, 5))
+        assert len({id(s.anchor) for s in squares}) == 6 * 4
+        # no squares fit, so no anchor may be built for the 10^11 points
+        for grid in (LatticeGrid(10**11, 1), LatticeGrid(1, 10**11)):
+            start = time.perf_counter()
+            assert enumerate_squares(grid) == []
+            assert time.perf_counter() - start < 1
+
+
+def _nested_range_axis_squares(grid):
+    return [
+        Square(LatticePoint(x, y), k, 0)
+        for k in range(1, min(grid.cols, grid.rows))
+        for y in range(grid.rows - k)
+        for x in range(grid.cols - k)
+    ]
+
+
+def _nested_range_all_squares(grid):
+    return [
+        Square(LatticePoint(x, y), k, a)
+        for k in range(1, min(grid.cols, grid.rows))
+        for a in range(k)
+        for y in range(grid.rows - k)
+        for x in range(grid.cols - k)
+    ]
+
+
+def test_enumerators_match_the_nested_ranges_exactly():
+    # The plain (k, a, y, x) ranges, one fresh anchor per square: same squares,
+    # same order, on every grid up to 12x12.
+    for cols in range(1, 13):
+        for rows in range(1, 13):
+            g = LatticeGrid(cols, rows)
+            assert enumerate_axis_squares(g) == _nested_range_axis_squares(g), (cols, rows)
+            assert enumerate_all_squares(g) == _nested_range_all_squares(g), (cols, rows)
 
 
 def test_rail_decomposition_five_by_five():
