@@ -12,14 +12,18 @@ classes cover the enumeration exactly by construction.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
-are still enumerated and audited; only the totals comparison is skipped.
+are still enumerated and checked for duplicates.  Unless a reading must keep
+to distinct cells, each enumerated class size is also compared with the
+transfer matrix's count for that end cell (``readings_per_end_cell``).
 
 The per-family decisions live here as well, each in one function that every
 command calls: ``letter_grid`` builds a word problem's table,
 ``enumerate_witnesses`` runs the family's enumerator under the oracle budget,
 ``class_key`` names the class a witness falls in (a square's size k, a
-reading's final cell), and ``closed_form_classes`` returns the registered
-closed form's per-class counts, or None.
+reading's final cell), ``closed_form_classes`` returns the registered
+closed form's per-class counts, or None, and ``class_counts`` answers
+``count`` and ``explain``: the closed form, else the transfer matrix, and
+only for self-avoiding readings the enumeration.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -31,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .budget import DEFAULT_ORACLE_BUDGET
+from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
 from .speclang import ProblemSpec
 from .squares import count_all_squares, count_axis_squares, enumerate_all_squares, enumerate_axis_squares
@@ -42,6 +46,7 @@ from .wordgrid import (
     enumerate_word_paths,
     generate_manhattan_rings,
     letter_grid_from_rows,
+    readings_per_end_cell,
 )
 
 # Test-only hook: additive offsets on registered closed-form totals, keyed by
@@ -102,9 +107,17 @@ def has_registered_closed_form(spec: ProblemSpec) -> bool:
 
 
 def letter_grid(spec: ProblemSpec) -> LetterGrid:
-    """The letter table a word-paths problem is read in."""
+    """The letter table a word-paths problem is read in, within the default budget."""
+    return _letter_grid(spec, DEFAULT_ORACLE_BUDGET)
+
+
+def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
     if spec.layout == "explicit":
         return letter_grid_from_rows(spec.rows_data)
+    # A rings table has L x L cells: refuse it before building it.
+    cells = len(spec.word) ** 2
+    if budget is not None and cells > budget:
+        raise OracleBudgetError(f"oracle budget exceeded: letter table of {cells} cells > {budget}")
     return generate_manhattan_rings(spec.word)
 
 
@@ -112,7 +125,8 @@ def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_B
     """Every witness of the problem in canonical order, within the oracle budget."""
     if spec.kind == "word-paths":
         return enumerate_word_paths(
-            letter_grid(spec), spec.word, spec.adjacency, spec.distinct_cells, max_visits=budget
+            _letter_grid(spec, budget), spec.word, spec.adjacency, spec.distinct_cells,
+            max_visits=budget,
         )
     grid = LatticeGrid(spec.cols, spec.rows)
     if spec.variant == "axis":
@@ -150,17 +164,20 @@ def _class_sizes(witnesses) -> dict:
 
 
 def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> dict:
-    """Count per class: the closed form where registered, else enumerated class sizes."""
+    """Count per class: closed form, else transfer matrix, else (self-avoiding) enumeration."""
     closed = closed_form_classes(spec)
-    if closed is not None:
+    if closed is not None:  # always, for squares
         return closed
-    return _class_sizes(enumerate_witnesses(spec, budget))
+    if spec.distinct_cells:
+        return _class_sizes(enumerate_witnesses(spec, budget))
+    return readings_per_end_cell(_letter_grid(spec, budget), spec.word, spec.adjacency, budget)
 
 
 def verify_problem(
     spec: ProblemSpec, *, oracle_budget: int | None = DEFAULT_ORACLE_BUDGET
 ) -> VerifyReport:
-    """Enumerate, count the classes, and compare with the closed form where one exists."""
+    """Enumerate, count the classes, and compare with the closed form where one
+    exists, else with the transfer matrix where it applies."""
     # Enumerate first: its budget check refuses a huge grid before the closed
     # form builds one entry per class.
     witnesses = enumerate_witnesses(spec, oracle_budget)
@@ -184,6 +201,12 @@ def verify_problem(
                   for r in rows if r.expected != r.observed]
         if closed_total != oracle_total:
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
+    elif not spec.distinct_cells:
+        transfer = class_counts(spec, oracle_budget)
+        notes += [f"class {class_label(key)}: transfer matrix {transfer.get(key, 0)} "
+                  f"!= oracle {observed.get(key, 0)}"
+                  for key in sorted(transfer.keys() | observed.keys())
+                  if transfer.get(key, 0) != observed.get(key, 0)]
 
     return VerifyReport(
         problem=spec,

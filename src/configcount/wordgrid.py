@@ -7,9 +7,13 @@ word, with consecutive cells constrained by an adjacency rule:
 * ``king``: share an edge or a corner,
 * ``none``: unconstrained (any cell holding the next symbol, repeats allowed).
 
-``enumerate_word_paths`` is the brute-force oracle: depth-first extension from
-every starting cell, emitting witnesses in lexicographic order of their
-coordinate sequences (cells compare as (x, y) tuples).
+``readings_per_end_cell`` counts the readings that may revisit cells, per
+end cell, with a transfer matrix: level by level, each cell adds its count to
+the cells that may follow it.  ``enumerate_word_paths`` is the brute-force
+oracle: depth-first extension from every starting cell, emitting witnesses in
+lexicographic order of their coordinate sequences (cells compare as (x, y)
+tuples).  Both step by one candidate rule, and the search refuses a budget
+overrun by running the counter first.
 
 The manhattan-rings layout is the symmetric board the closed form applies to:
 an LxL grid (L odd) whose cell at Manhattan distance d from the center holds
@@ -34,6 +38,7 @@ ADJACENCY_RULES = ("side", "king", "none")
 
 _SIDE_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _KING_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+_OVERRUN = "oracle budget exceeded: more than {} cell visits"
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,58 @@ def generate_manhattan_rings(word: str) -> LetterGrid:
     return LetterGrid(length, length, cells)
 
 
-def _cells_by_symbol(grid: LetterGrid) -> dict[str, list[tuple[int, int]]]:
+def _reading_rule(grid: LetterGrid, word: str, adjacency: AdjacencyRule):
+    """Each symbol's cells in (x, y) order, and ``candidates(cell, symbol)``: the
+    cells holding ``symbol`` that a reading may step to from ``cell``."""
+    if adjacency not in ADJACENCY_RULES:
+        raise ValueError(f"unknown adjacency rule: {adjacency!r}")
+    if len(word) < 1:
+        raise ValueError("word must be non-empty")
     by_sym: dict[str, list[tuple[int, int]]] = {}
     for xy in sorted(grid.cells):
         by_sym.setdefault(grid.cells[xy], []).append(xy)
-    return by_sym
+    offsets = _SIDE_OFFSETS if adjacency == "side" else _KING_OFFSETS
+
+    def candidates(cell: tuple[int, int], symbol: str) -> list[tuple[int, int]]:
+        if adjacency == "none":
+            return by_sym.get(symbol, [])
+        # The offsets ascend in (dx, dy), so the neighbours come out in (x, y) order.
+        return [
+            (cell[0] + dx, cell[1] + dy)
+            for dx, dy in offsets
+            if grid.cells.get((cell[0] + dx, cell[1] + dy)) == symbol
+        ]
+
+    return by_sym, candidates
+
+
+def readings_per_end_cell(
+    grid: LetterGrid, word: str, adjacency: AdjacencyRule = "side", max_visits: int | None = None
+) -> dict[tuple[int, int], int]:
+    """Readings of ``word`` (revisits allowed) per end cell, in (x, y) order, zeros left out.
+
+    A transfer matrix: readings of word[:i+1] ending at a cell sum those of
+    word[:i] ending at the cells it may follow.  More reading prefixes (one
+    search visit each) than ``max_visits`` raise the search's OracleBudgetError.
+    """
+    by_sym, candidates = _reading_rule(grid, word, adjacency)
+    level = dict.fromkeys(by_sym.get(word[0], ()), 1)
+    needed = len(level)
+    for symbol in word[1:]:
+        if max_visits is not None and needed > max_visits:
+            break
+        if adjacency == "none":
+            level = dict.fromkeys(by_sym.get(symbol, ()), sum(level.values()))
+        else:
+            counts: dict[tuple[int, int], int] = {}
+            for cell, n in level.items():
+                for nbr in candidates(cell, symbol):
+                    counts[nbr] = counts.get(nbr, 0) + n
+            level = counts
+        needed += sum(level.values())
+    if max_visits is not None and needed > max_visits:
+        raise OracleBudgetError(_OVERRUN.format(max_visits))
+    return {cell: n for cell, n in sorted(level.items()) if n}
 
 
 def enumerate_word_paths(
@@ -130,47 +182,11 @@ def enumerate_word_paths(
     search may touch; exceeding it raises OracleBudgetError.  Without
     ``distinct_cells`` an overrun is refused before the search starts.
     """
-    if adjacency not in ADJACENCY_RULES:
-        raise ValueError(f"unknown adjacency rule: {adjacency!r}")
-    if len(word) < 1:
-        raise ValueError("word must be non-empty")
-
-    by_sym = _cells_by_symbol(grid)
-    offsets = _SIDE_OFFSETS if adjacency == "side" else _KING_OFFSETS
-    last = len(word) - 1
-
-    def candidates(cell: tuple[int, int], symbol: str) -> list[tuple[int, int]]:
-        if adjacency == "none":
-            return by_sym.get(symbol, [])
-        # The offsets ascend in (dx, dy), so the neighbours come out in (x, y) order.
-        return [
-            (cell[0] + dx, cell[1] + dy)
-            for dx, dy in offsets
-            if grid.cells.get((cell[0] + dx, cell[1] + dy)) == symbol
-        ]
-
-    overrun = f"oracle budget exceeded: more than {max_visits} cell visits"
+    by_sym, candidates = _reading_rule(grid, word, adjacency)
     if not distinct_cells and max_visits is not None:
-        # The search visits one cell per reading prefix.  Count the prefixes
-        # level by level, one count per end cell (a transfer matrix), and
-        # refuse an overrun before searching.
-        level = dict.fromkeys(by_sym.get(word[0], ()), 1)
-        needed = len(level)
-        for symbol in word[1:]:
-            if needed > max_visits:
-                break
-            if adjacency == "none":
-                level = dict.fromkeys(by_sym.get(symbol, ()), sum(level.values()))
-            else:
-                counts: dict[tuple[int, int], int] = {}
-                for cell, n in level.items():
-                    for nbr in candidates(cell, symbol):
-                        counts[nbr] = counts.get(nbr, 0) + n
-                level = counts
-            needed += sum(level.values())
-        if needed > max_visits:
-            raise OracleBudgetError(overrun)
+        readings_per_end_cell(grid, word, adjacency, max_visits)
 
+    last = len(word) - 1
     witnesses: list[PathWitness] = []
     visits = 0
     path: list[tuple[int, int]] = []
@@ -185,7 +201,7 @@ def enumerate_word_paths(
                 continue
             visits += 1
             if max_visits is not None and visits > max_visits:
-                raise OracleBudgetError(overrun)
+                raise OracleBudgetError(_OVERRUN.format(max_visits))
             if i == last:
                 witnesses.append(PathWitness((*path, cell)))
                 continue
@@ -225,12 +241,6 @@ def count_paths_by_symbol_product(grid: LetterGrid, word: str) -> int:
     """Unconstrained reading count: the product of per-symbol cell counts.
 
     With no adjacency rule every cell tuple spelling the word is a reading,
-    so the count multiplies out one factor per position.
+    so the count multiplies out one factor per position: the ``none`` total.
     """
-    if len(word) < 1:
-        raise ValueError("word must be non-empty")
-    by_sym = _cells_by_symbol(grid)
-    total = 1
-    for ch in word:
-        total *= len(by_sym.get(ch, ()))
-    return total
+    return sum(readings_per_end_cell(grid, word, "none").values())

@@ -183,10 +183,18 @@ def test_verify_reports_every_problem_around_overruns(runner, tmp_path, monkeypa
 
 def _small_budget(monkeypatch, budget=1000):
     # Under the default budget an overrunning word search takes seconds; a
-    # small one keeps the overrun real without the wait.
+    # small one keeps the overrun real without the wait.  count reads word
+    # classes off the reading counter, so its budget is lowered too.
     real = verify_mod.enumerate_witnesses
     monkeypatch.setattr(verify_mod, "enumerate_witnesses",
                         lambda spec, _budget=None: real(spec, budget))
+    _small_counter_budget(monkeypatch, budget)
+
+
+def _small_counter_budget(monkeypatch, budget):
+    real = verify_mod.readings_per_end_cell
+    monkeypatch.setattr(verify_mod, "readings_per_end_cell",
+                        lambda *args: real(*args[:3], budget))
 
 
 _OVERRUN_BETWEEN = (
@@ -380,6 +388,23 @@ def test_adjacent_reading_overrun_is_refused_before_searching(runner, tmp_path):
                              "more than 10000000 cell visits\n")
 
 
+@pytest.mark.parametrize("command", ["count", "verify", "enumerate", "explain", "render"])
+def test_oversize_rings_table_is_refused_before_building_it(runner, tmp_path, command):
+    # A 3163-symbol word asks for a 3163 x 3163 table, just over the default budget.
+    spec = tmp_path / "rings.ccspec"
+    spec.write_text('problem rings { kind: word-paths word: "' + "ab" * 1581 + 'a" '
+                    "layout: manhattan-rings adjacency: side }")
+    args = [command, spec, "--problem", "rings"]
+    if command == "render":
+        args += ["-o", tmp_path / "rings.svg"]
+    start = time.perf_counter()
+    result = invoke(runner, *args)
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    assert result.stderr == ("error: problem rings: oracle budget exceeded: "
+                             "letter table of 10004569 cells > 10000000\n")
+
+
 def test_one_row_grid_too_large_to_draw_exits_2(runner, tmp_path):
     # No squares fit, so the enumeration budget never trips; the points still do.
     spec = tmp_path / "row.ccspec"
@@ -403,12 +428,14 @@ def test_importing_the_cli_skips_network_and_xml_modules():
 
 def _small_budget_everywhere(monkeypatch, budget=1000):
     # Each command looks the enumerator up in its own module; render also caps
-    # a figure's size by the default budget.
+    # a figure's size by the default budget, and count and explain read word
+    # classes off the reading counter.
     real = verify_mod.enumerate_witnesses
     for module in (verify_mod, cli_mod, render_mod):
         monkeypatch.setattr(module, "enumerate_witnesses",
                             lambda spec, _budget=None: real(spec, budget))
     monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
+    _small_counter_budget(monkeypatch, budget)
 
 
 @st.composite

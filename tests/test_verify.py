@@ -3,12 +3,14 @@
 import pytest
 
 import configcount.verify as verify_mod
+from configcount import wordgrid
 from configcount.budget import OracleBudgetError
 from configcount.speclang import ProblemSpec
 from configcount.verify import (
     PartitionRow,
     VerifyReport,
     build_step_trace,
+    class_counts,
     has_registered_closed_form,
     verify_problem,
 )
@@ -189,24 +191,44 @@ def test_duplicated_witness_fails_enumeration_only_problem(monkeypatch):
         partition_rows=_rows(("(0,0)", None, 257), ("(0,4)", None, 256),
                              ("(4,0)", None, 256), ("(4,4)", None, 256)),
         duplicate_witnesses=1,
-        notes=("1 duplicate witnesses in the enumeration",),
+        notes=("1 duplicate witnesses in the enumeration",
+               "class (0,0): transfer matrix 256 != oracle 257"),
     )
 
 
-def test_dropped_witness_passes_enumeration_only_problem(monkeypatch):
-    # With no closed form there is nothing to compare a class size against, so
-    # a lost witness cannot be seen: the report just counts one fewer.
+def test_dropped_witness_fails_enumeration_only_problem(monkeypatch):
+    # With no closed form, the transfer matrix's class sizes are the second
+    # oracle, so a lost witness shows in its class.
     _with_faulty_enumeration(monkeypatch, _drop_first)
     assert verify_problem(OPEN_FREE) == VerifyReport(
         problem=OPEN_FREE,
         closed_form_total=None,
         oracle_total=1023,
-        verdict="PASS",
+        verdict="FAIL",
         partition_rows=_rows(("(0,0)", None, 255), ("(0,4)", None, 256),
                              ("(4,0)", None, 256), ("(4,4)", None, 256)),
         duplicate_witnesses=0,
-        notes=(),
+        notes=("class (0,0): transfer matrix 256 != oracle 255",),
     )
+
+
+def test_count_and_explain_build_no_reading_unless_self_avoiding(monkeypatch):
+    built = []
+
+    class SpyWitness(wordgrid.PathWitness):
+        def __init__(self, cells):
+            built.append(cells)
+            super().__init__(cells)
+
+    monkeypatch.setattr(wordgrid, "PathWitness", SpyWitness)
+    table = ProblemSpec("t", "word-paths", word="aba", layout="explicit",
+                        rows_data=("ab", "ba"), adjacency="side")
+    for spec in (OPEN_FREE, table):
+        assert sum(class_counts(spec).values()) == build_step_trace(spec).step_iv_total > 0
+    assert built == []
+    avoiding = ProblemSpec("d", "word-paths", word="aba", layout="explicit",
+                           rows_data=("ab", "ba"), adjacency="side", distinct_cells=True)
+    assert sum(class_counts(avoiding).values()) == len(built) > 0
 
 
 # ---------------------------------------------------------------------------

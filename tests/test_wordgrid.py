@@ -17,6 +17,7 @@ from configcount.wordgrid import (
     enumerate_word_paths,
     generate_manhattan_rings,
     letter_grid_from_rows,
+    readings_per_end_cell,
 )
 
 DISTINCT_WORDS = {1: "a", 3: "abc", 5: "abcde", 7: "abcdefg"}
@@ -310,3 +311,21 @@ def test_symbol_product_matches_unconstrained_enumeration(rows, word):
     assert count_paths_by_symbol_product(grid, word) == len(
         enumerate_word_paths(grid, word, "none")
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_tiny_grids, word=st.text(alphabet="abz", min_size=1, max_size=5))
+def test_transfer_matrix_matches_enumerated_class_sizes(rows, word):
+    # "z" is in no table, so a word holding it has no reading; under "none" the
+    # levels after it hold zeros, which the counter must not list as classes.
+    grid = letter_grid_from_rows(rows)
+    for adjacency in ADJACENCY_RULES:
+        try:
+            witnesses = enumerate_word_paths(grid, word, adjacency, max_visits=50_000)
+        except OracleBudgetError:
+            with pytest.raises(OracleBudgetError, match="more than 50000 cell visits"):
+                readings_per_end_cell(grid, word, adjacency, max_visits=50_000)
+            continue
+        assert readings_per_end_cell(grid, word, adjacency) == _class_sizes(witnesses)
+    free = readings_per_end_cell(grid, word, "none")
+    assert count_paths_by_symbol_product(grid, word) == sum(free.values())
