@@ -8,6 +8,10 @@ budget errors; a budget error names the problem that overran, and outranks a
 FAIL.  All output is deterministic for fixed inputs and flags; counts appear
 in JSON as decimal strings so consumers never round them through a
 fixed-width type.
+
+``count``, ``verify`` and ``explain`` write each problem's output as it is
+formatted, a few hundred lines per write, with one flush at the end; a JSON
+document's pieces join to ``json.dumps`` of the whole document.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -27,6 +33,7 @@ from .verify import (
     build_step_trace,
     class_counts,
     class_label,
+    class_total,
     enumerate_witnesses,
     verify_problem,
 )
@@ -94,43 +101,101 @@ _FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                        default="text", help="Output format.")
 
 
-def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
-    """Print ``block(spec, run(spec))`` for each problem in file order; the results.
+# Pieces of output joined into one write, and items of a JSON list dumped into
+# one piece: a write holds at most 256 listing lines or 16,384 JSON items.
+_CHUNK = 256
+_JSON_ITEMS = 64
 
-    A problem that overruns the oracle budget gets one error line on stderr
-    and no block; the others are still printed, and then the command exits 2.
-    Stdout stays empty when every problem overran.
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout a chunk at a time, then flush once.
+
+    ``click.echo`` flushes on every call, which is slower than building the
+    whole output; chunks keep both the calls and the memory small.
     """
-    results, blocks, overran = [], [], False
-    for spec in specs:
-        try:
-            result = run(spec)
-        except OracleBudgetError as exc:
-            click.echo(f"error: problem {spec.name}: {exc}", err=True)
-            overran = True
+    pieces = iter(pieces)
+    while chunk := list(islice(pieces, _CHUNK)):
+        sys.stdout.write("".join(chunk))
+    sys.stdout.flush()
+
+
+def _json_pieces(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc)`` in pieces.
+
+    An iterator value, at any depth, is written as a list.  One that ends
+    within ``_JSON_ITEMS`` items is dumped together with the plain entries
+    around it; a longer one is dumped ``_JSON_ITEMS`` items per piece.
+    """
+    separator, plain = "{", {}
+    for key, value in doc.items():
+        if isinstance(value, Iterator):
+            first = list(islice(value, _JSON_ITEMS))
+            if len(first) < _JSON_ITEMS:
+                plain[key] = first
+                continue
+        elif not isinstance(value, dict):
+            plain[key] = value
             continue
-        results.append(result)
-        blocks.append(block(spec, result))
-    if blocks or not overran:
-        click.echo("\n\n".join(blocks) if fmt == "text" else "\n".join(blocks))
+        if plain:
+            yield separator + json.dumps(plain)[1:-1]
+            separator, plain = ", ", {}
+        yield f"{separator}{json.dumps(key)}: "
+        separator = ", "
+        if isinstance(value, dict):
+            yield from _json_pieces(value)
+            continue
+        chunk = first
+        yield "[" + json.dumps(chunk)[1:-1]
+        while chunk := list(islice(value, _JSON_ITEMS)):
+            yield ", " + json.dumps(chunk)[1:-1]
+        yield "]"
+    yield separator + json.dumps(plain)[1:] if plain or separator == "{" else "}"
+
+
+def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
+    """Write ``block(spec, run(spec))`` for each problem in file order; the results.
+
+    A block is an iterable of text pieces.  A problem that overruns the oracle
+    budget gets one error line on stderr, when it is reached, and no block;
+    the others are still written, and then the command exits 2.  Stdout
+    stays empty when every problem overran.
+    """
+    results, overran = [], False
+
+    def pieces():
+        nonlocal overran
+        for spec in specs:
+            try:
+                result = run(spec)
+            except OracleBudgetError as exc:
+                click.echo(f"error: problem {spec.name}: {exc}", err=True)
+                overran = True
+                continue
+            if results:
+                yield "\n\n" if fmt == "text" else "\n"
+            results.append(result)
+            yield from block(spec, result)
+        if results or not overran:
+            yield "\n"
+
+    _write(pieces())
     if overran:
         sys.exit(2)
     return results
 
 
-def _count_text(spec: ProblemSpec, classes: dict) -> str:
-    lines = [f"problem {spec.name}: {_describe(spec)}"]
-    lines += [f"{class_label(key)}: {n}" for key, n in classes.items()]
-    lines.append(f"total {sum(classes.values())}")
-    return "\n".join(lines)
+def _count_text(spec: ProblemSpec, classes) -> Iterator[str]:
+    yield f"problem {spec.name}: {_describe(spec)}"
+    yield from (f"\n{class_label(key)}: {n}" for key, n in classes.items())
+    yield f"\ntotal {class_total(classes)}"
 
 
-def _count_json(spec: ProblemSpec, classes: dict) -> str:
-    return json.dumps({
+def _count_json(spec: ProblemSpec, classes) -> Iterator[str]:
+    return _json_pieces({
         "problem": spec.name,
         "kind": spec.kind,
-        "total": str(sum(classes.values())),
-        "classes": [{"label": class_label(key), "count": str(n)} for key, n in classes.items()],
+        "total": str(class_total(classes)),
+        "classes": ({"label": class_label(key), "count": str(n)} for key, n in classes.items()),
     })
 
 
@@ -236,22 +301,51 @@ def verify(spec_file, problem_name, fmt):
     """
     as_block = _verify_json if fmt == "json" else _verify_text
     reports = _report_each(_select(_load_specs(spec_file), problem_name), verify_problem,
-                           lambda spec, report: as_block(report), fmt)
+                           lambda spec, report: (as_block(report),), fmt)
     if any(r.verdict != "PASS" for r in reports):
         sys.exit(1)
 
 
-def _step_iv_text(trace) -> str:
+def _step_iv_text(trace) -> Iterator[str]:
     if trace.step_iv_rule == "enumeration-only":
-        return f"enumeration only, no closed form; total {trace.step_iv_total}"
-    if trace.step_iv_rule == "product":
-        sizes = [n for _, n in trace.step_iv_classes]
-        return (f"{len(sizes)} × {sizes[0]} = {trace.step_iv_total} "
-                f"(product principle over {len(sizes)} symmetric classes)")
-    if not trace.step_iv_classes:
-        return f"total {trace.step_iv_total} (no classes fit)"
-    terms = " + ".join(str(n) for _, n in trace.step_iv_classes)
-    return f"{terms} = {trace.step_iv_total} (addition principle)"
+        yield f"enumeration only, no closed form; total {trace.step_iv_total}"
+    elif trace.step_iv_rule == "product":
+        sizes = list(trace.classes.values())
+        yield (f"{len(sizes)} × {sizes[0]} = {trace.step_iv_total} "
+               f"(product principle over {len(sizes)} symmetric classes)")
+    elif not trace.classes:
+        yield f"total {trace.step_iv_total} (no classes fit)"
+    else:
+        # The terms need only the counts: no class label is formatted.
+        counts = iter(trace.classes.values())
+        yield str(next(counts))
+        yield from map(" + {}".format, counts)
+        yield f" = {trace.step_iv_total} (addition principle)"
+
+
+def _explain_text(trace) -> Iterator[str]:
+    yield f"problem {trace.problem}\nStep i) {trace.step_i}\nStep ii) constraints:\n"
+    yield from (f"  - {item}\n" for item in trace.step_ii)
+    yield "Step iii) classes:\n"
+    yield from (f"  - {label}: {note}\n" for label, note in trace.step_iii)
+    yield "Step iv) "
+    yield from _step_iv_text(trace)
+    yield "\n"
+
+
+def _explain_json(trace) -> Iterator[str]:
+    yield from _json_pieces({
+        "problem": trace.problem,
+        "step_i": trace.step_i,
+        "step_ii": list(trace.step_ii),
+        "step_iii": ({"label": label, "note": note} for label, note in trace.step_iii),
+        "step_iv": {
+            "classes": ({"label": label, "count": str(n)} for label, n in trace.step_iv_classes),
+            "rule": trace.step_iv_rule,
+            "total": str(trace.step_iv_total),
+        },
+    })
+    yield "\n"
 
 
 @main.command()
@@ -263,28 +357,7 @@ def explain(spec_file, problem_name, fmt):
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
         trace = build_step_trace(spec)
-    if fmt == "json":
-        click.echo(json.dumps({
-            "problem": trace.problem,
-            "step_i": trace.step_i,
-            "step_ii": list(trace.step_ii),
-            "step_iii": [{"label": label, "note": note} for label, note in trace.step_iii],
-            "step_iv": {
-                "classes": [{"label": label, "count": str(n)}
-                            for label, n in trace.step_iv_classes],
-                "rule": trace.step_iv_rule,
-                "total": str(trace.step_iv_total),
-            },
-        }))
-        return
-    lines = [f"problem {trace.problem}"]
-    lines.append(f"Step i) {trace.step_i}")
-    lines.append("Step ii) constraints:")
-    lines += [f"  - {item}" for item in trace.step_ii]
-    lines.append("Step iii) classes:")
-    lines += [f"  - {label}: {note}" for label, note in trace.step_iii]
-    lines.append(f"Step iv) {_step_iv_text(trace)}")
-    click.echo("\n".join(lines))
+    _write(_explain_json(trace) if fmt == "json" else _explain_text(trace))
 
 
 def _parse_highlight(text: str):

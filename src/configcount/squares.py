@@ -8,7 +8,10 @@ a k-box admits:
   horizontal rails k units apart, cols-k slots per pair.
 * all: k tilts (a = 0..k-1), so k(cols-k)(rows-k) squares per class.
 
-Enumerated squares share one ``LatticePoint`` per anchor.
+The class counts (``SizeClasses``) are computed as they are read, and their
+total comes from the power sums of k (on n x n grids, OEIS A000330 for axis
+squares and A002415 for all squares).  Enumerated squares share one
+``LatticePoint`` per anchor.
 
 ``count_squares_by_point_subsets`` is a deliberately naive cross-check that
 never looks at the (anchor, k, a) encoding: it tests every 4-point subset of
@@ -18,20 +21,74 @@ is that it can disagree with the enumerators above.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid, LatticePoint, Square
+
+
+class SizeClasses(Mapping):
+    """Count per size class k = 1..min(cols, rows)-1, computed when read.
+
+    Class k holds (k if tilted else 1)(cols-k)(rows-k) squares, never zero.
+    Nothing is stored per class; ``size`` is the number of classes (``len``
+    too, where it fits a machine integer) and ``total`` their sum, both in
+    closed form.
+    """
+
+    def __init__(self, cols: int, rows: int, tilted: bool):
+        LatticeGrid(cols, rows)  # refuses an empty grid with the grid's own message
+        self.cols, self.rows, self.tilted = cols, rows, tilted
+        self.size = min(cols, rows) - 1
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return iter(range(1, self.size + 1))
+
+    def __getitem__(self, k: int) -> int:
+        if not isinstance(k, int) or not 1 <= k <= self.size:
+            raise KeyError(k)
+        return (k if self.tilted else 1) * (self.cols - k) * (self.rows - k)
+
+    def values(self) -> ValuesView:
+        return _SizeValues(self)
+
+    def items(self) -> ItemsView:
+        return _SizeItems(self)
+
+    @property
+    def total(self) -> int:
+        return _square_totals(self.cols, self.rows)[self.tilted]
+
+    def _values(self):
+        # (cols-k)(rows-k), times k when tilted, for k = 1..size, without a Python-level loop.
+        n, cols, rows = self.size, self.cols, self.rows
+        boxes = map(mul, range(cols - 1, cols - n - 1, -1), range(rows - 1, rows - n - 1, -1))
+        return map(mul, range(1, n + 1), boxes) if self.tilted else boxes
+
+
+class _SizeValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._values()
+
+
+class _SizeItems(ItemsView):
+    def __iter__(self):
+        return zip(range(1, self._mapping.size + 1), self._mapping._values())
 
 
 @dataclass(frozen=True)
 class SizeClassBreakdown:
     """Counts per size class k, plus their sum.  Zero classes are omitted."""
 
-    per_k: dict[int, int]
+    per_k: SizeClasses
     total: int
 
 
@@ -46,9 +103,8 @@ class RailReport:
 
 
 def _size_classes(cols: int, rows: int, tilted: bool) -> SizeClassBreakdown:
-    LatticeGrid(cols, rows)  # refuses an empty grid with the grid's own message
-    per_k = {k: (k if tilted else 1) * (cols - k) * (rows - k) for k in range(1, min(cols, rows))}
-    return SizeClassBreakdown(per_k, sum(per_k.values()))
+    per_k = SizeClasses(cols, rows, tilted)
+    return SizeClassBreakdown(per_k, per_k.total)
 
 
 def count_axis_squares(cols: int, rows: int) -> SizeClassBreakdown:

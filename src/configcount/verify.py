@@ -14,7 +14,8 @@ Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
 are still enumerated and checked for duplicates.  Unless a reading must keep
 to distinct cells, each enumerated class size is also compared with the
-transfer matrix's count for that end cell (``readings_per_end_cell``).
+transfer matrix's count for that end cell (``readings_per_end_cell``), run
+once, on the table the search reads.
 
 The per-family decisions live here as well, each in one function that every
 command calls: ``letter_grid`` builds a word problem's table,
@@ -23,22 +24,33 @@ command calls: ``letter_grid`` builds a word problem's table,
 reading's final cell), ``closed_form_classes`` returns the registered
 closed form's per-class counts, or None, and ``class_counts`` answers
 ``count`` and ``explain``: the closed form, else the transfer matrix, and
-only for self-avoiding readings the enumeration.
+only for self-avoiding readings the enumeration; it refuses a listing of
+more classes than the budget.  ``class_total`` sums a listing.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
-classes, and how the class counts recombine into the total.
+classes, and how the class counts recombine into the total.  Its per-class
+rows are built from the class counts each time they are read (``Rows``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterator, Mapping
+from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import starmap
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
 from .speclang import ProblemSpec
-from .squares import count_all_squares, count_axis_squares, enumerate_all_squares, enumerate_axis_squares
+from .squares import (
+    SizeClasses,
+    count_all_squares,
+    count_axis_squares,
+    enumerate_all_squares,
+    enumerate_axis_squares,
+)
 from .wordgrid import (
     LetterGrid,
     PathWitness,
@@ -54,6 +66,11 @@ from .wordgrid import (
 # no command-line surface for this; tests monkeypatch it to exercise the FAIL
 # path and the harness's sensitivity.
 _FAULT_OFFSETS: dict[str, int] = {}
+
+# While ``verify_problem`` audits a word problem: that problem and its letter
+# table, so the enumeration reads the table the transfer matrix counted on.
+_AUDITED_TABLE: ContextVar[tuple[ProblemSpec, LetterGrid] | None] = ContextVar(
+    "_AUDITED_TABLE", default=None)
 
 
 @dataclass(frozen=True)
@@ -76,17 +93,46 @@ class VerifyReport:
     notes: tuple[str, ...]
 
 
+class Rows:
+    """One row per class, ``row(key, count)``, built each time the rows are read.
+
+    Rows compare equal to a tuple of the same rows.
+    """
+
+    def __init__(self, classes: Mapping, row: Callable[[object, int], tuple]):
+        self._classes, self._row = classes, row
+
+    def __iter__(self) -> Iterator[tuple]:
+        return starmap(self._row, self._classes.items())
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Rows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class StepTrace:
-    """The four-step decomposition of one counting problem, as data."""
+    """The four-step decomposition of one counting problem, as data.
+
+    ``classes`` is the problem's ``class_counts``; step iii's ``(label,
+    note)`` rows and step iv's ``(label, count)`` rows are read off it.
+    """
 
     problem: str
     step_i: str
     step_ii: tuple[str, ...]
-    step_iii: tuple[tuple[str, str], ...]
-    step_iv_classes: tuple[tuple[str, int], ...]
+    step_iii: Rows
     step_iv_rule: str  # "addition" | "product" | "enumeration-only"
     step_iv_total: int
+    classes: Mapping
+
+    @property
+    def step_iv_classes(self) -> Rows:
+        return Rows(self.classes, lambda key, n: (class_label(key), n))
 
 
 def has_registered_closed_form(spec: ProblemSpec) -> bool:
@@ -112,6 +158,9 @@ def letter_grid(spec: ProblemSpec) -> LetterGrid:
 
 
 def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
+    audited = _AUDITED_TABLE.get()
+    if audited is not None and audited[0] is spec:
+        return audited[1]
     if spec.layout == "explicit":
         return letter_grid_from_rows(spec.rows_data)
     # A rings table has L x L cells: refuse it before building it.
@@ -163,14 +212,26 @@ def _class_sizes(witnesses) -> dict:
     return dict(sorted(Counter(map(class_key, witnesses)).items()))
 
 
-def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> dict:
-    """Count per class: closed form, else transfer matrix, else (self-avoiding) enumeration."""
-    closed = closed_form_classes(spec)
-    if closed is not None:  # always, for squares
-        return closed
-    if spec.distinct_cells:
-        return _class_sizes(enumerate_witnesses(spec, budget))
-    return readings_per_end_cell(_letter_grid(spec, budget), spec.word, spec.adjacency, budget)
+def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> Mapping:
+    """Count per class: closed form, else transfer matrix, else (self-avoiding) enumeration.
+
+    A listing of more classes than ``budget`` is refused before it is written.
+    """
+    classes = closed_form_classes(spec)
+    if classes is None and spec.distinct_cells:
+        classes = _class_sizes(enumerate_witnesses(spec, budget))
+    elif classes is None:
+        classes = readings_per_end_cell(_letter_grid(spec, budget), spec.word, spec.adjacency,
+                                        budget)
+    listed = classes.size if isinstance(classes, SizeClasses) else len(classes)
+    if budget is not None and listed > budget:
+        raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
+    return classes
+
+
+def class_total(classes: Mapping) -> int:
+    """The sum of a ``class_counts`` listing, in closed form for square size classes."""
+    return classes.total if isinstance(classes, SizeClasses) else sum(classes.values())
 
 
 def verify_problem(
@@ -178,10 +239,20 @@ def verify_problem(
 ) -> VerifyReport:
     """Enumerate, count the classes, and compare with the closed form where one
     exists, else with the transfer matrix where it applies."""
-    # Enumerate first: its budget check refuses a huge grid before the closed
-    # form builds one entry per class.
-    witnesses = enumerate_witnesses(spec, oracle_budget)
     expected_classes = closed_form_classes(spec)
+    transfer = None
+    if expected_classes is None and not spec.distinct_cells:
+        # One table and one transfer matrix, which is the second oracle and,
+        # as it counts every visit the search makes, the search's budget.
+        grid = _letter_grid(spec, oracle_budget)
+        transfer = readings_per_end_cell(grid, spec.word, spec.adjacency, oracle_budget)
+        audited = _AUDITED_TABLE.set((spec, grid))
+        try:
+            witnesses = enumerate_witnesses(spec, None)
+        finally:
+            _AUDITED_TABLE.reset(audited)
+    else:
+        witnesses = enumerate_witnesses(spec, oracle_budget)
     observed = _class_sizes(witnesses)
     oracle_total = len(witnesses)
     duplicates = oracle_total - len(set(witnesses))
@@ -196,13 +267,12 @@ def verify_problem(
     closed_total = None
     if expected_classes is not None:
         family = "word-side" if spec.kind == "word-paths" else f"squares-{spec.variant}"
-        closed_total = sum(expected_classes.values()) + _FAULT_OFFSETS.get(family, 0)
+        closed_total = class_total(expected_classes) + _FAULT_OFFSETS.get(family, 0)
         notes += [f"class {r.label}: closed form {r.expected} != oracle {r.observed}"
                   for r in rows if r.expected != r.observed]
         if closed_total != oracle_total:
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
-    elif not spec.distinct_cells:
-        transfer = class_counts(spec, oracle_budget)
+    elif transfer is not None:
         notes += [f"class {class_label(key)}: transfer matrix {transfer.get(key, 0)} "
                   f"!= oracle {observed.get(key, 0)}"
                   for key in sorted(transfer.keys() | observed.keys())
@@ -237,19 +307,22 @@ def build_step_trace(
         rule, steps = "product", _word_steps_closed
     else:
         rule, steps = "enumeration-only", _word_steps_enumerated
-    step_i, step_ii, step_iii = steps(spec, classes)
+    step_i, step_ii, step_iii_row = steps(spec)
     return StepTrace(
         problem=spec.name,
         step_i=step_i,
         step_ii=step_ii,
-        step_iii=step_iii,
-        step_iv_classes=tuple((class_label(key), n) for key, n in classes.items()),
+        step_iii=Rows(classes, step_iii_row),
         step_iv_rule=rule,
-        step_iv_total=sum(classes.values()),
+        step_iv_total=class_total(classes),
+        classes=classes,
     )
 
 
-def _squares_steps(spec: ProblemSpec, per_k: dict):
+# Each family's steps: step i, step ii, and step iii's row for a class (key, count).
+
+
+def _squares_steps(spec: ProblemSpec):
     cols, rows = spec.cols, spec.rows
     if spec.variant == "axis":
         step_i = f"axis-aligned squares drawn on a {cols}x{rows} grid of points"
@@ -257,40 +330,30 @@ def _squares_steps(spec: ProblemSpec, per_k: dict):
             "all four vertices are grid points",
             "sides are parallel to the coordinate axes",
         )
-        step_iii = tuple(
-            (f"k={k}", f"{rows - k} rail pairs at distance {k}, {cols - k} squares per pair")
-            for k in per_k
-        )
-    else:
-        step_i = f"squares of any tilt drawn on a {cols}x{rows} grid of points"
-        step_ii = ("all four vertices are grid points",)
-        step_iii = tuple(
-            (f"k={k}", f"{k} tilt offsets per box, {(cols - k) * (rows - k)} box positions")
-            for k in per_k
-        )
-    return step_i, step_ii, step_iii
+        return step_i, step_ii, lambda k, _: (
+            f"k={k}", f"{rows - k} rail pairs at distance {k}, {cols - k} squares per pair")
+    step_i = f"squares of any tilt drawn on a {cols}x{rows} grid of points"
+    step_ii = ("all four vertices are grid points",)
+    return step_i, step_ii, lambda k, _: (
+        f"k={k}", f"{k} tilt offsets per box, {(cols - k) * (rows - k)} box positions")
 
 
-def _word_steps_closed(spec: ProblemSpec, per_class: dict):
+def _word_steps_closed(spec: ProblemSpec):
     length = len(spec.word)
     half = (length - 1) // 2
     step_i = f"readings of {spec.word!r} in the {length}x{length} manhattan-rings letter grid"
     step_ii = (_ADJACENCY_TEXT["side"], f"the visited cells spell {spec.word!r} in order")
     if length == 1:
-        step_iii = (("(0,0)", "the single cell holding the whole word"),)
-    else:
-        step_iii = tuple(
-            (
-                class_label(cell),
-                f"readings ending at corner {class_label(cell)}: "
-                f"{half} vertical and {half} horizontal moves interleaved",
-            )
-            for cell in per_class
-        )
-    return step_i, step_ii, step_iii
+        return step_i, step_ii, lambda cell, _: (
+            class_label(cell), "the single cell holding the whole word")
+    return step_i, step_ii, lambda cell, _: (
+        class_label(cell),
+        f"readings ending at corner {class_label(cell)}: "
+        f"{half} vertical and {half} horizontal moves interleaved",
+    )
 
 
-def _word_steps_enumerated(spec: ProblemSpec, per_class: dict):
+def _word_steps_enumerated(spec: ProblemSpec):
     grid = letter_grid(spec)
     layout = (
         f"the {grid.cols}x{grid.rows} manhattan-rings letter grid"
@@ -300,7 +363,5 @@ def _word_steps_enumerated(spec: ProblemSpec, per_class: dict):
     step_ii = [_ADJACENCY_TEXT[spec.adjacency], f"the visited cells spell {spec.word!r} in order"]
     if spec.distinct_cells:
         step_ii.append("no cell is visited twice")
-    step_iii = tuple(
-        (class_label(cell), f"readings ending at cell {class_label(cell)}") for cell in per_class
-    )
-    return f"readings of {spec.word!r} in {layout}", tuple(step_ii), step_iii
+    return f"readings of {spec.word!r} in {layout}", tuple(step_ii), lambda cell, _: (
+        class_label(cell), f"readings ending at cell {class_label(cell)}")

@@ -12,8 +12,9 @@ end cell, with a transfer matrix: level by level, each cell adds its count to
 the cells that may follow it.  ``enumerate_word_paths`` is the brute-force
 oracle: depth-first extension from every starting cell, emitting witnesses in
 lexicographic order of their coordinate sequences (cells compare as (x, y)
-tuples).  Both step by one candidate rule, and the search refuses a budget
-overrun by running the counter first.
+tuples).  Both step by one candidate rule over the table's cells per symbol,
+sorted once per table, and the search refuses a budget overrun by running
+the counter first.
 
 The manhattan-rings layout is the symmetric board the closed form applies to:
 an LxL grid (L odd) whose cell at Manhattan distance d from the center holds
@@ -27,6 +28,7 @@ four corners, and each corner class is a count of U/R move interleavings:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from .budget import OracleBudgetError
@@ -58,6 +60,14 @@ class LetterGrid:
         for xy, sym in self.cells.items():
             if len(sym) != 1:
                 raise ValueError(f"cell {xy} must hold a single symbol")
+
+    @cached_property
+    def cells_by_symbol(self) -> dict[str, list[tuple[int, int]]]:
+        """Each symbol's cells in (x, y) order."""
+        by_sym: dict[str, list[tuple[int, int]]] = {}
+        for xy in sorted(self.cells):
+            by_sym.setdefault(self.cells[xy], []).append(xy)
+        return by_sym
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +129,7 @@ def _reading_rule(grid: LetterGrid, word: str, adjacency: AdjacencyRule):
         raise ValueError(f"unknown adjacency rule: {adjacency!r}")
     if len(word) < 1:
         raise ValueError("word must be non-empty")
-    by_sym: dict[str, list[tuple[int, int]]] = {}
-    for xy in sorted(grid.cells):
-        by_sym.setdefault(grid.cells[xy], []).append(xy)
+    by_sym = grid.cells_by_symbol
     offsets = _SIDE_OFFSETS if adjacency == "side" else _KING_OFFSETS
 
     def candidates(cell: tuple[int, int], symbol: str) -> list[tuple[int, int]]:

@@ -18,6 +18,7 @@ import configcount.render as render_mod
 import configcount.verify as verify_mod
 from configcount.cli import main
 from configcount.speclang import ProblemSpec, print_spec
+from configcount.squares import _square_totals
 
 from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES
 from test_speclang import _SPEC_TOKENS, _explicit_specs, _rings_specs
@@ -297,6 +298,125 @@ def test_explain_json_mirrors_trace(runner):
 
 
 # ---------------------------------------------------------------------------
+# streamed listings
+
+
+# Reference formatters that build each document whole, as one list of lines or
+# one json.dumps call, with the total summed from the classes.  The streamed
+# output of count and explain must be the same bytes.
+def _whole_count_text(spec, classes):
+    lines = [f"problem {spec.name}: {cli_mod._describe(spec)}"]
+    lines += [f"{verify_mod.class_label(key)}: {n}" for key, n in classes.items()]
+    lines.append(f"total {sum(classes.values())}")
+    return "\n".join(lines)
+
+
+def _whole_count_json(spec, classes):
+    return json.dumps({
+        "problem": spec.name,
+        "kind": spec.kind,
+        "total": str(sum(classes.values())),
+        "classes": [{"label": verify_mod.class_label(key), "count": str(n)}
+                    for key, n in classes.items()],
+    })
+
+
+def _whole_explain_json(trace):
+    return json.dumps({
+        "problem": trace.problem,
+        "step_i": trace.step_i,
+        "step_ii": list(trace.step_ii),
+        "step_iii": [{"label": label, "note": note} for label, note in trace.step_iii],
+        "step_iv": {
+            "classes": [{"label": label, "count": str(n)} for label, n in trace.step_iv_classes],
+            "rule": trace.step_iv_rule,
+            "total": str(sum(n for _, n in trace.step_iv_classes)),
+        },
+    })
+
+
+def _whole_explain_text(trace):
+    sizes = [n for _, n in trace.step_iv_classes]
+    lines = [f"problem {trace.problem}", f"Step i) {trace.step_i}", "Step ii) constraints:"]
+    lines += [f"  - {item}" for item in trace.step_ii]
+    lines.append("Step iii) classes:")
+    lines += [f"  - {label}: {note}" for label, note in trace.step_iii]
+    lines.append(f"Step iv) {' + '.join(map(str, sizes))} = {sum(sizes)} (addition principle)")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("variant", ["axis", "all"])
+def test_streamed_listings_match_whole_documents(runner, tmp_path, variant):
+    spec = ProblemSpec("wide", "squares", cols=2000, rows=1500, variant=variant)
+    path = tmp_path / "wide.ccspec"
+    path.write_text(print_spec([spec]))
+    classes = dict(verify_mod.class_counts(spec))
+    trace = verify_mod.build_step_trace(spec)
+    assert len(classes) == 1499
+    expected = {
+        ("count", "text"): _whole_count_text(spec, classes),
+        ("count", "json"): _whole_count_json(spec, classes),
+        ("explain", "text"): _whole_explain_text(trace),
+        ("explain", "json"): _whole_explain_json(trace),
+    }
+    for (command, fmt), document in expected.items():
+        result = invoke(runner, command, path, "--problem", "wide", "--format", fmt)
+        assert result.exit_code == 0
+        assert result.stdout == document + "\n", (command, fmt)
+
+
+@pytest.mark.parametrize("command", ["count", "explain"])
+def test_oversize_listing_is_refused_before_writing(runner, tmp_path, command):
+    spec = tmp_path / "huge.ccspec"
+    spec.write_text("problem huge { kind: squares cols: 100000000 rows: 100000001 variant: axis }")
+    start = time.perf_counter()
+    result = invoke(runner, command, spec, "--problem", "huge")
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: problem huge: oracle budget exceeded: "
+                             "listing of 99999999 classes > 10000000\n")
+
+
+def _run_capped(args, cwd, limit_mb):
+    """``python -m configcount <args>`` with its address space capped; exit code and stdout."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = cwd / "out.txt"
+    with open(out, "wb") as stdout:
+        done = subprocess.run([sys.executable, "-m", "configcount", *args], cwd=cwd,
+                              stdout=stdout, stderr=subprocess.PIPE, preexec_fn=cap,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return done.returncode, out.read_text(encoding="utf-8"), done.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_listings_stream_in_bounded_memory(tmp_path):
+    # 299,999 classes: about 26 MB of explain text and 42 MB of explain JSON,
+    # written under a 64 MB address-space cap on the child alone.
+    (tmp_path / "big.ccspec").write_text(
+        "problem p { kind: squares cols: 300000 rows: 300000 variant: axis }")
+    total = _square_totals(300000, 300000)[0]
+    endings = {
+        ("count", "text"): f"\ntotal {total}\n",
+        ("count", "json"): f'{{"label": "k=299999", "count": "1"}}]}}\n',
+        ("explain", "text"): f" + 1 = {total} (addition principle)\n",
+        ("explain", "json"): f'"rule": "addition", "total": "{total}"}}}}\n',
+    }
+    for (command, fmt), ending in endings.items():
+        code, out, err = _run_capped([command, "big.ccspec", "--problem", "p", "--format", fmt],
+                                     tmp_path, 64)
+        assert code == 0, (command, fmt, err[-500:])
+        assert out.endswith(ending), (command, fmt, out[-200:])
+        if command == "count" and fmt == "json":
+            assert json.loads(out)["total"] == str(total)
+
+
+# ---------------------------------------------------------------------------
 # exit-code discipline and determinism
 
 
@@ -428,21 +548,24 @@ def test_importing_the_cli_skips_network_and_xml_modules():
 
 def _small_budget_everywhere(monkeypatch, budget=1000):
     # Each command looks the enumerator up in its own module; render also caps
-    # a figure's size by the default budget, and count and explain read word
-    # classes off the reading counter.
+    # a figure's size by the default budget, count and explain read word
+    # classes off the reading counter, and class_counts caps their listings.
     real = verify_mod.enumerate_witnesses
     for module in (verify_mod, cli_mod, render_mod):
         monkeypatch.setattr(module, "enumerate_witnesses",
                             lambda spec, _budget=None: real(spec, budget))
     monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
     _small_counter_budget(monkeypatch, budget)
+    real_counts = verify_mod.class_counts
+    for module in (verify_mod, cli_mod):
+        monkeypatch.setattr(module, "class_counts",
+                            lambda spec, _budget=None: real_counts(spec, budget))
 
 
 @st.composite
 def _cli_cases(draw):
     command = draw(st.sampled_from(["count", "explain", "verify", "enumerate", "render"]))
-    # count and explain print one line per size class, so their grids stay small.
-    side = st.integers(1, 10**4 if command in ("count", "explain") else 10**30)
+    side = st.integers(1, 10**30)
     squares = st.builds(lambda cols, rows, variant: ProblemSpec("p", "squares", cols=cols,
                                                                 rows=rows, variant=variant),
                         side, side, st.sampled_from(["axis", "all"]))

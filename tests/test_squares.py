@@ -206,6 +206,25 @@ def test_budget_totals_match_the_closed_forms():
             )
 
 
+def test_size_classes_are_computed_as_read():
+    # The total comes from power sums and each class from its own product, so
+    # summing the classes checks one against the other.
+    for cols in range(1, 30):
+        for rows in range(1, 30):
+            for count_fn in (count_axis_squares, count_all_squares):
+                per_k = count_fn(cols, rows).per_k
+                assert sum(per_k.values()) == per_k.total == count_fn(cols, rows).total
+                assert list(per_k.items()) == [(k, per_k[k]) for k in per_k]
+                assert len(per_k) == per_k.size == min(cols, rows) - 1
+    # n x n grids: OEIS A000330 (axis squares) and A002415 (all squares)
+    assert [count_axis_squares(n, n).total for n in range(1, 9)] == [0, 1, 5, 14, 30, 55, 91, 140]
+    assert [count_all_squares(n, n).total for n in range(1, 9)] == [0, 1, 6, 20, 50, 105, 196, 336]
+    huge = count_all_squares(10**30, 10**30 + 1).per_k
+    assert huge.size == 10**30 - 1
+    assert huge[10**30 - 1] == (10**30 - 1) * 2
+    assert huge.get(0) is None and 10**30 not in huge and "k" not in huge
+
+
 def test_subset_oracle_refuses_large_grids_before_searching():
     searched = _subset_square_counts.cache_info()
     with pytest.raises(OracleBudgetError, match="416416712497500 candidate 4-point subsets"):

@@ -1,11 +1,15 @@
 """The verify harness: totals, class counts, distinctness, traces, fault injection."""
 
+from collections import Counter
+from itertools import islice
+
 import pytest
 
 import configcount.verify as verify_mod
 from configcount import wordgrid
 from configcount.budget import OracleBudgetError
 from configcount.speclang import ProblemSpec
+from configcount.squares import _square_totals
 from configcount.verify import (
     PartitionRow,
     VerifyReport,
@@ -231,6 +235,45 @@ def test_count_and_explain_build_no_reading_unless_self_avoiding(monkeypatch):
     assert sum(class_counts(avoiding).values()) == len(built) > 0
 
 
+@pytest.mark.parametrize("spec", [
+    OPEN_FREE,
+    ProblemSpec("t", "word-paths", word="aba", layout="explicit", rows_data=("ab", "ba"),
+                adjacency="king"),
+], ids=["rings", "explicit"])
+def test_verify_builds_one_table_with_one_transfer_matrix(monkeypatch, spec):
+    # The search and the transfer matrix read the same table, whose cells are
+    # sorted once; the transfer matrix also serves as the search's budget check.
+    work = Counter()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for builder in ("generate_manhattan_rings", "letter_grid_from_rows"):
+        monkeypatch.setattr(verify_mod, builder, spy("table", getattr(verify_mod, builder)))
+    counter = spy("transfer matrix", wordgrid.readings_per_end_cell)
+    monkeypatch.setattr(wordgrid, "readings_per_end_cell", counter)
+    monkeypatch.setattr(verify_mod, "readings_per_end_cell", counter)
+    monkeypatch.setattr(wordgrid, "sorted", lambda items: (
+        work.update(["cell sort"] if isinstance(items, dict) else []) or sorted(items)),
+        raising=False)
+    report = verify_problem(spec)
+    assert report.verdict == "PASS"
+    assert work == {"table": 1, "transfer matrix": 1, "cell sort": 1}
+
+
+def test_class_listing_over_budget_is_refused():
+    seven = ProblemSpec("seven", "squares", cols=7, rows=8, variant="all")
+    with pytest.raises(OracleBudgetError, match=r"^oracle budget exceeded: listing of 6 classes > 5$"):
+        class_counts(seven, 5)
+    assert dict(class_counts(seven, 6)) == {1: 42, 2: 60, 3: 60, 4: 48, 5: 30, 6: 12}
+    huge = ProblemSpec("huge", "squares", cols=10**40, rows=10**40, variant="axis")
+    with pytest.raises(OracleBudgetError, match=f"listing of {10**40 - 1} classes > 10000000"):
+        build_step_trace(huge)
+
+
 # ---------------------------------------------------------------------------
 # step traces
 
@@ -241,6 +284,20 @@ def test_axis_squares_trace():
     assert trace.step_iv_rule == "addition"
     assert trace.step_iv_total == 30
     assert len(trace.step_iii) == 4
+
+
+def test_trace_rows_are_read_off_the_classes():
+    side = 10**6
+    trace = build_step_trace(ProblemSpec("g", "squares", cols=side, rows=side + 1, variant="all"))
+    assert trace.step_iv_total == _square_totals(side, side + 1)[1]
+    assert len(trace.step_iii) == len(trace.step_iv_classes) == side - 1
+    assert list(islice(trace.step_iii, 2)) == [
+        ("k=1", f"1 tilt offsets per box, {(side - 1) * side} box positions"),
+        ("k=2", f"2 tilt offsets per box, {(side - 2) * (side - 1)} box positions"),
+    ]
+    # Rows are built afresh on every read.
+    assert list(islice(trace.step_iv_classes, 1)) == list(islice(trace.step_iv_classes, 1)) == [
+        ("k=1", (side - 1) * side)]
 
 
 def test_open_reading_trace():
