@@ -122,18 +122,12 @@ def _write(pieces: Iterable[str]) -> None:
 def _json_pieces(doc: dict) -> Iterator[str]:
     """``json.dumps(doc)`` in pieces.
 
-    An iterator value, at any depth, is written as a list.  One that ends
-    within ``_JSON_ITEMS`` items is dumped together with the plain entries
-    around it; a longer one is dumped ``_JSON_ITEMS`` items per piece.
+    An iterator value, at any depth, is written as a list, ``_JSON_ITEMS``
+    items per piece.
     """
     separator, plain = "{", {}
     for key, value in doc.items():
-        if isinstance(value, Iterator):
-            first = list(islice(value, _JSON_ITEMS))
-            if len(first) < _JSON_ITEMS:
-                plain[key] = first
-                continue
-        elif not isinstance(value, dict):
+        if not isinstance(value, (dict, Iterator)):
             plain[key] = value
             continue
         if plain:
@@ -144,10 +138,11 @@ def _json_pieces(doc: dict) -> Iterator[str]:
         if isinstance(value, dict):
             yield from _json_pieces(value)
             continue
-        chunk = first
-        yield "[" + json.dumps(chunk)[1:-1]
+        yield "["
+        comma = ""
         while chunk := list(islice(value, _JSON_ITEMS)):
-            yield ", " + json.dumps(chunk)[1:-1]
+            yield comma + json.dumps(chunk)[1:-1]
+            comma = ", "
         yield "]"
     yield separator + json.dumps(plain)[1:] if plain or separator == "{" else "}"
 
@@ -187,14 +182,14 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
 def _count_text(spec: ProblemSpec, classes) -> Iterator[str]:
     yield f"problem {spec.name}: {_describe(spec)}"
     yield from (f"\n{class_label(key)}: {n}" for key, n in classes.items())
-    yield f"\ntotal {class_total(classes)}"
+    yield f"\ntotal {class_total(spec, classes)}"
 
 
 def _count_json(spec: ProblemSpec, classes) -> Iterator[str]:
     return _json_pieces({
         "problem": spec.name,
         "kind": spec.kind,
-        "total": str(class_total(classes)),
+        "total": str(class_total(spec, classes)),
         "classes": ({"label": class_label(key), "count": str(n)} for key, n in classes.items()),
     })
 

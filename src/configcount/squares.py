@@ -37,8 +37,7 @@ class SizeClasses(Mapping):
 
     Class k holds (k if tilted else 1)(cols-k)(rows-k) squares, never zero.
     Nothing is stored per class; ``size`` is the number of classes (``len``
-    too, where it fits a machine integer) and ``total`` their sum, both in
-    closed form.
+    too, where it fits a machine integer).
     """
 
     def __init__(self, cols: int, rows: int, tilted: bool):
@@ -62,10 +61,6 @@ class SizeClasses(Mapping):
 
     def items(self) -> ItemsView:
         return _SizeItems(self)
-
-    @property
-    def total(self) -> int:
-        return _square_totals(self.cols, self.rows)[self.tilted]
 
     def _values(self):
         # (cols-k)(rows-k), times k when tilted, for k = 1..size, without a Python-level loop.
@@ -103,8 +98,7 @@ class RailReport:
 
 
 def _size_classes(cols: int, rows: int, tilted: bool) -> SizeClassBreakdown:
-    per_k = SizeClasses(cols, rows, tilted)
-    return SizeClassBreakdown(per_k, per_k.total)
+    return SizeClassBreakdown(SizeClasses(cols, rows, tilted), _square_totals(cols, rows)[tilted])
 
 
 def count_axis_squares(cols: int, rows: int) -> SizeClassBreakdown:

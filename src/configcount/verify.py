@@ -25,7 +25,8 @@ reading's final cell), ``closed_form_classes`` returns the registered
 closed form's per-class counts, or None, and ``class_counts`` answers
 ``count`` and ``explain``: the closed form, else the transfer matrix, and
 only for self-avoiding readings the enumeration; it refuses a listing of
-more classes than the budget.  ``class_total`` sums a listing.
+more classes than the budget.  ``class_total`` sums a problem's listing,
+from the power sums for squares.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -45,7 +45,7 @@ from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
 from .speclang import ProblemSpec
 from .squares import (
-    SizeClasses,
+    _square_totals,
     count_all_squares,
     count_axis_squares,
     enumerate_all_squares,
@@ -66,11 +66,6 @@ from .wordgrid import (
 # no command-line surface for this; tests monkeypatch it to exercise the FAIL
 # path and the harness's sensitivity.
 _FAULT_OFFSETS: dict[str, int] = {}
-
-# While ``verify_problem`` audits a word problem: that problem and its letter
-# table, so the enumeration reads the table the transfer matrix counted on.
-_AUDITED_TABLE: ContextVar[tuple[ProblemSpec, LetterGrid] | None] = ContextVar(
-    "_AUDITED_TABLE", default=None)
 
 
 @dataclass(frozen=True)
@@ -158,9 +153,6 @@ def letter_grid(spec: ProblemSpec) -> LetterGrid:
 
 
 def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
-    audited = _AUDITED_TABLE.get()
-    if audited is not None and audited[0] is spec:
-        return audited[1]
     if spec.layout == "explicit":
         return letter_grid_from_rows(spec.rows_data)
     # A rings table has L x L cells: refuse it before building it.
@@ -172,11 +164,16 @@ def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
 
 def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> list:
     """Every witness of the problem in canonical order, within the oracle budget."""
-    if spec.kind == "word-paths":
-        return enumerate_word_paths(
-            _letter_grid(spec, budget), spec.word, spec.adjacency, spec.distinct_cells,
-            max_visits=budget,
-        )
+    table = _letter_grid(spec, budget) if spec.kind == "word-paths" else None
+    return _enumerate(spec, table, budget)
+
+
+def _enumerate(spec: ProblemSpec, table: LetterGrid | None, budget: int | None) -> list:
+    # Every enumeration verify_problem reads passes through here; a word
+    # problem is read in ``table``, which its caller built.
+    if table is not None:
+        return enumerate_word_paths(table, spec.word, spec.adjacency, spec.distinct_cells,
+                                    max_visits=budget)
     grid = LatticeGrid(spec.cols, spec.rows)
     if spec.variant == "axis":
         return enumerate_axis_squares(grid, max_candidates=budget)
@@ -223,15 +220,17 @@ def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) 
     elif classes is None:
         classes = readings_per_end_cell(_letter_grid(spec, budget), spec.word, spec.adjacency,
                                         budget)
-    listed = classes.size if isinstance(classes, SizeClasses) else len(classes)
+    listed = min(spec.cols, spec.rows) - 1 if spec.kind == "squares" else len(classes)
     if budget is not None and listed > budget:
         raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
     return classes
 
 
-def class_total(classes: Mapping) -> int:
-    """The sum of a ``class_counts`` listing, in closed form for square size classes."""
-    return classes.total if isinstance(classes, SizeClasses) else sum(classes.values())
+def class_total(spec: ProblemSpec, classes: Mapping) -> int:
+    """The sum of the problem's ``classes``; for squares, the power sums in closed form."""
+    if spec.kind == "squares":
+        return _square_totals(spec.cols, spec.rows)[spec.variant == "all"]
+    return sum(classes.values())
 
 
 def verify_problem(
@@ -244,13 +243,9 @@ def verify_problem(
     if expected_classes is None and not spec.distinct_cells:
         # One table and one transfer matrix, which is the second oracle and,
         # as it counts every visit the search makes, the search's budget.
-        grid = _letter_grid(spec, oracle_budget)
-        transfer = readings_per_end_cell(grid, spec.word, spec.adjacency, oracle_budget)
-        audited = _AUDITED_TABLE.set((spec, grid))
-        try:
-            witnesses = enumerate_witnesses(spec, None)
-        finally:
-            _AUDITED_TABLE.reset(audited)
+        table = _letter_grid(spec, oracle_budget)
+        transfer = readings_per_end_cell(table, spec.word, spec.adjacency, oracle_budget)
+        witnesses = _enumerate(spec, table, None)
     else:
         witnesses = enumerate_witnesses(spec, oracle_budget)
     observed = _class_sizes(witnesses)
@@ -267,7 +262,7 @@ def verify_problem(
     closed_total = None
     if expected_classes is not None:
         family = "word-side" if spec.kind == "word-paths" else f"squares-{spec.variant}"
-        closed_total = class_total(expected_classes) + _FAULT_OFFSETS.get(family, 0)
+        closed_total = class_total(spec, expected_classes) + _FAULT_OFFSETS.get(family, 0)
         notes += [f"class {r.label}: closed form {r.expected} != oracle {r.observed}"
                   for r in rows if r.expected != r.observed]
         if closed_total != oracle_total:
@@ -314,7 +309,7 @@ def build_step_trace(
         step_ii=step_ii,
         step_iii=Rows(classes, step_iii_row),
         step_iv_rule=rule,
-        step_iv_total=class_total(classes),
+        step_iv_total=class_total(spec, classes),
         classes=classes,
     )
 

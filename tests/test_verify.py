@@ -143,9 +143,11 @@ def _drop_first(witnesses):
 
 
 def _with_faulty_enumeration(monkeypatch, fault):
-    real = verify_mod.enumerate_witnesses
-    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
-                        lambda spec, budget=None: fault(real(spec, budget)))
+    # Every enumeration verify_problem reads, with or without a table it built
+    # itself, goes through verify._enumerate.
+    real = verify_mod._enumerate
+    monkeypatch.setattr(verify_mod, "_enumerate",
+                        lambda spec, table, budget: fault(real(spec, table, budget)))
 
 
 def _rows(*rows):
