@@ -4,10 +4,10 @@ The commands parse arguments, format output and map errors to exit codes;
 which closed form and which enumerator a problem uses is decided in
 ``verify``.  Exit codes: 0 on success (and on verify when every problem
 PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
-budget errors; a budget error names the problem that overran, and outranks a
-FAIL.  All output is deterministic for fixed inputs and flags; counts appear
-in JSON as decimal strings so consumers never round them through a
-fixed-width type.
+budget errors and on running out of memory; a budget error names the problem
+that overran, and outranks a FAIL.  All output is deterministic for fixed
+inputs and flags; counts appear in JSON as decimal strings so consumers never
+round them through a fixed-width type.
 
 ``count``, ``verify`` and ``explain`` write each problem's output as it is
 formatted, a few hundred lines per write, with one flush at the end; a JSON
@@ -75,13 +75,18 @@ def _describe(spec: ProblemSpec) -> str:
     return " ".join(parts)
 
 
+def _refusal(spec: ProblemSpec, exc: Exception) -> str:
+    reason = "out of memory" if isinstance(exc, MemoryError) else exc
+    return f"problem {spec.name}: {reason}"
+
+
 @contextlib.contextmanager
-def _naming(spec: ProblemSpec, errors=OracleBudgetError):
-    """Exit 2 on ``errors``, with a message that names the problem."""
+def _naming(spec: ProblemSpec, errors=(OracleBudgetError,)):
+    """Exit 2 on ``errors`` or on running out of memory, naming the problem."""
     try:
         yield
-    except errors as exc:
-        _fail(f"problem {spec.name}: {exc}")
+    except (*errors, MemoryError) as exc:
+        _fail(_refusal(spec, exc))
 
 
 @click.group()
@@ -151,9 +156,9 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
     """Write ``block(spec, run(spec))`` for each problem in file order; the results.
 
     A block is an iterable of text pieces.  A problem that overruns the oracle
-    budget gets one error line on stderr, when it is reached, and no block;
-    the others are still written, and then the command exits 2.  Stdout
-    stays empty when every problem overran.
+    budget, or runs out of memory, gets one error line on stderr, when it is
+    reached, and no block; the others are still written, and then the command
+    exits 2.  Stdout stays empty when every problem overran.
     """
     results, overran = [], False
 
@@ -162,8 +167,8 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
         for spec in specs:
             try:
                 result = run(spec)
-            except OracleBudgetError as exc:
-                click.echo(f"error: problem {spec.name}: {exc}", err=True)
+            except (OracleBudgetError, MemoryError) as exc:
+                click.echo(f"error: {_refusal(spec, exc)}", err=True)
                 overran = True
                 continue
             if results:

@@ -10,8 +10,12 @@ a k-box admits:
 
 The class counts (``SizeClasses``) are computed as they are read, and their
 total comes from the power sums of k (on n x n grids, OEIS A000330 for axis
-squares and A002415 for all squares).  Enumerated squares share one
-``LatticePoint`` per anchor.
+squares and A002415 for all squares).
+
+``square_keys`` writes the canonical order once, as ``(k, a, y, x)`` keys.
+The enumerators build one ``Square`` per key, sharing one ``LatticePoint``
+per anchor; ``tally_square_keys`` counts a key stream's classes and exact
+duplicates by each key's rank in that order, without building a square.
 
 ``count_squares_by_point_subsets`` is a deliberately naive cross-check that
 never looks at the (anchor, k, a) encoding: it tests every 4-point subset of
@@ -21,15 +25,18 @@ is that it can disagree with the enumerators above.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations, product
 from math import comb
 from operator import mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid, LatticePoint, Square
+
+# A square as (k, a, y, x): bounding-box size, tilt offset, anchor row and column.
+SquareKey = tuple[int, int, int, int]
 
 
 class SizeClasses(Mapping):
@@ -138,25 +145,61 @@ def _square_totals(cols: int, rows: int) -> tuple[int, int]:
             cols * rows * s1 - (cols + rows) * s2 + s3)
 
 
-def _enumerate_squares(grid: LatticeGrid, tilted: bool, max_candidates: int | None) -> list[Square]:
+def square_keys(grid: LatticeGrid, tilted: bool,
+                max_candidates: int | None = None) -> Iterator[SquareKey]:
+    """Every square on the grid as a key ``(k, a, y, x)``, in that order.
+
+    ``(x, y)`` is the anchor; axis squares have a = 0 only.  A grid with more
+    squares than ``max_candidates`` is refused here, before the first key.
+    """
     cols, rows = grid.cols, grid.rows
     count = _square_totals(cols, rows)[tilted]
     if max_candidates is not None and count > max_candidates:
         raise OracleBudgetError(
             f"oracle budget exceeded: {count} candidate squares > {max_candidates}"
         )
-    if not count:
-        return []
-    # Only x < cols-1 and y < rows-1 anchor a square, so the table is no larger
-    # than the k=1 class, which the guard above has bounded.
-    anchors = [[LatticePoint(x, y) for x in range(cols - 1)] for y in range(rows - 1)]
-    return [
-        Square(anchor, k, a)
+    return chain.from_iterable(
+        product((k,), range(k if tilted else 1), range(rows - k), range(cols - k))
         for k in range(1, min(cols, rows))
-        for a in range(k if tilted else 1)
-        for row in anchors[: rows - k]
-        for anchor in row[: cols - k]
-    ]
+    )
+
+
+def tally_square_keys(keys: Iterable[SquareKey], cols: int, rows: int,
+                      tilted: bool) -> tuple[dict[int, int], int]:
+    """Keys per size class k, and how many keys repeat an earlier one, in one pass.
+
+    A key's rank is its position in ``square_keys`` order,
+    offset[k] + a(cols-k)(rows-k) + y(cols-k) + x, where offset[k] counts the
+    squares of the classes below k.  It is injective on the grid's squares, so
+    one byte per candidate square marks what was seen, and a key whose rank is
+    already marked is a duplicate.  Classes with no key are left out.
+    """
+    classes = SizeClasses(cols, rows, tilted)
+    offset = [0, *accumulate(classes.values(), initial=0)]
+    area = [0, *((cols - k) * (rows - k) for k in classes)]
+    width = [0, *range(cols - 1, cols - classes.size - 1, -1)]
+    seen = bytearray(offset[-1])
+    sizes = [0] * (classes.size + 1)
+    duplicates = 0
+    for k, a, y, x in keys:
+        sizes[k] += 1
+        rank = offset[k] + a * area[k] + y * width[k] + x
+        if seen[rank]:
+            duplicates += 1
+        else:
+            seen[rank] = 1
+    return {k: n for k, n in enumerate(sizes) if n}, duplicates
+
+
+def _enumerate_squares(grid: LatticeGrid, tilted: bool, max_candidates: int | None) -> list[Square]:
+    keys = square_keys(grid, tilted, max_candidates)
+    # Only x < cols-1 and y < rows-1 anchor a square, so the table is no larger
+    # than the k=1 class, which square_keys has bounded; a grid too thin for a
+    # square builds none.
+    cols, rows = grid.cols, grid.rows
+    anchors = ([[LatticePoint(x, y) for x in range(cols - 1)] for y in range(rows - 1)]
+               if min(cols, rows) > 1 else [])
+    return [Square(anchors[y][x], k, a) for k, a, y, x in keys]
 
 
 def enumerate_axis_squares(grid: LatticeGrid, max_candidates: int | None = None) -> list[Square]:

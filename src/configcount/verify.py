@@ -8,7 +8,11 @@ all of them hold on the actual data:
 * distinctness: no witness was enumerated twice.
 
 Each witness is counted once, in the class ``class_key`` names, so the
-classes cover the enumeration exactly by construction.
+classes cover the enumeration exactly by construction.  A squares problem is
+read as a stream of ``(k, a, y, x)`` keys, and no ``Square`` is built: a key
+is counted in its class k, and a duplicate is found by the key's rank in
+canonical order, one byte per candidate square (``tally_square_keys``).
+Word readings are listed and checked for duplicates with a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
@@ -50,6 +54,8 @@ from .squares import (
     count_axis_squares,
     enumerate_all_squares,
     enumerate_axis_squares,
+    square_keys,
+    tally_square_keys,
 )
 from .wordgrid import (
     LetterGrid,
@@ -164,20 +170,22 @@ def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
 
 def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> list:
     """Every witness of the problem in canonical order, within the oracle budget."""
-    table = _letter_grid(spec, budget) if spec.kind == "word-paths" else None
-    return _enumerate(spec, table, budget)
-
-
-def _enumerate(spec: ProblemSpec, table: LetterGrid | None, budget: int | None) -> list:
-    # Every enumeration verify_problem reads passes through here; a word
-    # problem is read in ``table``, which its caller built.
-    if table is not None:
-        return enumerate_word_paths(table, spec.word, spec.adjacency, spec.distinct_cells,
-                                    max_visits=budget)
+    if spec.kind == "word-paths":
+        return _enumerate(spec, _letter_grid(spec, budget), budget)
     grid = LatticeGrid(spec.cols, spec.rows)
     if spec.variant == "axis":
         return enumerate_axis_squares(grid, max_candidates=budget)
     return enumerate_all_squares(grid, max_candidates=budget)
+
+
+def _enumerate(spec: ProblemSpec, table: LetterGrid | None, budget: int | None):
+    # Every enumeration verify_problem reads passes through here: a word
+    # problem's readings in ``table``, which its caller built, or a squares
+    # problem's stream of (k, a, y, x) keys.
+    if table is not None:
+        return enumerate_word_paths(table, spec.word, spec.adjacency, spec.distinct_cells,
+                                    max_visits=budget)
+    return square_keys(LatticeGrid(spec.cols, spec.rows), spec.variant == "all", budget)
 
 
 def class_key(witness):
@@ -240,17 +248,22 @@ def verify_problem(
     exists, else with the transfer matrix where it applies."""
     expected_classes = closed_form_classes(spec)
     transfer = None
-    if expected_classes is None and not spec.distinct_cells:
-        # One table and one transfer matrix, which is the second oracle and,
-        # as it counts every visit the search makes, the search's budget.
-        table = _letter_grid(spec, oracle_budget)
-        transfer = readings_per_end_cell(table, spec.word, spec.adjacency, oracle_budget)
-        witnesses = _enumerate(spec, table, None)
+    if spec.kind == "squares":
+        # Keys, not squares: one pass marks each key's rank, after the budget guard.
+        observed, duplicates = tally_square_keys(_enumerate(spec, None, oracle_budget),
+                                                 spec.cols, spec.rows, spec.variant == "all")
     else:
-        witnesses = enumerate_witnesses(spec, oracle_budget)
-    observed = _class_sizes(witnesses)
-    oracle_total = len(witnesses)
-    duplicates = oracle_total - len(set(witnesses))
+        if expected_classes is None and not spec.distinct_cells:
+            # One table and one transfer matrix, which is the second oracle and,
+            # as it counts every visit the search makes, the search's budget.
+            table = _letter_grid(spec, oracle_budget)
+            transfer = readings_per_end_cell(table, spec.word, spec.adjacency, oracle_budget)
+            witnesses = _enumerate(spec, table, None)
+        else:
+            witnesses = enumerate_witnesses(spec, oracle_budget)
+        observed = _class_sizes(witnesses)
+        duplicates = len(witnesses) - len(set(witnesses))
+    oracle_total = sum(observed.values())
 
     # Every failed check adds one note, so the verdict is read off the notes.
     notes = [f"{duplicates} duplicate witnesses in the enumeration"] if duplicates else []
@@ -349,12 +362,12 @@ def _word_steps_closed(spec: ProblemSpec):
 
 
 def _word_steps_enumerated(spec: ProblemSpec):
-    grid = letter_grid(spec)
-    layout = (
-        f"the {grid.cols}x{grid.rows} manhattan-rings letter grid"
-        if spec.layout == "manhattan-rings"
-        else f"a {grid.cols}x{grid.rows} letter grid"
-    )
+    # The table's size, read off the spec: class_counts has already built it once.
+    if spec.layout == "manhattan-rings":
+        length = len(spec.word)
+        layout = f"the {length}x{length} manhattan-rings letter grid"
+    else:
+        layout = f"a {len(spec.rows_data[0])}x{len(spec.rows_data)} letter grid"
     step_ii = [_ADJACENCY_TEXT[spec.adjacency], f"the visited cells spell {spec.word!r} in order"]
     if spec.distinct_cells:
         step_ii.append("no cell is visited twice")

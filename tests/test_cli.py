@@ -416,6 +416,27 @@ def test_listings_stream_in_bounded_memory(tmp_path):
             assert json.loads(out)["total"] == str(total)
 
 
+_T60 = "problem t60 { kind: squares cols: 60 rows: 60 variant: all }"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_verify_streams_squares_in_bounded_memory(tmp_path):
+    # 1,079,700 witnesses, audited under a 64 MB address-space cap.
+    (tmp_path / "t60.ccspec").write_text(_T60)
+    code, out, err = _run_capped(["verify", "t60.ccspec"], tmp_path, 64)
+    assert code == 0, err[-500:]
+    assert out.startswith("problem t60: PASS (closed form 1079700, oracle 1079700)\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_running_out_of_memory_exits_2_naming_the_problem(tmp_path):
+    # enumerate still lists every square before printing the first.
+    (tmp_path / "t60.ccspec").write_text(_T60)
+    code, out, err = _run_capped(["enumerate", "t60.ccspec", "--problem", "t60", "--limit", "1"],
+                                 tmp_path, 64)
+    assert (code, out, err) == (2, "", b"error: problem t60: out of memory\n")
+
+
 # ---------------------------------------------------------------------------
 # exit-code discipline and determinism
 
@@ -549,7 +570,8 @@ def test_importing_the_cli_skips_network_and_xml_modules():
 def _small_budget_everywhere(monkeypatch, budget=1000):
     # Each command looks the enumerator up in its own module; render also caps
     # a figure's size by the default budget, count and explain read word
-    # classes off the reading counter, and class_counts caps their listings.
+    # classes off the reading counter, class_counts caps their listings, and
+    # verify streams square keys without the enumerator.
     real = verify_mod.enumerate_witnesses
     for module in (verify_mod, cli_mod, render_mod):
         monkeypatch.setattr(module, "enumerate_witnesses",
@@ -560,6 +582,9 @@ def _small_budget_everywhere(monkeypatch, budget=1000):
     for module in (verify_mod, cli_mod):
         monkeypatch.setattr(module, "class_counts",
                             lambda spec, _budget=None: real_counts(spec, budget))
+    real_verify = verify_mod.verify_problem
+    monkeypatch.setattr(cli_mod, "verify_problem",
+                        lambda spec: real_verify(spec, oracle_budget=budget))
 
 
 @st.composite

@@ -1,20 +1,24 @@
 """The verify harness: totals, class counts, distinctness, traces, fault injection."""
 
+import random
 from collections import Counter
 from itertools import islice
 
 import pytest
 
 import configcount.verify as verify_mod
-from configcount import wordgrid
+from configcount import squares, wordgrid
 from configcount.budget import OracleBudgetError
 from configcount.speclang import ProblemSpec
 from configcount.squares import _square_totals
 from configcount.verify import (
     PartitionRow,
     VerifyReport,
+    _class_sizes,
     build_step_trace,
     class_counts,
+    class_label,
+    enumerate_witnesses,
     has_registered_closed_form,
     verify_problem,
 )
@@ -144,10 +148,11 @@ def _drop_first(witnesses):
 
 def _with_faulty_enumeration(monkeypatch, fault):
     # Every enumeration verify_problem reads, with or without a table it built
-    # itself, goes through verify._enumerate.
+    # itself, goes through verify._enumerate; a squares problem's key stream is
+    # listed so the fault can index it.
     real = verify_mod._enumerate
     monkeypatch.setattr(verify_mod, "_enumerate",
-                        lambda spec, table, budget: fault(real(spec, table, budget)))
+                        lambda spec, table, budget: fault(list(real(spec, table, budget))))
 
 
 def _rows(*rows):
@@ -216,6 +221,84 @@ def test_dropped_witness_fails_enumeration_only_problem(monkeypatch):
         duplicate_witnesses=0,
         notes=("class (0,0): transfer matrix 256 != oracle 255",),
     )
+
+
+def _list_reference(witnesses):
+    # Class sizes and duplicates of a listed enumeration, the way verify read
+    # squares before it streamed their keys.
+    classes = {class_label(k): n for k, n in _class_sizes(witnesses).items()}
+    return classes, len(witnesses) - len(set(witnesses))
+
+
+def _observed(report):
+    return {row.label: row.observed for row in report.partition_rows if row.observed}
+
+
+@pytest.mark.parametrize("variant", ["axis", "all"])
+def test_streamed_squares_match_a_list_reference(variant):
+    for cols in range(1, 13):
+        for rows in range(1, 13):
+            spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
+            witnesses = enumerate_witnesses(spec)
+            report = verify_problem(spec)
+            assert (_observed(report), report.duplicate_witnesses) == _list_reference(witnesses)
+            assert report.oracle_total == len(witnesses)
+            assert report.verdict == "PASS", spec
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("spec", [AXIS5, ProblemSpec("g", "squares", cols=9, rows=7,
+                                                     variant="all")], ids=["axis5", "all9x7"])
+def test_duplicates_anywhere_in_the_stream_are_counted_exactly(monkeypatch, spec, seed):
+    rng = random.Random(seed)
+    faulted = []
+
+    def insert_copies(keys):
+        # Copies of random keys, and two more of one key, each at any position.
+        copies = [rng.choice(keys) for _ in range(rng.randint(1, 6))]
+        copies += [rng.choice(keys)] * 2
+        for key in copies:
+            keys.insert(rng.randrange(len(keys) + 1), key)
+        faulted[:] = keys
+        return keys
+
+    _with_faulty_enumeration(monkeypatch, insert_copies)
+    report = verify_problem(spec)
+    sizes = Counter(key[0] for key in faulted)
+    assert _observed(report) == {class_label(k): n for k, n in sizes.items()}
+    assert report.duplicate_witnesses == len(faulted) - len(set(faulted)) > 0
+    assert report.oracle_total == len(faulted)
+    assert report.verdict == "FAIL"
+
+
+def test_verify_builds_no_square(monkeypatch):
+    built = []
+
+    class SpySquare(squares.Square):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(squares, "Square", SpySquare)
+    for spec in (AXIS5, ALL5):
+        assert verify_problem(spec).verdict == "PASS"
+    assert built == []
+    assert len(enumerate_witnesses(ALL5)) == len(built) == 50
+
+
+def test_explain_builds_the_letter_table_once(monkeypatch):
+    calls = []
+    real = verify_mod.generate_manhattan_rings
+    monkeypatch.setattr(verify_mod, "generate_manhattan_rings",
+                        lambda word: calls.append(word) or real(word))
+    repeated = ProblemSpec("r", "word-paths", word="abcba", layout="manhattan-rings",
+                           adjacency="king")
+    assert build_step_trace(repeated).step_i == (
+        "readings of 'abcba' in the 5x5 manhattan-rings letter grid")
+    assert calls == ["abcba"]
+    table = ProblemSpec("t", "word-paths", word="aba", layout="explicit",
+                        rows_data=("abb", "bab"), adjacency="side")
+    assert build_step_trace(table).step_i == "readings of 'aba' in a 3x2 letter grid"
 
 
 def test_count_and_explain_build_no_reading_unless_self_avoiding(monkeypatch):
