@@ -9,8 +9,8 @@ that overran, and outranks a FAIL.  All output is deterministic for fixed
 inputs and flags; counts appear in JSON as decimal strings so consumers never
 round them through a fixed-width type.
 
-``count``, ``verify`` and ``explain`` write each problem's output as it is
-formatted, a few hundred lines per write, with one flush at the end; a JSON
+``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
+is formatted, a few hundred lines per write, with one flush at the end; a JSON
 document's pieces join to ``json.dumps`` of the whole document.
 """
 
@@ -20,7 +20,7 @@ import contextlib
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import click
@@ -213,6 +213,15 @@ def count(spec_file, problem_name, fmt):
                  _count_json if fmt == "json" else _count_text, fmt)
 
 
+# How enumerate writes one witness of each kind: as a text line, as a JSON item.
+_WITNESS_FORMS = {
+    "squares": ("({0[3]},{0[2]}) k={0[0]} a={0[1]}".format,
+                lambda key: {"anchor": [key[3], key[2]], "k": key[0], "a": key[1]}),
+    "word-paths": (lambda w: " ".join(f"({x},{y})" for x, y in w.cells),
+                   lambda w: {"cells": [[x, y] for x, y in w.cells]}),
+}
+
+
 @main.command("enumerate")
 @_SPEC_FILE
 @_PROBLEM_REQUIRED
@@ -223,31 +232,27 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     """List every witness of a problem in canonical order."""
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
-        witnesses = enumerate_witnesses(spec)
-
-    shown = witnesses if limit is None else witnesses[:limit]
-    omitted = len(witnesses) - len(shown)
+        witnesses = iter(enumerate_witnesses(spec))
+    as_text, as_json = _WITNESS_FORMS[spec.kind]
+    shown = islice(witnesses, limit)
     if fmt == "json":
-        if spec.kind == "squares":
-            items = [{"anchor": [s.anchor.x, s.anchor.y], "k": s.k, "a": s.a} for s in shown]
-        else:
-            items = [{"cells": [[x, y] for x, y in w.cells]} for w in shown]
-        click.echo(json.dumps({
-            "problem": spec.name,
-            "kind": spec.kind,
-            "witnesses": items,
-            "omitted": str(omitted),
-        }))
+        doc = {"problem": spec.name, "kind": spec.kind, "witnesses": None, "omitted": None}
+
+        def items():
+            yield from map(as_json, shown)
+            # _json_pieces reads "omitted" once the last item is written.
+            doc["omitted"] = str(sum(1 for _ in witnesses))
+
+        doc["witnesses"] = items()
+        _write(chain(_json_pieces(doc), ("\n",)))
         return
-    lines = []
-    if spec.kind == "squares":
-        lines += [f"({s.anchor.x},{s.anchor.y}) k={s.k} a={s.a}" for s in shown]
-    else:
-        lines += [" ".join(f"({x},{y})" for x, y in w.cells) for w in shown]
-    if omitted:
-        lines.append(f"(omitted {omitted} more)")
-    if lines:
-        click.echo("\n".join(lines))
+
+    def lines():
+        yield from map("{}\n".format, map(as_text, shown))
+        if omitted := sum(1 for _ in witnesses):
+            yield f"(omitted {omitted} more)\n"
+
+    _write(lines())
 
 
 def _verify_text(report: VerifyReport) -> str:

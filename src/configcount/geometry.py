@@ -3,7 +3,7 @@
 A square is stored as ``(anchor, k, a)`` where ``anchor`` is the bottom-left
 corner of its axis-aligned bounding box, ``k`` is the bounding-box side in
 lattice units, and ``a`` is a tilt offset with ``0 <= a < k``.  The vertices
-are then
+are then, by ``key_vertices``,
 
     (x+a, y), (x+k, y+a), (x+k-a, y+k), (x, y+k-a)
 
@@ -19,6 +19,9 @@ Coordinates are 0-based with y increasing upward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# A square as (k, a, y, x): bounding-box size, tilt offset, anchor row and column.
+SquareKey = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -56,15 +59,12 @@ class Square:
             raise ValueError("tilt offset a must satisfy 0 <= a < k")
 
 
-def square_vertices(s: Square) -> list[LatticePoint]:
-    """The four vertices, counter-clockwise, starting from (x+a, y).
+def key_vertices(key: SquareKey) -> tuple[tuple[int, int], ...]:
+    """The four vertices of a key's square as (x, y), counter-clockwise from (x+a, y)."""
+    k, a, y, x = key
+    return (x + a, y), (x + k, y + a), (x + k - a, y + k), (x, y + k - a)
 
-    All four sides have squared length ``a**2 + (k-a)**2``.
-    """
-    x, y, k, a = s.anchor.x, s.anchor.y, s.k, s.a
-    return [
-        LatticePoint(x + a, y),
-        LatticePoint(x + k, y + a),
-        LatticePoint(x + k - a, y + k),
-        LatticePoint(x, y + k - a),
-    ]
+
+def square_vertices(s: Square) -> list[LatticePoint]:
+    """The four vertices of ``s`` as points, in ``key_vertices`` order."""
+    return [LatticePoint(*v) for v in key_vertices((s.k, s.a, s.anchor.y, s.anchor.x))]

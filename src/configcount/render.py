@@ -2,9 +2,9 @@
 
 Everything is emitted as plain strings with integer coordinates, in a fixed
 element order, so identical inputs produce byte-identical files.  Square
-problems draw the point grid with every counted square as a polygon; word
-problems draw the letter table.  A highlight either marks one size class of
-squares or traces one enumerated witness as an arrowed polyline.
+problems draw the point grid with every square of the key stream as a
+polygon; word problems draw the letter table.  A highlight either marks one
+size class of squares or traces one enumerated witness as an arrowed polyline.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from html import escape
 
 from .budget import DEFAULT_ORACLE_BUDGET
-from .geometry import square_vertices
+from .geometry import key_vertices
 from .speclang import ProblemSpec
-from .verify import enumerate_witnesses, letter_grid
+from .verify import class_total, closed_form_classes, enumerate_witnesses, letter_grid, table_size
 
 Highlight = tuple[str, int]  # ("class", k) or ("witness", index)
 
@@ -43,24 +43,22 @@ def _document(width: int, height: int, cell_size: int, body: list[str]) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
-def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
-    squares = enumerate_witnesses(spec)
-    # A one-row grid has no squares to refuse, but it still draws every point.
-    elements = len(squares) + spec.cols * spec.rows
+def _refuse_large_figure(elements: int) -> None:
     if elements > DEFAULT_ORACLE_BUDGET:
         raise ValueError(f"figure too large: {elements} elements > {DEFAULT_ORACLE_BUDGET}")
 
-    highlighted = set()
-    if highlight is not None:
-        mode, value = highlight
-        if mode == "class":
-            highlighted = {i for i, s in enumerate(squares) if s.k == value}
-            if not highlighted:
-                raise ValueError(f"no squares in size class k={value}")
-        else:
-            if not 0 <= value < len(squares):
-                raise ValueError(f"witness index {value} out of range (have {len(squares)})")
-            highlighted = {value}
+
+def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
+    keys = enumerate_witnesses(spec)
+    count = class_total(spec, closed_form_classes(spec))
+    # A one-row grid has no squares to refuse, but it still draws every point.
+    _refuse_large_figure(count + spec.cols * spec.rows)
+
+    mode, value = highlight or (None, None)
+    if mode == "class" and not 1 <= value < min(spec.cols, spec.rows):
+        raise ValueError(f"no squares in size class k={value}")
+    if mode == "witness" and not 0 <= value < count:
+        raise ValueError(f"witness index {value} out of range (have {count})")
 
     margin = cell_size
     width = 2 * margin + (spec.cols - 1) * cell_size
@@ -74,9 +72,9 @@ def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | No
         return margin + (spec.rows - 1 - y) * cell_size
 
     body = []
-    for i, s in enumerate(squares):
-        pts = " ".join(f"{px(v.x)},{py(v.y)}" for v in square_vertices(s))
-        cls = "sq hl" if i in highlighted else "sq"
+    for i, key in enumerate(keys):
+        pts = " ".join(f"{px(x)},{py(y)}" for x, y in key_vertices(key))
+        cls = "sq hl" if (key[0] if mode == "class" else i) == value else "sq"
         body.append(f'<polygon class="{cls}" points="{pts}"/>')
     radius = max(cell_size // 10, 2)
     for x in range(spec.cols):
@@ -86,6 +84,8 @@ def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | No
 
 
 def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
+    cols, rows = table_size(spec)  # a table too large to build is refused first
+    _refuse_large_figure(2 * cols * rows)
     grid = letter_grid(spec)
 
     witness = None

@@ -12,10 +12,10 @@ The class counts (``SizeClasses``) are computed as they are read, and their
 total comes from the power sums of k (on n x n grids, OEIS A000330 for axis
 squares and A002415 for all squares).
 
-``square_keys`` writes the canonical order once, as ``(k, a, y, x)`` keys.
-The enumerators build one ``Square`` per key, sharing one ``LatticePoint``
-per anchor; ``tally_square_keys`` counts a key stream's classes and exact
-duplicates by each key's rank in that order, without building a square.
+``square_keys`` writes the canonical order once, as ``(k, a, y, x)`` keys, and
+every command reads squares there; ``tally_square_keys`` counts a key stream's
+classes and exact duplicates by each key's rank.  The list builders, one
+``Square`` per key over a shared anchor table, serve only the library API.
 
 ``count_squares_by_point_subsets`` is a deliberately naive cross-check that
 never looks at the (anchor, k, a) encoding: it tests every 4-point subset of
@@ -33,10 +33,7 @@ from math import comb
 from operator import mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
-from .geometry import LatticeGrid, LatticePoint, Square
-
-# A square as (k, a, y, x): bounding-box size, tilt offset, anchor row and column.
-SquareKey = tuple[int, int, int, int]
+from .geometry import LatticeGrid, LatticePoint, Square, SquareKey
 
 
 class SizeClasses(Mapping):

@@ -8,11 +8,11 @@ all of them hold on the actual data:
 * distinctness: no witness was enumerated twice.
 
 Each witness is counted once, in the class ``class_key`` names, so the
-classes cover the enumeration exactly by construction.  A squares problem is
-read as a stream of ``(k, a, y, x)`` keys, and no ``Square`` is built: a key
-is counted in its class k, and a duplicate is found by the key's rank in
-canonical order, one byte per candidate square (``tally_square_keys``).
-Word readings are listed and checked for duplicates with a set.
+classes cover the enumeration exactly by construction.  Every command reads
+squares as one stream of ``(k, a, y, x)`` keys and builds no ``Square``; a
+duplicate key is found by its rank in canonical order, one byte per candidate
+square (``tally_square_keys``).  Word readings are listed and checked for
+duplicates with a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
@@ -22,15 +22,15 @@ transfer matrix's count for that end cell (``readings_per_end_cell``), run
 once, on the table the search reads.
 
 The per-family decisions live here as well, each in one function that every
-command calls: ``letter_grid`` builds a word problem's table,
-``enumerate_witnesses`` runs the family's enumerator under the oracle budget,
-``class_key`` names the class a witness falls in (a square's size k, a
-reading's final cell), ``closed_form_classes`` returns the registered
-closed form's per-class counts, or None, and ``class_counts`` answers
-``count`` and ``explain``: the closed form, else the transfer matrix, and
-only for self-avoiding readings the enumeration; it refuses a listing of
-more classes than the budget.  ``class_total`` sums a problem's listing,
-from the power sums for squares.
+command calls: ``letter_grid`` builds a word problem's table, whose size
+``table_size`` reads off the spec, ``enumerate_witnesses`` runs the family's
+enumerator under the oracle budget, ``class_key`` names the class a witness
+falls in (a square key's k, a reading's final cell), ``closed_form_classes``
+returns the registered closed form's per-class counts, or None, and
+``class_counts`` answers ``count`` and ``explain``: the closed form, else the
+transfer matrix, and only for self-avoiding readings the enumeration; it
+refuses a listing of more classes than the budget.  ``class_total`` sums a
+problem's listing, from the power sums for squares.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -52,8 +52,6 @@ from .squares import (
     _square_totals,
     count_all_squares,
     count_axis_squares,
-    enumerate_all_squares,
-    enumerate_axis_squares,
     square_keys,
     tally_square_keys,
 )
@@ -158,30 +156,32 @@ def letter_grid(spec: ProblemSpec) -> LetterGrid:
     return _letter_grid(spec, DEFAULT_ORACLE_BUDGET)
 
 
+def table_size(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> tuple[int, int]:
+    """A word problem's letter table as (cols, rows), read off the spec, within ``budget`` cells."""
+    cols, rows = ((len(spec.rows_data[0]), len(spec.rows_data)) if spec.layout == "explicit"
+                  else (len(spec.word), len(spec.word)))
+    if budget is not None and cols * rows > budget:
+        raise OracleBudgetError(
+            f"oracle budget exceeded: letter table of {cols * rows} cells > {budget}")
+    return cols, rows
+
+
 def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
+    table_size(spec, budget)  # refuses a table over budget before it is built
     if spec.layout == "explicit":
         return letter_grid_from_rows(spec.rows_data)
-    # A rings table has L x L cells: refuse it before building it.
-    cells = len(spec.word) ** 2
-    if budget is not None and cells > budget:
-        raise OracleBudgetError(f"oracle budget exceeded: letter table of {cells} cells > {budget}")
     return generate_manhattan_rings(spec.word)
 
 
-def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> list:
-    """Every witness of the problem in canonical order, within the oracle budget."""
-    if spec.kind == "word-paths":
-        return _enumerate(spec, _letter_grid(spec, budget), budget)
-    grid = LatticeGrid(spec.cols, spec.rows)
-    if spec.variant == "axis":
-        return enumerate_axis_squares(grid, max_candidates=budget)
-    return enumerate_all_squares(grid, max_candidates=budget)
+def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
+    """Every witness in canonical order, within the oracle budget: readings, or square keys."""
+    table = _letter_grid(spec, budget) if spec.kind == "word-paths" else None
+    return _enumerate(spec, table, budget)
 
 
 def _enumerate(spec: ProblemSpec, table: LetterGrid | None, budget: int | None):
-    # Every enumeration verify_problem reads passes through here: a word
-    # problem's readings in ``table``, which its caller built, or a squares
-    # problem's stream of (k, a, y, x) keys.
+    # Every command's enumeration passes through here: a word problem's readings
+    # in ``table``, which its caller built, or a squares problem's key stream.
     if table is not None:
         return enumerate_word_paths(table, spec.word, spec.adjacency, spec.distinct_cells,
                                     max_visits=budget)
@@ -189,8 +189,8 @@ def _enumerate(spec: ProblemSpec, table: LetterGrid | None, budget: int | None):
 
 
 def class_key(witness):
-    """The class a witness falls in: a square's size k, a reading's final cell."""
-    return witness.final_cell if isinstance(witness, PathWitness) else witness.k
+    """The class a witness falls in: a square key's size k, a reading's final cell."""
+    return witness.final_cell if isinstance(witness, PathWitness) else witness[0]
 
 
 def class_label(key) -> str:
@@ -362,12 +362,9 @@ def _word_steps_closed(spec: ProblemSpec):
 
 
 def _word_steps_enumerated(spec: ProblemSpec):
-    # The table's size, read off the spec: class_counts has already built it once.
-    if spec.layout == "manhattan-rings":
-        length = len(spec.word)
-        layout = f"the {length}x{length} manhattan-rings letter grid"
-    else:
-        layout = f"a {len(spec.rows_data[0])}x{len(spec.rows_data)} letter grid"
+    size = "{}x{}".format(*table_size(spec, None))
+    rings = spec.layout == "manhattan-rings"
+    layout = f"the {size} manhattan-rings letter grid" if rings else f"a {size} letter grid"
     step_ii = [_ADJACENCY_TEXT[spec.adjacency], f"the visited cells spell {spec.word!r} in order"]
     if spec.distinct_cells:
         step_ii.append("no cell is visited twice")

@@ -14,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import configcount.cli as cli_mod
+import configcount.geometry as geometry
 import configcount.render as render_mod
+import configcount.squares as squares_mod
 import configcount.verify as verify_mod
 from configcount.cli import main
+from configcount.geometry import LatticeGrid
 from configcount.speclang import ProblemSpec, print_spec
-from configcount.squares import _square_totals
+from configcount.squares import _square_totals, enumerate_all_squares, enumerate_axis_squares
 
 from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES
 from test_speclang import _SPEC_TOKENS, _explicit_specs, _rings_specs
@@ -365,6 +368,70 @@ def test_streamed_listings_match_whole_documents(runner, tmp_path, variant):
         assert result.stdout == document + "\n", (command, fmt)
 
 
+def _whole_enumerate(spec, fmt, limit):
+    # enumerate's document built whole from the library's Square list.
+    build = enumerate_all_squares if spec.variant == "all" else enumerate_axis_squares
+    squares = build(LatticeGrid(spec.cols, spec.rows))
+    shown = squares[:limit]
+    omitted = len(squares) - len(shown)
+    if fmt == "json":
+        return json.dumps({
+            "problem": spec.name,
+            "kind": spec.kind,
+            "witnesses": [{"anchor": [s.anchor.x, s.anchor.y], "k": s.k, "a": s.a}
+                          for s in shown],
+            "omitted": str(omitted),
+        }) + "\n"
+    lines = [f"({s.anchor.x},{s.anchor.y}) k={s.k} a={s.a}" for s in shown]
+    if omitted:
+        lines.append(f"(omitted {omitted} more)")
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("variant", ["axis", "all"])
+def test_streamed_enumeration_matches_whole_documents(runner, tmp_path, variant, fmt):
+    path = tmp_path / "g.ccspec"
+    for cols in range(1, 13):
+        for rows in range(1, 13):
+            spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
+            path.write_text(print_spec([spec]))
+            for limit in (None, 1, 7, 100):
+                args = ["enumerate", path, "--problem", "g", "--format", fmt]
+                result = invoke(runner, *args, *(() if limit is None else ("--limit", limit)))
+                assert result.exit_code == 0
+                assert result.stdout == _whole_enumerate(spec, fmt, limit), (cols, rows, limit)
+
+
+def test_no_command_builds_a_square(runner, tmp_path, monkeypatch):
+    built = []
+
+    class SpySquare(geometry.Square):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    for module in (geometry, squares_mod):
+        monkeypatch.setattr(module, "Square", SpySquare)
+    path = tmp_path / "all5.ccspec"
+    path.write_text(print_spec([ProblemSpec("all5", "squares", cols=5, rows=5, variant="all"),
+                                ProblemSpec("axis5", "squares", cols=5, rows=5, variant="axis")]))
+    svg = tmp_path / "all5.svg"
+    for args in (["verify"],
+                 ["enumerate", "--problem", "all5"],
+                 ["enumerate", "--problem", "all5", "--limit", "3"],
+                 ["enumerate", "--problem", "all5", "--format", "json"],
+                 ["enumerate", "--problem", "all5", "--format", "json", "--limit", "3"],
+                 ["render", "--problem", "all5", "-o", svg],
+                 ["render", "--problem", "all5", "--highlight", "k=2", "-o", svg],
+                 ["render", "--problem", "all5", "--highlight", "7", "-o", svg]):
+        result = invoke(runner, args[0], path, *args[1:])
+        assert result.exit_code == 0, args
+    assert built == []
+    # The spy sees the library's list builder build its squares.
+    assert len(enumerate_all_squares(LatticeGrid(5, 5))) == len(built) == 50
+
+
 @pytest.mark.parametrize("command", ["count", "explain"])
 def test_oversize_listing_is_refused_before_writing(runner, tmp_path, command):
     spec = tmp_path / "huge.ccspec"
@@ -429,10 +496,25 @@ def test_verify_streams_squares_in_bounded_memory(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
-def test_running_out_of_memory_exits_2_naming_the_problem(tmp_path):
-    # enumerate still lists every square before printing the first.
+def test_enumerate_streams_squares_in_bounded_memory(tmp_path):
+    # 1,079,700 witnesses, none held: --limit counts the rest, JSON writes them all.
     (tmp_path / "t60.ccspec").write_text(_T60)
-    code, out, err = _run_capped(["enumerate", "t60.ccspec", "--problem", "t60", "--limit", "1"],
+    args = ["enumerate", "t60.ccspec", "--problem", "t60"]
+    code, out, err = _run_capped([*args, "--limit", "1"], tmp_path, 64)
+    assert (code, out, err) == (0, "(0,0) k=1 a=0\n(omitted 1079699 more)\n", b"")
+    code, out, err = _run_capped([*args, "--format", "json"], tmp_path, 64)
+    assert code == 0, err[-500:]
+    assert out.startswith('{"problem": "t60", "kind": "squares", "witnesses": '
+                          '[{"anchor": [0, 0], "k": 1, "a": 0}, ')
+    assert out.endswith('{"anchor": [0, 0], "k": 59, "a": 58}], "omitted": "0"}\n')
+    assert out.count('"anchor"') == 1079700
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_running_out_of_memory_exits_2_naming_the_problem(tmp_path):
+    # render holds a figure of 1,083,300 elements, more than 64 MB of text.
+    (tmp_path / "t60.ccspec").write_text(_T60)
+    code, out, err = _run_capped(["render", "t60.ccspec", "--problem", "t60", "-o", "out.svg"],
                                  tmp_path, 64)
     assert (code, out, err) == (2, "", b"error: problem t60: out of memory\n")
 
@@ -544,6 +626,24 @@ def test_oversize_rings_table_is_refused_before_building_it(runner, tmp_path, co
     assert result.exit_code == 2
     assert result.stderr == ("error: problem rings: oracle budget exceeded: "
                              "letter table of 10004569 cells > 10000000\n")
+
+
+def test_word_figure_too_large_is_refused_before_building_the_table(runner, tmp_path,
+                                                                    monkeypatch):
+    # A 2237-symbol word's table fits the budget (5,004,169 cells); its figure,
+    # a cell and a glyph per cell, does not.
+    calls = []
+    monkeypatch.setattr(verify_mod, "generate_manhattan_rings", calls.append)
+    spec = tmp_path / "w.ccspec"
+    spec.write_text('problem w { kind: word-paths word: "' + "ab" * 1118 + 'a" '
+                    "layout: manhattan-rings adjacency: side }")
+    start = time.perf_counter()
+    result = invoke(runner, "render", spec, "--problem", "w", "-o", tmp_path / "w.svg")
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 2
+    assert result.stderr == ("error: problem w: figure too large: "
+                             "10008338 elements > 10000000\n")
+    assert calls == []
 
 
 def test_one_row_grid_too_large_to_draw_exits_2(runner, tmp_path):

@@ -1,11 +1,19 @@
 """SVG figures: highlight counts, witness arrows, determinism, error paths."""
 
+from collections import Counter
+
 import pytest
 
+from configcount.geometry import LatticeGrid
 from configcount.render import render_problem
 from configcount.cli import main
 from configcount.speclang import ProblemSpec, parse_spec
-from configcount.squares import count_all_squares, count_axis_squares
+from configcount.squares import (
+    count_all_squares,
+    count_axis_squares,
+    enumerate_all_squares,
+    enumerate_axis_squares,
+)
 
 from conftest import SAMPLES
 
@@ -73,6 +81,24 @@ def test_out_of_range_highlights_rejected():
         render_problem(OPEN_SIDE, highlight=("class", 1))
     with pytest.raises(ValueError, match="out of range"):
         render_problem(OPEN_SIDE, highlight=("witness", 24))
+
+
+@pytest.mark.parametrize("spec", [
+    AXIS5, ALL5,
+    ProblemSpec("wide", "squares", cols=7, rows=3, variant="all"),
+    ProblemSpec("row", "squares", cols=4, rows=1, variant="axis"),
+], ids=["axis5", "all5", "all7x3", "row"])
+def test_class_highlight_accepts_exactly_the_sizes_that_fit(spec):
+    # The bounds are checked without the enumeration; the list builder is the reference.
+    build = enumerate_all_squares if spec.variant == "all" else enumerate_axis_squares
+    sizes = Counter(s.k for s in build(LatticeGrid(spec.cols, spec.rows)))
+    for k in range(-1, min(spec.cols, spec.rows) + 2):
+        if k in sizes:
+            svg = render_problem(spec, highlight=("class", k))
+            assert svg.count('<polygon class="sq hl"') == sizes[k]
+        else:
+            with pytest.raises(ValueError, match=f"^no squares in size class k={k}$"):
+                render_problem(spec, highlight=("class", k))
 
 
 def test_cell_size_must_be_positive():
