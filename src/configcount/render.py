@@ -14,7 +14,14 @@ from html import escape
 from .budget import DEFAULT_ORACLE_BUDGET
 from .geometry import key_vertices
 from .speclang import ProblemSpec
-from .verify import class_total, closed_form_classes, enumerate_witnesses, letter_grid, table_size
+from .verify import (
+    _enumerate,
+    class_total,
+    closed_form_classes,
+    enumerate_witnesses,
+    letter_grid,
+    table_size,
+)
 
 Highlight = tuple[str, int]  # ("class", k) or ("witness", index)
 
@@ -93,7 +100,7 @@ def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None)
         mode, value = highlight
         if mode == "class":
             raise ValueError("size-class highlight only applies to squares problems")
-        witnesses = enumerate_witnesses(spec)
+        witnesses = _enumerate(spec, grid, DEFAULT_ORACLE_BUDGET)  # in the table drawn
         if not 0 <= value < len(witnesses):
             raise ValueError(f"witness index {value} out of range (have {len(witnesses)})")
         witness = witnesses[value]

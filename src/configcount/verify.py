@@ -11,15 +11,17 @@ Each witness is counted once, in the class ``class_key`` names, so the
 classes cover the enumeration exactly by construction.  Every command reads
 squares as one stream of ``(k, a, y, x)`` keys and builds no ``Square``; a
 duplicate key is found by its rank in canonical order, one byte per candidate
-square (``tally_square_keys``).  Word readings are listed and checked for
-duplicates with a set.
+square (``tally_square_keys``).  Word readings are listed; the search emits
+them in ascending order, so a list in that order has no duplicate, and only
+a list out of order is counted with a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
-are still enumerated and checked for duplicates.  Unless a reading must keep
-to distinct cells, each enumerated class size is also compared with the
-transfer matrix's count for that end cell (``readings_per_end_cell``), run
-once, on the table the search reads.
+are still enumerated and checked for duplicates, and each enumerated class
+size is compared with the reading counter's count for that end cell
+(``readings_per_end_cell``): the transfer matrix, or for readings that keep
+to distinct cells the visited-set DP.  The counter runs once, on the table
+the search reads, and is also the search's budget check.
 
 The per-family decisions live here as well, each in one function that every
 command calls: ``letter_grid`` builds a word problem's table, whose size
@@ -28,9 +30,9 @@ enumerator under the oracle budget, ``class_key`` names the class a witness
 falls in (a square key's k, a reading's final cell), ``closed_form_classes``
 returns the registered closed form's per-class counts, or None, and
 ``class_counts`` answers ``count`` and ``explain``: the closed form, else the
-transfer matrix, and only for self-avoiding readings the enumeration; it
-refuses a listing of more classes than the budget.  ``class_total`` sums a
-problem's listing, from the power sums for squares.
+reading counter, so neither command lists a witness; it refuses a listing of
+more classes than the budget.  ``class_total`` sums a problem's listing, from
+the power sums for squares.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -43,7 +45,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import pairwise, starmap
+from operator import attrgetter, lt
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
@@ -217,17 +220,30 @@ def _class_sizes(witnesses) -> dict:
     return dict(sorted(Counter(map(class_key, witnesses)).items()))
 
 
+def _duplicate_readings(witnesses: list[PathWitness]) -> int:
+    """Readings listed more than once.
+
+    The search emits readings in ascending order of their cells, and a list
+    in which each reading is greater than the one before holds no duplicate;
+    only a list that breaks the order is counted with a set.
+    """
+    if all(starmap(lt, pairwise(map(attrgetter("cells"), witnesses)))):
+        return 0
+    return len(witnesses) - len(set(witnesses))
+
+
 def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> Mapping:
-    """Count per class: closed form, else transfer matrix, else (self-avoiding) enumeration.
+    """Count per class: the closed form, else the reading counter; nothing is enumerated.
+
+    The counter is the transfer matrix, or for self-avoiding readings the
+    visited-set DP, under the search's visit budget.
 
     A listing of more classes than ``budget`` is refused before it is written.
     """
     classes = closed_form_classes(spec)
-    if classes is None and spec.distinct_cells:
-        classes = _class_sizes(enumerate_witnesses(spec, budget))
-    elif classes is None:
+    if classes is None:
         classes = readings_per_end_cell(_letter_grid(spec, budget), spec.word, spec.adjacency,
-                                        budget)
+                                        spec.distinct_cells, budget)
     listed = min(spec.cols, spec.rows) - 1 if spec.kind == "squares" else len(classes)
     if budget is not None and listed > budget:
         raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
@@ -245,24 +261,25 @@ def verify_problem(
     spec: ProblemSpec, *, oracle_budget: int | None = DEFAULT_ORACLE_BUDGET
 ) -> VerifyReport:
     """Enumerate, count the classes, and compare with the closed form where one
-    exists, else with the transfer matrix where it applies."""
+    exists, else with the reading counter."""
     expected_classes = closed_form_classes(spec)
-    transfer = None
+    counted = None
     if spec.kind == "squares":
         # Keys, not squares: one pass marks each key's rank, after the budget guard.
         observed, duplicates = tally_square_keys(_enumerate(spec, None, oracle_budget),
                                                  spec.cols, spec.rows, spec.variant == "all")
     else:
-        if expected_classes is None and not spec.distinct_cells:
-            # One table and one transfer matrix, which is the second oracle and,
+        if expected_classes is None:
+            # One table and one reading counter, which is the second oracle and,
             # as it counts every visit the search makes, the search's budget.
             table = _letter_grid(spec, oracle_budget)
-            transfer = readings_per_end_cell(table, spec.word, spec.adjacency, oracle_budget)
+            counted = readings_per_end_cell(table, spec.word, spec.adjacency,
+                                            spec.distinct_cells, oracle_budget)
             witnesses = _enumerate(spec, table, None)
         else:
             witnesses = enumerate_witnesses(spec, oracle_budget)
         observed = _class_sizes(witnesses)
-        duplicates = len(witnesses) - len(set(witnesses))
+        duplicates = _duplicate_readings(witnesses)
     oracle_total = sum(observed.values())
 
     # Every failed check adds one note, so the verdict is read off the notes.
@@ -280,11 +297,12 @@ def verify_problem(
                   for r in rows if r.expected != r.observed]
         if closed_total != oracle_total:
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
-    elif transfer is not None:
-        notes += [f"class {class_label(key)}: transfer matrix {transfer.get(key, 0)} "
+    elif counted is not None:
+        counter = "visited-set DP" if spec.distinct_cells else "transfer matrix"
+        notes += [f"class {class_label(key)}: {counter} {counted.get(key, 0)} "
                   f"!= oracle {observed.get(key, 0)}"
-                  for key in sorted(transfer.keys() | observed.keys())
-                  if transfer.get(key, 0) != observed.get(key, 0)]
+                  for key in sorted(counted.keys() | observed.keys())
+                  if counted.get(key, 0) != observed.get(key, 0)]
 
     return VerifyReport(
         problem=spec,

@@ -7,14 +7,18 @@ word, with consecutive cells constrained by an adjacency rule:
 * ``king``: share an edge or a corner,
 * ``none``: unconstrained (any cell holding the next symbol, repeats allowed).
 
-``readings_per_end_cell`` counts the readings that may revisit cells, per
-end cell, with a transfer matrix: level by level, each cell adds its count to
-the cells that may follow it.  ``enumerate_word_paths`` is the brute-force
-oracle: depth-first extension from every starting cell, emitting witnesses in
-lexicographic order of their coordinate sequences (cells compare as (x, y)
-tuples).  Both step by one candidate rule over the table's cells per symbol,
-sorted once per table, and the search refuses a budget overrun by running
-the counter first.
+``readings_per_end_cell`` counts the readings per end cell without listing
+them.  Readings that may revisit cells go through a transfer matrix: level by
+level, each cell adds its count to the cells that may follow it.  Readings
+that keep to distinct cells go through a visited-set DP: a state is a
+reading's set of visited cells and its end cell, and readings in the same
+state merge.  ``enumerate_word_paths`` is the brute-force oracle: depth-first
+extension from every starting cell, emitting witnesses in lexicographic order
+of their coordinate sequences (cells compare as (x, y) tuples).  All of them
+step by one candidate rule over the table's cells per symbol, sorted once per
+table.  The counter sums the reading prefixes the search would visit, so it
+refuses a budget overrun under exactly the search's condition; the search
+runs it first when readings may revisit cells.
 
 The manhattan-rings layout is the symmetric board the closed form applies to:
 an LxL grid (L odd) whose cell at Manhattan distance d from the center holds
@@ -27,8 +31,10 @@ four corners, and each corner class is a count of U/R move interleavings:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Literal
 
 from .budget import OracleBudgetError
@@ -41,6 +47,11 @@ ADJACENCY_RULES = ("side", "king", "none")
 _SIDE_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _KING_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 _OVERRUN = "oracle budget exceeded: more than {} cell visits"
+# The visited-set DP keeps a visited set as a bitmask over the cells it tracks
+# while there are at most this many (a mask then takes at most about 600
+# bytes), and as a frozenset of cells beyond that, so that a state's size grows
+# with the word, not with the table.  Both read the same under & and |.
+_MASK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -146,15 +157,23 @@ def _reading_rule(grid: LetterGrid, word: str, adjacency: AdjacencyRule):
 
 
 def readings_per_end_cell(
-    grid: LetterGrid, word: str, adjacency: AdjacencyRule = "side", max_visits: int | None = None
+    grid: LetterGrid,
+    word: str,
+    adjacency: AdjacencyRule = "side",
+    distinct_cells: bool = False,
+    max_visits: int | None = None,
 ) -> dict[tuple[int, int], int]:
-    """Readings of ``word`` (revisits allowed) per end cell, in (x, y) order, zeros left out.
+    """Readings of ``word`` per end cell, in (x, y) order, zeros left out.
 
     A transfer matrix: readings of word[:i+1] ending at a cell sum those of
-    word[:i] ending at the cells it may follow.  More reading prefixes (one
-    search visit each) than ``max_visits`` raise the search's OracleBudgetError.
+    word[:i] ending at the cells it may follow.  Under ``distinct_cells`` the
+    state is a reading's visited set and end cell (the subset DP of Bellman,
+    and of Held and Karp, 1962).  More reading prefixes (one search visit
+    each) than ``max_visits`` raise the search's OracleBudgetError.
     """
     by_sym, candidates = _reading_rule(grid, word, adjacency)
+    if distinct_cells:
+        return _visited_set_counts(word, by_sym, candidates, max_visits)
     level = dict.fromkeys(by_sym.get(word[0], ()), 1)
     needed = len(level)
     for symbol in word[1:]:
@@ -172,6 +191,40 @@ def readings_per_end_cell(
     if max_visits is not None and needed > max_visits:
         raise OracleBudgetError(_OVERRUN.format(max_visits))
     return {cell: n for cell, n in sorted(level.items()) if n}
+
+
+def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int, int], int]:
+    # level[cell] maps the visited sets of the readings of word[:i+1] that end at
+    # cell to their counts.  Only a cell whose symbol recurs in the word can be
+    # revisited, so only those cells are tracked; the others add the empty set.
+    # The budget is checked before each (cell, next cell) step, so a level is
+    # never built much past the budget.
+    tracked = [cell for symbol, uses in Counter(word).items() if uses > 1
+               for cell in by_sym.get(symbol, ())]
+    if len(tracked) <= _MASK_CELLS:
+        empty, unit = 0, {cell: 1 << i for i, cell in enumerate(tracked)}
+    else:
+        empty, unit = frozenset(), {cell: frozenset((cell,)) for cell in tracked}
+    limit = inf if max_visits is None else max_visits
+    level = {cell: {unit.get(cell, empty): 1} for cell in by_sym.get(word[0], ())}
+    needed = len(level)
+    for symbol in word[1:]:
+        nxt: dict[tuple[int, int], dict] = {}
+        for cell, sets in level.items():
+            for nbr in candidates(cell, symbol):
+                if needed > limit:
+                    raise OracleBudgetError(_OVERRUN.format(max_visits))
+                bit, into = unit.get(nbr, empty), nxt.setdefault(nbr, {})
+                for visited, n in sets.items():
+                    if not visited & bit:
+                        state = visited | bit
+                        into[state] = into.get(state, 0) + n
+                        needed += n
+        level = nxt
+    if needed > limit:
+        raise OracleBudgetError(_OVERRUN.format(max_visits))
+    totals = ((cell, sum(sets.values())) for cell, sets in sorted(level.items()))
+    return {cell: n for cell, n in totals if n}
 
 
 def enumerate_word_paths(
@@ -192,7 +245,7 @@ def enumerate_word_paths(
     """
     by_sym, candidates = _reading_rule(grid, word, adjacency)
     if not distinct_cells and max_visits is not None:
-        readings_per_end_cell(grid, word, adjacency, max_visits)
+        readings_per_end_cell(grid, word, adjacency, max_visits=max_visits)
 
     last = len(word) - 1
     witnesses: list[PathWitness] = []

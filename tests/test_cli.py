@@ -196,9 +196,10 @@ def _small_budget(monkeypatch, budget=1000):
 
 
 def _small_counter_budget(monkeypatch, budget):
+    # verify passes (table, word, adjacency, distinct_cells, budget).
     real = verify_mod.readings_per_end_cell
     monkeypatch.setattr(verify_mod, "readings_per_end_cell",
-                        lambda *args: real(*args[:3], budget))
+                        lambda *args: real(*args[:4], budget))
 
 
 _OVERRUN_BETWEEN = (
@@ -508,6 +509,21 @@ def test_enumerate_streams_squares_in_bounded_memory(tmp_path):
                           '[{"anchor": [0, 0], "k": 1, "a": 0}, ')
     assert out.endswith('{"anchor": [0, 0], "k": 59, "a": 58}], "omitted": "0"}\n')
     assert out.count('"anchor"') == 1079700
+
+
+_KING_WALK_11 = ('problem walk { kind: word-paths word: "aaaaaaaaaaa" layout: explicit '
+                 'rows-data: ["aaaa", "aaaa", "aaaa", "aaaa"] adjacency: king '
+                 'distinct-cells: true }')
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_count_reads_self_avoiding_words_off_the_visited_set_dp(tmp_path):
+    # 1,594,648 readings, none listed: count merges them into 160,436 DP states.
+    (tmp_path / "walk.ccspec").write_text(_KING_WALK_11)
+    code, out, err = _run_capped(["count", "walk.ccspec"], tmp_path, 64)
+    assert code == 0, err[-500:]
+    assert out.startswith("problem walk: word-paths 'aaaaaaaaaaa' explicit king distinct-cells\n")
+    assert out.endswith("\ntotal 1594648\n")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -1,5 +1,6 @@
 """The verify harness: totals, class counts, distinctness, traces, fault injection."""
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import islice
@@ -9,6 +10,7 @@ import pytest
 import configcount.verify as verify_mod
 from configcount import wordgrid
 from configcount.budget import OracleBudgetError
+from configcount.render import render_problem
 from configcount.speclang import ProblemSpec
 from configcount.squares import _square_totals
 from configcount.verify import (
@@ -223,6 +225,49 @@ def test_dropped_witness_fails_enumeration_only_problem(monkeypatch):
     )
 
 
+KING_AVOIDING = ProblemSpec("k", "word-paths", word="aaa", layout="explicit",
+                            rows_data=("aa", "aa"), adjacency="king", distinct_cells=True)
+
+
+def test_dropped_witness_fails_self_avoiding_problem(monkeypatch):
+    # For readings that keep to distinct cells the visited-set DP is the second
+    # oracle; a duplicate check alone would pass this enumeration.
+    _with_faulty_enumeration(monkeypatch, _drop_first)
+    assert verify_problem(KING_AVOIDING) == VerifyReport(
+        problem=KING_AVOIDING,
+        closed_form_total=None,
+        oracle_total=23,
+        verdict="FAIL",
+        partition_rows=_rows(("(0,0)", None, 6), ("(0,1)", None, 6),
+                             ("(1,0)", None, 5), ("(1,1)", None, 6)),
+        duplicate_witnesses=0,
+        notes=("class (1,0): visited-set DP 6 != oracle 5",),
+    )
+
+
+def test_duplicated_witness_fails_self_avoiding_problem(monkeypatch):
+    _with_faulty_enumeration(monkeypatch, _duplicate_first)
+    report = verify_problem(KING_AVOIDING)
+    assert (report.verdict, report.oracle_total, report.duplicate_witnesses) == ("FAIL", 25, 1)
+    assert report.notes == ("1 duplicate witnesses in the enumeration",
+                            "class (1,0): visited-set DP 6 != oracle 7")
+
+
+@pytest.mark.parametrize("fault", [
+    lambda ws: ws[1:] + ws[:1],
+    lambda ws: ws[:3] + ws[2:],
+    lambda ws: ws + ws[-1:],
+    lambda ws: ws[::-1] + ws[:1] + ws[5:6],
+], ids=["rotated", "middle-copy", "last-copy", "reversed-with-copies"])
+def test_reading_duplicates_are_counted_exactly_in_any_order(monkeypatch, fault):
+    # An ordered list needs no set; any other order is counted with one.
+    faulted = []
+    _with_faulty_enumeration(monkeypatch, lambda ws: faulted.extend(fault(ws)) or faulted)
+    report = verify_problem(KING_AVOIDING)
+    assert report.duplicate_witnesses == len(faulted) - len(set(faulted))
+    assert report.oracle_total == len(faulted)
+
+
 def _list_reference(witnesses):
     # Class sizes and duplicates of a listed enumeration, the way verify read
     # squares before it streamed their keys.
@@ -286,7 +331,20 @@ def test_explain_builds_the_letter_table_once(monkeypatch):
     assert build_step_trace(table).step_i == "readings of 'aba' in a 3x2 letter grid"
 
 
-def test_count_and_explain_build_no_reading_unless_self_avoiding(monkeypatch):
+@pytest.mark.parametrize("highlight", [None, ("witness", 0), ("witness", 23)])
+def test_render_builds_the_letter_table_once(monkeypatch, highlight):
+    # A witness highlight is enumerated in the table the figure draws.
+    calls = []
+    real = verify_mod.generate_manhattan_rings
+    monkeypatch.setattr(verify_mod, "generate_manhattan_rings",
+                        lambda word: calls.append(word) or real(word))
+    render_problem(OPEN_SIDE, highlight=highlight)
+    assert calls == ["Open!"]
+
+
+def test_count_and_explain_build_no_reading(monkeypatch):
+    # Every word without a closed form is counted by the transfer matrix or, for
+    # self-avoiding readings, the visited-set DP.
     built = []
 
     class SpyWitness(wordgrid.PathWitness):
@@ -297,22 +355,27 @@ def test_count_and_explain_build_no_reading_unless_self_avoiding(monkeypatch):
     monkeypatch.setattr(wordgrid, "PathWitness", SpyWitness)
     table = ProblemSpec("t", "word-paths", word="aba", layout="explicit",
                         rows_data=("ab", "ba"), adjacency="side")
-    for spec in (OPEN_FREE, table):
-        assert sum(class_counts(spec).values()) == build_step_trace(spec).step_iv_total > 0
+    avoiding = dataclasses.replace(table, name="d", distinct_cells=True)
+    rings = ProblemSpec("r", "word-paths", word="abcba", layout="manhattan-rings",
+                        adjacency="king", distinct_cells=True)
+    specs = (OPEN_FREE, table, avoiding, rings)
+    totals = [sum(class_counts(spec).values()) for spec in specs]
+    assert [build_step_trace(spec).step_iv_total for spec in specs] == totals
     assert built == []
-    avoiding = ProblemSpec("d", "word-paths", word="aba", layout="explicit",
-                           rows_data=("ab", "ba"), adjacency="side", distinct_cells=True)
-    assert sum(class_counts(avoiding).values()) == len(built) > 0
+    assert totals == [len(enumerate_witnesses(spec)) for spec in specs]
+    assert totals[2] < totals[1] and totals[3] > 0
 
 
 @pytest.mark.parametrize("spec", [
     OPEN_FREE,
     ProblemSpec("t", "word-paths", word="aba", layout="explicit", rows_data=("ab", "ba"),
                 adjacency="king"),
-], ids=["rings", "explicit"])
+    KING_AVOIDING,
+], ids=["rings", "explicit", "self-avoiding"])
 def test_verify_builds_one_table_with_one_transfer_matrix(monkeypatch, spec):
-    # The search and the transfer matrix read the same table, whose cells are
-    # sorted once; the transfer matrix also serves as the search's budget check.
+    # The search and the reading counter (transfer matrix or visited-set DP)
+    # read the same table, whose cells are sorted once; the counter also serves
+    # as the search's budget check.
     work = Counter()
 
     def spy(name, fn):

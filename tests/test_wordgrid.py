@@ -329,3 +329,55 @@ def test_transfer_matrix_matches_enumerated_class_sizes(rows, word):
         assert readings_per_end_cell(grid, word, adjacency) == _class_sizes(witnesses)
     free = readings_per_end_cell(grid, word, "none")
     assert count_paths_by_symbol_product(grid, word) == sum(free.values())
+
+
+# Self-avoiding readings of a 6-symbol word of one letter on a 4x4 table of that
+# letter under king adjacency, counted once by the search.
+KING_WALK_4X4_LENGTH_6 = 22_672
+
+
+def test_visited_set_dp_counts_the_pinned_king_walk():
+    grid = letter_grid_from_rows(["aaaa"] * 4)
+    counts = readings_per_end_cell(grid, "a" * 6, "king", distinct_cells=True)
+    assert sum(counts.values()) == KING_WALK_4X4_LENGTH_6
+    assert counts == _class_sizes(enumerate_word_paths(grid, "a" * 6, "king", True))
+
+
+def test_visited_sets_as_frozensets_count_the_same(monkeypatch):
+    # Over tables with more cells than a bitmask is kept for, visited sets are
+    # frozensets; force that on small tables and compare.
+    grid = letter_grid_from_rows(["abab", "baba", "aabb"])
+    words = ("abab", "aaaa", "abba", "babab", "azb", "b")
+    expected = {(word, adjacency): readings_per_end_cell(grid, word, adjacency, True)
+                for word in words for adjacency in ADJACENCY_RULES}
+    monkeypatch.setattr(wordgrid, "_MASK_CELLS", 0)
+    assert {(word, adjacency): readings_per_end_cell(grid, word, adjacency, True)
+            for word in words for adjacency in ADJACENCY_RULES} == expected
+    assert sum(expected["aaaa", "king"].values()) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=_tiny_grids, word=st.text(alphabet="abz", min_size=1, max_size=6),
+       budget=st.one_of(st.none(), st.integers(min_value=0, max_value=400)))
+def test_visited_set_dp_matches_enumerated_class_sizes(rows, word, budget):
+    # The DP sums the reading prefixes the search visits, so under any budget it
+    # raises exactly when the search does, with the same message.
+    grid = letter_grid_from_rows(rows)
+    for adjacency in ADJACENCY_RULES:
+        try:
+            witnesses = enumerate_word_paths(grid, word, adjacency, True, max_visits=budget)
+        except OracleBudgetError as exc:
+            with pytest.raises(OracleBudgetError) as refused:
+                readings_per_end_cell(grid, word, adjacency, True, max_visits=budget)
+            assert str(refused.value) == str(exc)
+            continue
+        dp = readings_per_end_cell(grid, word, adjacency, True, max_visits=budget)
+        assert dp == _class_sizes(witnesses)
+        assert sum(dp.values()) <= sum(readings_per_end_cell(grid, word, adjacency).values())
+        # At the edge: exactly the search's visits pass, one fewer is refused.
+        visits = sum(len(enumerate_word_paths(grid, word[:j], adjacency, True))
+                     for j in range(1, len(word) + 1))
+        assert readings_per_end_cell(grid, word, adjacency, True, max_visits=visits) == dp
+        if visits:
+            with pytest.raises(OracleBudgetError, match=f"more than {visits - 1} cell visits"):
+                readings_per_end_cell(grid, word, adjacency, True, max_visits=visits - 1)
