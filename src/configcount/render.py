@@ -15,7 +15,6 @@ from .budget import DEFAULT_ORACLE_BUDGET
 from .geometry import key_vertices
 from .speclang import ProblemSpec
 from .verify import (
-    _enumerate,
     class_total,
     closed_form_classes,
     enumerate_witnesses,
@@ -100,7 +99,7 @@ def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None)
         mode, value = highlight
         if mode == "class":
             raise ValueError("size-class highlight only applies to squares problems")
-        witnesses = _enumerate(spec, grid, DEFAULT_ORACLE_BUDGET)  # in the table drawn
+        witnesses = enumerate_witnesses(spec, table=grid)  # in the table drawn
         if not 0 <= value < len(witnesses):
             raise ValueError(f"witness index {value} out of range (have {len(witnesses)})")
         witness = witnesses[value]

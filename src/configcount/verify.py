@@ -26,7 +26,8 @@ the search reads, and is also the search's budget check.
 The per-family decisions live here as well, each in one function that every
 command calls: ``letter_grid`` builds a word problem's table, whose size
 ``table_size`` reads off the spec, ``enumerate_witnesses`` runs the family's
-enumerator under the oracle budget, ``class_key`` names the class a witness
+enumerator under the oracle budget (a word problem's in the table its caller
+passes, else in one it builds), ``class_key`` names the class a witness
 falls in (a square key's k, a reading's final cell), ``closed_form_classes``
 returns the registered closed form's per-class counts, or None, and
 ``class_counts`` answers ``count`` and ``explain``: the closed form, else the
@@ -176,19 +177,16 @@ def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
     return generate_manhattan_rings(spec.word)
 
 
-def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
-    """Every witness in canonical order, within the oracle budget: readings, or square keys."""
-    table = _letter_grid(spec, budget) if spec.kind == "word-paths" else None
-    return _enumerate(spec, table, budget)
-
-
-def _enumerate(spec: ProblemSpec, table: LetterGrid | None, budget: int | None):
-    # Every command's enumeration passes through here: a word problem's readings
-    # in ``table``, which its caller built, or a squares problem's key stream.
-    if table is not None:
-        return enumerate_word_paths(table, spec.word, spec.adjacency, spec.distinct_cells,
-                                    max_visits=budget)
-    return square_keys(LatticeGrid(spec.cols, spec.rows), spec.variant == "all", budget)
+def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
+                        table: LetterGrid | None = None):
+    """Every witness in canonical order, within the oracle budget: square keys, or
+    a word problem's readings in ``table``, its letter table, built here if not given."""
+    if spec.kind == "squares":
+        return square_keys(LatticeGrid(spec.cols, spec.rows), spec.variant == "all", budget)
+    if table is None:
+        table = _letter_grid(spec, budget)
+    return enumerate_word_paths(table, spec.word, spec.adjacency, spec.distinct_cells,
+                                max_visits=budget)
 
 
 def class_key(witness):
@@ -243,7 +241,7 @@ def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) 
     classes = closed_form_classes(spec)
     if classes is None:
         classes = readings_per_end_cell(_letter_grid(spec, budget), spec.word, spec.adjacency,
-                                        spec.distinct_cells, budget)
+                                        distinct_cells=spec.distinct_cells, max_visits=budget)
     listed = min(spec.cols, spec.rows) - 1 if spec.kind == "squares" else len(classes)
     if budget is not None and listed > budget:
         raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
@@ -266,7 +264,7 @@ def verify_problem(
     counted = None
     if spec.kind == "squares":
         # Keys, not squares: one pass marks each key's rank, after the budget guard.
-        observed, duplicates = tally_square_keys(_enumerate(spec, None, oracle_budget),
+        observed, duplicates = tally_square_keys(enumerate_witnesses(spec, oracle_budget),
                                                  spec.cols, spec.rows, spec.variant == "all")
     else:
         if expected_classes is None:
@@ -274,8 +272,9 @@ def verify_problem(
             # as it counts every visit the search makes, the search's budget.
             table = _letter_grid(spec, oracle_budget)
             counted = readings_per_end_cell(table, spec.word, spec.adjacency,
-                                            spec.distinct_cells, oracle_budget)
-            witnesses = _enumerate(spec, table, None)
+                                            distinct_cells=spec.distinct_cells,
+                                            max_visits=oracle_budget)
+            witnesses = enumerate_witnesses(spec, None, table)
         else:
             witnesses = enumerate_witnesses(spec, oracle_budget)
         observed = _class_sizes(witnesses)

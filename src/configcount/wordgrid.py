@@ -47,11 +47,6 @@ ADJACENCY_RULES = ("side", "king", "none")
 _SIDE_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _KING_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 _OVERRUN = "oracle budget exceeded: more than {} cell visits"
-# The visited-set DP keeps a visited set as a bitmask over the cells it tracks
-# while there are at most this many (a mask then takes at most about 600
-# bytes), and as a frozenset of cells beyond that, so that a state's size grows
-# with the word, not with the table.  Both read the same under & and |.
-_MASK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -160,6 +155,7 @@ def readings_per_end_cell(
     grid: LetterGrid,
     word: str,
     adjacency: AdjacencyRule = "side",
+    *,
     distinct_cells: bool = False,
     max_visits: int | None = None,
 ) -> dict[tuple[int, int], int]:
@@ -195,18 +191,15 @@ def readings_per_end_cell(
 
 def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int, int], int]:
     # level[cell] maps the visited sets of the readings of word[:i+1] that end at
-    # cell to their counts.  Only a cell whose symbol recurs in the word can be
-    # revisited, so only those cells are tracked; the others add the empty set.
-    # The budget is checked before each (cell, next cell) step, so a level is
-    # never built much past the budget.
+    # cell, as bitmasks, to their counts.  Only a cell whose symbol recurs in the
+    # word can be revisited, so only those cells are tracked; the others add no
+    # bit.  The budget is checked before each (cell, next cell) step, so a level
+    # is never built much past the budget.
     tracked = [cell for symbol, uses in Counter(word).items() if uses > 1
                for cell in by_sym.get(symbol, ())]
-    if len(tracked) <= _MASK_CELLS:
-        empty, unit = 0, {cell: 1 << i for i, cell in enumerate(tracked)}
-    else:
-        empty, unit = frozenset(), {cell: frozenset((cell,)) for cell in tracked}
+    unit = {cell: 1 << i for i, cell in enumerate(tracked)}
     limit = inf if max_visits is None else max_visits
-    level = {cell: {unit.get(cell, empty): 1} for cell in by_sym.get(word[0], ())}
+    level = {cell: {unit.get(cell, 0): 1} for cell in by_sym.get(word[0], ())}
     needed = len(level)
     for symbol in word[1:]:
         nxt: dict[tuple[int, int], dict] = {}
@@ -214,7 +207,7 @@ def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int,
             for nbr in candidates(cell, symbol):
                 if needed > limit:
                     raise OracleBudgetError(_OVERRUN.format(max_visits))
-                bit, into = unit.get(nbr, empty), nxt.setdefault(nbr, {})
+                bit, into = unit.get(nbr, 0), nxt.setdefault(nbr, {})
                 for visited, n in sets.items():
                     if not visited & bit:
                         state = visited | bit

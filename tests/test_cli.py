@@ -191,15 +191,14 @@ def _small_budget(monkeypatch, budget=1000):
     # classes off the reading counter, so its budget is lowered too.
     real = verify_mod.enumerate_witnesses
     monkeypatch.setattr(verify_mod, "enumerate_witnesses",
-                        lambda spec, _budget=None: real(spec, budget))
+                        lambda spec, _budget=None, table=None: real(spec, budget, table))
     _small_counter_budget(monkeypatch, budget)
 
 
 def _small_counter_budget(monkeypatch, budget):
-    # verify passes (table, word, adjacency, distinct_cells, budget).
     real = verify_mod.readings_per_end_cell
     monkeypatch.setattr(verify_mod, "readings_per_end_cell",
-                        lambda *args: real(*args[:4], budget))
+                        lambda *args, max_visits, **kwargs: real(*args, max_visits=budget, **kwargs))
 
 
 _OVERRUN_BETWEEN = (
@@ -691,7 +690,7 @@ def _small_budget_everywhere(monkeypatch, budget=1000):
     real = verify_mod.enumerate_witnesses
     for module in (verify_mod, cli_mod, render_mod):
         monkeypatch.setattr(module, "enumerate_witnesses",
-                            lambda spec, _budget=None: real(spec, budget))
+                            lambda spec, _budget=None, table=None: real(spec, budget, table))
     monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
     _small_counter_budget(monkeypatch, budget)
     real_counts = verify_mod.class_counts

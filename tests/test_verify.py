@@ -150,11 +150,11 @@ def _drop_first(witnesses):
 
 def _with_faulty_enumeration(monkeypatch, fault):
     # Every enumeration verify_problem reads, with or without a table it built
-    # itself, goes through verify._enumerate; a squares problem's key stream is
-    # listed so the fault can index it.
-    real = verify_mod._enumerate
-    monkeypatch.setattr(verify_mod, "_enumerate",
-                        lambda spec, table, budget: fault(list(real(spec, table, budget))))
+    # itself, goes through verify.enumerate_witnesses; a squares problem's key
+    # stream is listed so the fault can index it.
+    real = verify_mod.enumerate_witnesses
+    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
+                        lambda *args: fault(list(real(*args))))
 
 
 def _rows(*rows):

@@ -343,17 +343,10 @@ def test_visited_set_dp_counts_the_pinned_king_walk():
     assert counts == _class_sizes(enumerate_word_paths(grid, "a" * 6, "king", True))
 
 
-def test_visited_sets_as_frozensets_count_the_same(monkeypatch):
-    # Over tables with more cells than a bitmask is kept for, visited sets are
-    # frozensets; force that on small tables and compare.
-    grid = letter_grid_from_rows(["abab", "baba", "aabb"])
-    words = ("abab", "aaaa", "abba", "babab", "azb", "b")
-    expected = {(word, adjacency): readings_per_end_cell(grid, word, adjacency, True)
-                for word in words for adjacency in ADJACENCY_RULES}
-    monkeypatch.setattr(wordgrid, "_MASK_CELLS", 0)
-    assert {(word, adjacency): readings_per_end_cell(grid, word, adjacency, True)
-            for word in words for adjacency in ADJACENCY_RULES} == expected
-    assert sum(expected["aaaa", "king"].values()) > 0
+def test_reading_counter_takes_its_options_by_keyword():
+    # A budget passed where distinct_cells once stood is refused, not read as a flag.
+    with pytest.raises(TypeError):
+        readings_per_end_cell(letter_grid_from_rows(["ab"]), "ab", "side", 10)
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,16 +361,16 @@ def test_visited_set_dp_matches_enumerated_class_sizes(rows, word, budget):
             witnesses = enumerate_word_paths(grid, word, adjacency, True, max_visits=budget)
         except OracleBudgetError as exc:
             with pytest.raises(OracleBudgetError) as refused:
-                readings_per_end_cell(grid, word, adjacency, True, max_visits=budget)
+                readings_per_end_cell(grid, word, adjacency, distinct_cells=True, max_visits=budget)
             assert str(refused.value) == str(exc)
             continue
-        dp = readings_per_end_cell(grid, word, adjacency, True, max_visits=budget)
+        dp = readings_per_end_cell(grid, word, adjacency, distinct_cells=True, max_visits=budget)
         assert dp == _class_sizes(witnesses)
         assert sum(dp.values()) <= sum(readings_per_end_cell(grid, word, adjacency).values())
         # At the edge: exactly the search's visits pass, one fewer is refused.
         visits = sum(len(enumerate_word_paths(grid, word[:j], adjacency, True))
                      for j in range(1, len(word) + 1))
-        assert readings_per_end_cell(grid, word, adjacency, True, max_visits=visits) == dp
+        assert readings_per_end_cell(grid, word, adjacency, distinct_cells=True, max_visits=visits) == dp
         if visits:
             with pytest.raises(OracleBudgetError, match=f"more than {visits - 1} cell visits"):
-                readings_per_end_cell(grid, word, adjacency, True, max_visits=visits - 1)
+                readings_per_end_cell(grid, word, adjacency, distinct_cells=True, max_visits=visits - 1)
