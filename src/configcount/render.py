@@ -4,12 +4,14 @@ Everything is emitted as plain strings with integer coordinates, in a fixed
 element order, so identical inputs produce byte-identical files.  Square
 problems draw the point grid with every square of the key stream as a
 polygon; word problems draw the letter table.  A highlight either marks one
-size class of squares or traces one enumerated witness as an arrowed polyline.
+size class of squares or traces one enumerated witness as an arrowed polyline;
+the witness is taken from the stream, and no list of witnesses is held.
 """
 
 from __future__ import annotations
 
 from html import escape
+from itertools import islice
 
 from .budget import DEFAULT_ORACLE_BUDGET
 from .geometry import key_vertices
@@ -99,10 +101,12 @@ def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None)
         mode, value = highlight
         if mode == "class":
             raise ValueError("size-class highlight only applies to squares problems")
-        witnesses = enumerate_witnesses(spec, table=grid)  # in the table drawn
-        if not 0 <= value < len(witnesses):
-            raise ValueError(f"witness index {value} out of range (have {len(witnesses)})")
-        witness = witnesses[value]
+        readings = iter(enumerate_witnesses(spec, table=grid))  # in the table drawn
+        skipped = sum(1 for _ in islice(readings, max(value, 0)))
+        witness = next(readings, None) if value >= 0 else None
+        if witness is None:
+            have = skipped + sum(1 for _ in readings)
+            raise ValueError(f"witness index {value} out of range (have {have})")
 
     margin = cell_size // 2
     width = 2 * margin + grid.cols * cell_size

@@ -7,29 +7,28 @@ all of them hold on the actual data:
 * classes: the per-class closed-form values equal the enumerated class sizes;
 * distinctness: no witness was enumerated twice.
 
-Each witness is counted once, in the class ``class_key`` names, so the
-classes cover the enumeration exactly by construction.  Every command reads
-squares as one stream of ``(k, a, y, x)`` keys and builds no ``Square``; a
-duplicate key is found by its rank in canonical order, one byte per candidate
-square (``tally_square_keys``).  Word readings are listed; the search emits
-them in ascending order, so a list in that order has no duplicate, and only
-a list out of order is counted with a set.
+Each witness is counted once, in its class (a square key's k, a reading's end
+cell), so the classes cover the enumeration exactly by construction.  Every
+command reads witnesses as one stream and lists none: squares as ``(k, a, y,
+x)`` keys, a duplicate found by its rank in canonical order, one byte per
+candidate square (``tally_square_keys``); readings as the search yields them,
+in ascending order, so only a stream out of order can hold a duplicate, and
+only such a stream is read a second time, into a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
 are still enumerated and checked for duplicates, and each enumerated class
 size is compared with the reading counter's count for that end cell
 (``readings_per_end_cell``): the transfer matrix, or for readings that keep
-to distinct cells the visited-set DP.  The counter runs once, on the table
-the search reads, and is also the search's budget check.
+to distinct cells the visited-set DP.  For every word the counter runs once,
+on the table the search reads, and is the search's only budget check.
 
 The per-family decisions live here as well, each in one function that every
 command calls: ``letter_grid`` builds a word problem's table, whose size
-``table_size`` reads off the spec, ``enumerate_witnesses`` runs the family's
-enumerator under the oracle budget (a word problem's in the table its caller
-passes, else in one it builds), ``class_key`` names the class a witness
-falls in (a square key's k, a reading's final cell), ``closed_form_classes``
-returns the registered closed form's per-class counts, or None, and
+``table_size`` reads off the spec, ``enumerate_witnesses`` returns the
+family's witness stream under the oracle budget (a word problem's in the table
+its caller passes, else in one it builds), ``closed_form_classes`` returns the
+registered closed form's per-class counts, or None, and
 ``class_counts`` answers ``count`` and ``explain``: the closed form, else the
 reading counter, so neither command lists a witness; it refuses a listing of
 more classes than the budget.  ``class_total`` sums a problem's listing, from
@@ -44,10 +43,9 @@ rows are built from the class counts each time they are read (``Rows``).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import pairwise, starmap
-from operator import attrgetter, lt
+from itertools import starmap
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
@@ -63,10 +61,10 @@ from .wordgrid import (
     LetterGrid,
     PathWitness,
     count_word_paths_closed,
-    enumerate_word_paths,
     generate_manhattan_rings,
     letter_grid_from_rows,
     readings_per_end_cell,
+    word_readings,
 )
 
 # Test-only hook: additive offsets on registered closed-form totals, keyed by
@@ -179,19 +177,15 @@ def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
 
 def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
                         table: LetterGrid | None = None):
-    """Every witness in canonical order, within the oracle budget: square keys, or
-    a word problem's readings in ``table``, its letter table, built here if not given."""
+    """Every witness in canonical order, as a stream refused before its first
+    witness if over the oracle budget: square keys, or a word problem's readings
+    in ``table``, its letter table, built here if not given."""
     if spec.kind == "squares":
         return square_keys(LatticeGrid(spec.cols, spec.rows), spec.variant == "all", budget)
     if table is None:
         table = _letter_grid(spec, budget)
-    return enumerate_word_paths(table, spec.word, spec.adjacency, spec.distinct_cells,
-                                max_visits=budget)
-
-
-def class_key(witness):
-    """The class a witness falls in: a square key's size k, a reading's final cell."""
-    return witness.final_cell if isinstance(witness, PathWitness) else witness[0]
+    return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells,
+                         max_visits=budget)
 
 
 def class_label(key) -> str:
@@ -203,7 +197,7 @@ def class_label(key) -> str:
 
 
 def closed_form_classes(spec: ProblemSpec) -> dict | None:
-    """Closed-form count per class, keyed like ``class_key``, or None if unregistered."""
+    """Closed-form count per class (k, or end cell), or None if unregistered."""
     if not has_registered_closed_form(spec):
         return None
     if spec.kind == "word-paths":
@@ -213,21 +207,17 @@ def closed_form_classes(spec: ProblemSpec) -> dict | None:
     return count_all_squares(spec.cols, spec.rows).per_k
 
 
-def _class_sizes(witnesses) -> dict:
-    """Witness count per class key, classes in ascending key order."""
-    return dict(sorted(Counter(map(class_key, witnesses)).items()))
-
-
-def _duplicate_readings(witnesses: list[PathWitness]) -> int:
-    """Readings listed more than once.
-
-    The search emits readings in ascending order of their cells, and a list
-    in which each reading is greater than the one before holds no duplicate;
-    only a list that breaks the order is counted with a set.
-    """
-    if all(starmap(lt, pairwise(map(attrgetter("cells"), witnesses)))):
-        return 0
-    return len(witnesses) - len(set(witnesses))
+def _tally_readings(readings: Iterable[PathWitness]) -> tuple[dict, bool]:
+    """Readings per end cell, in (x, y) order, and whether each reading is
+    greater than the one before (then none is a duplicate), in one pass."""
+    sizes: Counter = Counter()
+    last, ordered = (), True
+    for reading in readings:
+        cells = reading.cells
+        ordered = ordered and last < cells
+        last = cells
+        sizes[cells[-1]] += 1
+    return dict(sorted(sizes.items())), ordered
 
 
 def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> Mapping:
@@ -261,24 +251,22 @@ def verify_problem(
     """Enumerate, count the classes, and compare with the closed form where one
     exists, else with the reading counter."""
     expected_classes = closed_form_classes(spec)
-    counted = None
     if spec.kind == "squares":
         # Keys, not squares: one pass marks each key's rank, after the budget guard.
         observed, duplicates = tally_square_keys(enumerate_witnesses(spec, oracle_budget),
                                                  spec.cols, spec.rows, spec.variant == "all")
     else:
-        if expected_classes is None:
-            # One table and one reading counter, which is the second oracle and,
-            # as it counts every visit the search makes, the search's budget.
-            table = _letter_grid(spec, oracle_budget)
-            counted = readings_per_end_cell(table, spec.word, spec.adjacency,
-                                            distinct_cells=spec.distinct_cells,
-                                            max_visits=oracle_budget)
-            witnesses = enumerate_witnesses(spec, None, table)
-        else:
-            witnesses = enumerate_witnesses(spec, oracle_budget)
-        observed = _class_sizes(witnesses)
-        duplicates = _duplicate_readings(witnesses)
+        # One table and one reading counter, which is the search's budget, as it
+        # counts every visit the search makes, and the second oracle where no
+        # closed form is registered.  The stream then runs unbudgeted.
+        table = _letter_grid(spec, oracle_budget)
+        counted = readings_per_end_cell(table, spec.word, spec.adjacency,
+                                        distinct_cells=spec.distinct_cells,
+                                        max_visits=oracle_budget)
+        observed, ordered = _tally_readings(enumerate_witnesses(spec, None, table))
+        # Only a faulty enumeration breaks the order; it is read again into a set.
+        duplicates = 0 if ordered else (
+            sum(observed.values()) - len(set(enumerate_witnesses(spec, None, table))))
     oracle_total = sum(observed.values())
 
     # Every failed check adds one note, so the verdict is read off the notes.
@@ -296,7 +284,7 @@ def verify_problem(
                   for r in rows if r.expected != r.observed]
         if closed_total != oracle_total:
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
-    elif counted is not None:
+    else:  # every square problem has a closed form, so this is a word
         counter = "visited-set DP" if spec.distinct_cells else "transfer matrix"
         notes += [f"class {class_label(key)}: {counter} {counted.get(key, 0)} "
                   f"!= oracle {observed.get(key, 0)}"

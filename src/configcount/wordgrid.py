@@ -12,13 +12,14 @@ them.  Readings that may revisit cells go through a transfer matrix: level by
 level, each cell adds its count to the cells that may follow it.  Readings
 that keep to distinct cells go through a visited-set DP: a state is a
 reading's set of visited cells and its end cell, and readings in the same
-state merge.  ``enumerate_word_paths`` is the brute-force oracle: depth-first
-extension from every starting cell, emitting witnesses in lexicographic order
-of their coordinate sequences (cells compare as (x, y) tuples).  All of them
-step by one candidate rule over the table's cells per symbol, sorted once per
-table.  The counter sums the reading prefixes the search would visit, so it
-refuses a budget overrun under exactly the search's condition; the search
-runs it first when readings may revisit cells.
+state merge.  ``word_readings`` is the brute-force oracle: depth-first
+extension from every starting cell, yielding witnesses one at a time in
+lexicographic order of their coordinate sequences (cells compare as (x, y)
+tuples); ``enumerate_word_paths`` lists them.  All of them step by one
+candidate rule over the table's cells per symbol, sorted once per table.  The
+counter sums the reading prefixes the search would visit, so it refuses a
+budget overrun under exactly the search's condition, and it is the search's
+only budget: the search runs it first, before the first reading.
 
 The manhattan-rings layout is the symmetric board the closed form applies to:
 an LxL grid (L odd) whose cell at Manhattan distance d from the center holds
@@ -32,6 +33,7 @@ four corners, and each corner class is a count of U/R move interleavings:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -164,11 +166,12 @@ def readings_per_end_cell(
     A transfer matrix: readings of word[:i+1] ending at a cell sum those of
     word[:i] ending at the cells it may follow.  Under ``distinct_cells`` the
     state is a reading's visited set and end cell (the subset DP of Bellman,
-    and of Held and Karp, 1962).  More reading prefixes (one search visit
-    each) than ``max_visits`` raise the search's OracleBudgetError.
+    and of Held and Karp, 1962), unless no symbol recurs and so no cell can.
+    More reading prefixes (one search visit each) than ``max_visits`` raise
+    the search's OracleBudgetError.
     """
     by_sym, candidates = _reading_rule(grid, word, adjacency)
-    if distinct_cells:
+    if distinct_cells and len(set(word)) < len(word):
         return _visited_set_counts(word, by_sym, candidates, max_visits)
     level = dict.fromkeys(by_sym.get(word[0], ()), 1)
     needed = len(level)
@@ -220,29 +223,29 @@ def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int,
     return {cell: n for cell, n in totals if n}
 
 
-def enumerate_word_paths(
+def word_readings(
     grid: LetterGrid,
     word: str,
     adjacency: AdjacencyRule = "side",
     distinct_cells: bool = False,
     max_visits: int | None = None,
-) -> list[PathWitness]:
-    """All readings of ``word`` in the grid, in lexicographic coordinate order.
-
-    Depth-first search from every cell holding the first symbol, kept on an
-    explicit stack so long words cannot exhaust the interpreter's recursion
-    limit.  Candidates are tried in ascending (x, y) order, which makes the
-    output order lexicographic.  ``max_visits`` caps the number of cells the
-    search may touch; exceeding it raises OracleBudgetError.  Without
-    ``distinct_cells`` an overrun is refused before the search starts.
-    """
+) -> Iterator[PathWitness]:
+    """Every reading of ``word`` in the grid, one at a time, in lexicographic
+    coordinate order.  A search that would visit more cells than ``max_visits``
+    is refused first, by the reading counter, with OracleBudgetError."""
     by_sym, candidates = _reading_rule(grid, word, adjacency)
-    if not distinct_cells and max_visits is not None:
-        readings_per_end_cell(grid, word, adjacency, max_visits=max_visits)
+    if max_visits is not None:
+        readings_per_end_cell(grid, word, adjacency, distinct_cells=distinct_cells,
+                              max_visits=max_visits)
+    return _search(word, by_sym, candidates, distinct_cells)
 
+
+def _search(word, by_sym, candidates, distinct_cells) -> Iterator[PathWitness]:
+    # Depth-first from every cell holding the first symbol, kept on an explicit
+    # stack so long words cannot exhaust the interpreter's recursion limit.
+    # Candidates are tried in ascending (x, y) order, which makes the output
+    # order lexicographic.
     last = len(word) - 1
-    witnesses: list[PathWitness] = []
-    visits = 0
     path: list[tuple[int, int]] = []
     # Only consulted under distinct_cells, where a path never repeats a cell.
     on_path: set[tuple[int, int]] = set()
@@ -253,11 +256,8 @@ def enumerate_word_paths(
         for cell in pending[-1]:
             if distinct_cells and cell in on_path:
                 continue
-            visits += 1
-            if max_visits is not None and visits > max_visits:
-                raise OracleBudgetError(_OVERRUN.format(max_visits))
             if i == last:
-                witnesses.append(PathWitness((*path, cell)))
+                yield PathWitness((*path, cell))
                 continue
             path.append(cell)
             on_path.add(cell)
@@ -267,7 +267,13 @@ def enumerate_word_paths(
             pending.pop()
             if path:
                 on_path.discard(path.pop())
-    return witnesses
+
+
+def enumerate_word_paths(grid: LetterGrid, word: str, adjacency: AdjacencyRule = "side",
+                         distinct_cells: bool = False,
+                         max_visits: int | None = None) -> list[PathWitness]:
+    """``word_readings`` as a list."""
+    return list(word_readings(grid, word, adjacency, distinct_cells, max_visits))
 
 
 def count_word_paths_closed(word: str) -> CountReport:

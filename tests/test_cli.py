@@ -525,6 +525,42 @@ def test_count_reads_self_avoiding_words_off_the_visited_set_dp(tmp_path):
     assert out.endswith("\ntotal 1594648\n")
 
 
+_KING_WALK_9 = ('problem w { kind: word-paths word: "aaaaaaaaa" layout: explicit '
+                'rows-data: ["aaaa", "aaaa", "aaaa", "aaaa"] adjacency: king '
+                'distinct-cells: true }')
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_verify_and_enumerate_stream_readings_in_bounded_memory(tmp_path):
+    # 436,984 self-avoiding readings, none held: verify tallies each one as the
+    # search yields it, and enumerate --limit counts the rest.
+    (tmp_path / "w.ccspec").write_text(_KING_WALK_9)
+    code, out, err = _run_capped(["verify", "w.ccspec"], tmp_path, 64)
+    assert code == 0, err[-500:]
+    assert out.startswith("problem w: PASS (oracle 436984, enumeration only)\n")
+    code, out, err = _run_capped(["enumerate", "w.ccspec", "--problem", "w", "--limit", "1"],
+                                 tmp_path, 64)
+    assert (code, err) == (0, b"")
+    assert out == ("(0,0) (0,1) (0,2) (0,3) (1,2) (1,1) (1,0) (2,0) (2,1)\n"
+                   "(omitted 436983 more)\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("command", [["render", "--highlight", "0", "-o", "out.svg"],
+                                     ["enumerate", "--limit", "1"]], ids=lambda c: c[0])
+def test_self_avoiding_overrun_is_refused_before_searching(tmp_path, command):
+    # The visited-set DP refuses a 12-letter walk on a 5x5 table before the
+    # first reading; a search that counted its own visits held every reading
+    # until the count tripped (render: 31 s at 1.9 GB).
+    (tmp_path / "big.ccspec").write_text(
+        'problem big { kind: word-paths word: "aaaaaaaaaaaa" layout: explicit rows-data: '
+        '["aaaaa", "aaaaa", "aaaaa", "aaaaa", "aaaaa"] adjacency: king distinct-cells: true }')
+    code, out, err = _run_capped([command[0], "big.ccspec", "--problem", "big", *command[1:]],
+                                 tmp_path, 256)
+    assert (code, out, err) == (2, "", b"error: problem big: oracle budget exceeded: "
+                                       b"more than 10000000 cell visits\n")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
 def test_running_out_of_memory_exits_2_naming_the_problem(tmp_path):
     # render holds a figure of 1,083,300 elements, more than 64 MB of text.

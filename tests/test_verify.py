@@ -16,7 +16,6 @@ from configcount.squares import _square_totals
 from configcount.verify import (
     PartitionRow,
     VerifyReport,
-    _class_sizes,
     build_step_trace,
     class_counts,
     class_label,
@@ -260,18 +259,44 @@ def test_duplicated_witness_fails_self_avoiding_problem(monkeypatch):
     lambda ws: ws[::-1] + ws[:1] + ws[5:6],
 ], ids=["rotated", "middle-copy", "last-copy", "reversed-with-copies"])
 def test_reading_duplicates_are_counted_exactly_in_any_order(monkeypatch, fault):
-    # An ordered list needs no set; any other order is counted with one.
+    # An ordered stream needs no set; any other order is read again into one.
+    # The fault is computed once, so both passes read the same stream.
     faulted = []
-    _with_faulty_enumeration(monkeypatch, lambda ws: faulted.extend(fault(ws)) or faulted)
+    _with_faulty_enumeration(monkeypatch, lambda ws: faulted or faulted.extend(fault(ws))
+                             or faulted)
     report = verify_problem(KING_AVOIDING)
     assert report.duplicate_witnesses == len(faulted) - len(set(faulted))
     assert report.oracle_total == len(faulted)
 
 
+@pytest.mark.parametrize("spec, fault, passes", [
+    (OPEN_SIDE, None, 1),
+    (OPEN_FREE, None, 1),
+    (KING_AVOIDING, None, 1),
+    (KING_AVOIDING, _drop_first, 1),
+    (KING_AVOIDING, _duplicate_first, 2),
+], ids=["closed-form", "transfer-matrix", "visited-set-dp", "dropped", "out-of-order"])
+def test_only_a_stream_out_of_order_is_enumerated_twice(monkeypatch, spec, fault, passes):
+    # A clean enumeration is one stream, read once; a stream that keeps the
+    # order has no duplicate, and only one that breaks it is read again.
+    streams = []
+    real = verify_mod.enumerate_witnesses
+
+    def spy(*args):
+        stream = real(*args)
+        streams.append(iter(stream) is stream)
+        return stream if fault is None else fault(list(stream))
+
+    monkeypatch.setattr(verify_mod, "enumerate_witnesses", spy)
+    report = verify_problem(spec)
+    assert streams == [True] * passes
+    assert report.verdict == ("PASS" if fault is None else "FAIL")
+
+
 def _list_reference(witnesses):
     # Class sizes and duplicates of a listed enumeration, the way verify read
     # squares before it streamed their keys.
-    classes = {class_label(k): n for k, n in _class_sizes(witnesses).items()}
+    classes = {class_label(k): n for k, n in Counter(key[0] for key in witnesses).items()}
     return classes, len(witnesses) - len(set(witnesses))
 
 
@@ -362,7 +387,7 @@ def test_count_and_explain_build_no_reading(monkeypatch):
     totals = [sum(class_counts(spec).values()) for spec in specs]
     assert [build_step_trace(spec).step_iv_total for spec in specs] == totals
     assert built == []
-    assert totals == [len(enumerate_witnesses(spec)) for spec in specs]
+    assert totals == [len(list(enumerate_witnesses(spec))) for spec in specs]
     assert totals[2] < totals[1] and totals[3] > 0
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from configcount import wordgrid
 from configcount.budget import OracleBudgetError
 from configcount.counting import MoveWord, count_move_words
-from configcount.verify import _class_sizes
 from configcount.wordgrid import (
     ADJACENCY_RULES,
     count_paths_by_symbol_product,
@@ -21,6 +20,11 @@ from configcount.wordgrid import (
 )
 
 DISTINCT_WORDS = {1: "a", 3: "abc", 5: "abcde", 7: "abcdefg"}
+
+
+def _class_sizes(witnesses):
+    # Readings per end cell, in (x, y) order.
+    return dict(sorted(Counter(w.final_cell for w in witnesses).items()))
 
 
 def _center_distance(grid, cell):
