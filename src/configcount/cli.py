@@ -34,7 +34,7 @@ from .verify import (
     class_counts,
     class_label,
     class_total,
-    enumerate_witnesses,
+    counted_witnesses,
     verify_problem,
 )
 
@@ -217,8 +217,8 @@ def count(spec_file, problem_name, fmt):
 _WITNESS_FORMS = {
     "squares": ("({0[3]},{0[2]}) k={0[0]} a={0[1]}".format,
                 lambda key: {"anchor": [key[3], key[2]], "k": key[0], "a": key[1]}),
-    "word-paths": (lambda w: " ".join(f"({x},{y})" for x, y in w.cells),
-                   lambda w: {"cells": [[x, y] for x, y in w.cells]}),
+    "word-paths": (lambda cells: " ".join(f"({x},{y})" for x, y in cells),
+                   lambda cells: {"cells": cells}),
 }
 
 
@@ -229,30 +229,24 @@ _WITNESS_FORMS = {
 @click.option("--limit", type=click.IntRange(min=1), default=None,
               help="Print at most this many witnesses.")
 def enumerate_cmd(spec_file, problem_name, fmt, limit):
-    """List every witness of a problem in canonical order."""
+    """List every witness of a problem in canonical order.
+
+    With ``--limit``, the witnesses past it are not drawn: how many were left
+    out is the problem's total (``class_counts``) less the limit.
+    """
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
-        witnesses = iter(enumerate_witnesses(spec))
+        witnesses, classes = counted_witnesses(spec)
+    omitted = 0 if limit is None else max(class_total(spec, classes) - limit, 0)
     as_text, as_json = _WITNESS_FORMS[spec.kind]
     shown = islice(witnesses, limit)
     if fmt == "json":
-        doc = {"problem": spec.name, "kind": spec.kind, "witnesses": None, "omitted": None}
-
-        def items():
-            yield from map(as_json, shown)
-            # _json_pieces reads "omitted" once the last item is written.
-            doc["omitted"] = str(sum(1 for _ in witnesses))
-
-        doc["witnesses"] = items()
+        doc = {"problem": spec.name, "kind": spec.kind,
+               "witnesses": map(as_json, shown), "omitted": str(omitted)}
         _write(chain(_json_pieces(doc), ("\n",)))
         return
-
-    def lines():
-        yield from map("{}\n".format, map(as_text, shown))
-        if omitted := sum(1 for _ in witnesses):
-            yield f"(omitted {omitted} more)\n"
-
-    _write(lines())
+    omission = (f"(omitted {omitted} more)\n",) if omitted else ()
+    _write(chain(map("{}\n".format, map(as_text, shown)), omission))
 
 
 def _verify_text(report: VerifyReport) -> str:

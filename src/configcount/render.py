@@ -131,7 +131,7 @@ def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None)
     if witness is not None:
         pts = " ".join(
             f"{margin + x * cell_size + cell_size // 2},{margin + y * cell_size + cell_size // 2}"
-            for x, y in witness.cells
+            for x, y in witness
         )
         body.append(f'<polyline class="witness" points="{pts}" marker-end="url(#arrow)"/>')
     return _document(width, height, cell_size, body)

@@ -12,8 +12,9 @@ cell), so the classes cover the enumeration exactly by construction.  Every
 command reads witnesses as one stream and lists none: squares as ``(k, a, y,
 x)`` keys, a duplicate found by its rank in canonical order, one byte per
 candidate square (``tally_square_keys``); readings as the search yields them,
-in ascending order, so only a stream out of order can hold a duplicate, and
-only such a stream is read a second time, into a set.
+bare tuples of (x, y) cells in ascending order (no ``PathWitness`` is built),
+so only a stream out of order can hold a duplicate, and only such a stream is
+read a second time, into a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
@@ -32,7 +33,10 @@ registered closed form's per-class counts, or None, and
 ``class_counts`` answers ``count`` and ``explain``: the closed form, else the
 reading counter, so neither command lists a witness; it refuses a listing of
 more classes than the budget.  ``class_total`` sums a problem's listing, from
-the power sums for squares.
+the power sums for squares.  ``counted_witnesses`` gives ``verify`` and
+``enumerate`` the stream and the class counts together, with a word's reading
+counter run once, so ``enumerate --limit`` reads how many witnesses it left
+out off the count instead of drawing them.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -59,7 +63,6 @@ from .squares import (
 )
 from .wordgrid import (
     LetterGrid,
-    PathWitness,
     count_word_paths_closed,
     generate_manhattan_rings,
     letter_grid_from_rows,
@@ -188,6 +191,17 @@ def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_B
                          max_visits=budget)
 
 
+def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
+    """``enumerate_witnesses(spec, budget)``, refused as it is, and the problem's
+    ``class_counts``.  A word without a closed form runs its reading counter
+    once, as the count and as the search's budget check."""
+    if spec.kind == "squares" or has_registered_closed_form(spec):
+        return enumerate_witnesses(spec, budget), class_counts(spec, budget)
+    table = _letter_grid(spec, budget)
+    classes = class_counts(spec, budget, table)
+    return enumerate_witnesses(spec, None, table), classes
+
+
 def class_label(key) -> str:
     """How a class key prints: ``k=3`` or ``(x,y)``."""
     if isinstance(key, int):
@@ -207,30 +221,33 @@ def closed_form_classes(spec: ProblemSpec) -> dict | None:
     return count_all_squares(spec.cols, spec.rows).per_k
 
 
-def _tally_readings(readings: Iterable[PathWitness]) -> tuple[dict, bool]:
-    """Readings per end cell, in (x, y) order, and whether each reading is
-    greater than the one before (then none is a duplicate), in one pass."""
+def _tally_readings(readings: Iterable[tuple]) -> tuple[dict, bool]:
+    """Readings (cell tuples) per end cell, in (x, y) order, and whether each
+    reading is greater than the one before (then none is a duplicate), in one pass."""
     sizes: Counter = Counter()
     last, ordered = (), True
-    for reading in readings:
-        cells = reading.cells
+    for cells in readings:
         ordered = ordered and last < cells
         last = cells
         sizes[cells[-1]] += 1
     return dict(sorted(sizes.items())), ordered
 
 
-def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> Mapping:
+def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
+                 table: LetterGrid | None = None) -> Mapping:
     """Count per class: the closed form, else the reading counter; nothing is enumerated.
 
     The counter is the transfer matrix, or for self-avoiding readings the
-    visited-set DP, under the search's visit budget.
+    visited-set DP, under the search's visit budget, run in ``table``, a word
+    problem's letter table, built here if not given.
 
     A listing of more classes than ``budget`` is refused before it is written.
     """
     classes = closed_form_classes(spec)
     if classes is None:
-        classes = readings_per_end_cell(_letter_grid(spec, budget), spec.word, spec.adjacency,
+        if table is None:
+            table = _letter_grid(spec, budget)
+        classes = readings_per_end_cell(table, spec.word, spec.adjacency,
                                         distinct_cells=spec.distinct_cells, max_visits=budget)
     listed = min(spec.cols, spec.rows) - 1 if spec.kind == "squares" else len(classes)
     if budget is not None and listed > budget:
@@ -250,23 +267,20 @@ def verify_problem(
 ) -> VerifyReport:
     """Enumerate, count the classes, and compare with the closed form where one
     exists, else with the reading counter."""
-    expected_classes = closed_form_classes(spec)
+    # One stream, refused before its first witness if over budget, and the count
+    # per class: the closed form, else the reading counter, which then is also
+    # the search's budget check and the second oracle.
+    witnesses, counted = counted_witnesses(spec, oracle_budget)
+    expected_classes = counted if has_registered_closed_form(spec) else None
     if spec.kind == "squares":
-        # Keys, not squares: one pass marks each key's rank, after the budget guard.
-        observed, duplicates = tally_square_keys(enumerate_witnesses(spec, oracle_budget),
-                                                 spec.cols, spec.rows, spec.variant == "all")
+        # Keys, not squares: one pass marks each key's rank.
+        observed, duplicates = tally_square_keys(witnesses, spec.cols, spec.rows,
+                                                 spec.variant == "all")
     else:
-        # One table and one reading counter, which is the search's budget, as it
-        # counts every visit the search makes, and the second oracle where no
-        # closed form is registered.  The stream then runs unbudgeted.
-        table = _letter_grid(spec, oracle_budget)
-        counted = readings_per_end_cell(table, spec.word, spec.adjacency,
-                                        distinct_cells=spec.distinct_cells,
-                                        max_visits=oracle_budget)
-        observed, ordered = _tally_readings(enumerate_witnesses(spec, None, table))
+        observed, ordered = _tally_readings(witnesses)
         # Only a faulty enumeration breaks the order; it is read again into a set.
         duplicates = 0 if ordered else (
-            sum(observed.values()) - len(set(enumerate_witnesses(spec, None, table))))
+            sum(observed.values()) - len(set(enumerate_witnesses(spec, None))))
     oracle_total = sum(observed.values())
 
     # Every failed check adds one note, so the verdict is read off the notes.

@@ -13,11 +13,12 @@ level, each cell adds its count to the cells that may follow it.  Readings
 that keep to distinct cells go through a visited-set DP: a state is a
 reading's set of visited cells and its end cell, and readings in the same
 state merge.  ``word_readings`` is the brute-force oracle: depth-first
-extension from every starting cell, yielding witnesses one at a time in
-lexicographic order of their coordinate sequences (cells compare as (x, y)
-tuples); ``enumerate_word_paths`` lists them.  All of them step by one
-candidate rule over the table's cells per symbol, sorted once per table.  The
-counter sums the reading prefixes the search would visit, so it refuses a
+extension from every starting cell, yielding each reading as its tuple of
+(x, y) cells, one at a time, in lexicographic order;
+``enumerate_word_paths``, the public list API, wraps them in ``PathWitness``.
+All of them step by one candidate rule over the table's cells per symbol,
+sorted once per table; the search asks it once per (cell, next symbol) pair.
+The counter sums the reading prefixes the search would visit, so it refuses a
 budget overrun under exactly the search's condition, and it is the search's
 only budget: the search runs it first, before the first reading.
 
@@ -62,8 +63,11 @@ class LetterGrid:
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
             raise ValueError("letter grid needs at least one cell")
-        expected = {(x, y) for x in range(self.cols) for y in range(self.rows)}
-        if set(self.cells) != expected:
+        # The keys are unique, so as many in-range keys as cells cover the grid.
+        xs, ys = range(self.cols), range(self.rows)
+        if len(self.cells) != self.cols * self.rows or not all(
+                isinstance(xy, tuple) and len(xy) == 2 and xy[0] in xs and xy[1] in ys
+                for xy in self.cells):
             raise ValueError("cells must cover every (x, y) in the grid exactly")
         for xy, sym in self.cells.items():
             if len(sym) != 1:
@@ -229,10 +233,11 @@ def word_readings(
     adjacency: AdjacencyRule = "side",
     distinct_cells: bool = False,
     max_visits: int | None = None,
-) -> Iterator[PathWitness]:
-    """Every reading of ``word`` in the grid, one at a time, in lexicographic
-    coordinate order.  A search that would visit more cells than ``max_visits``
-    is refused first, by the reading counter, with OracleBudgetError."""
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every reading of ``word`` in the grid, as its tuple of (x, y) cells, one at
+    a time, in lexicographic order.  A search that would visit more cells than
+    ``max_visits`` is refused first, by the reading counter, with
+    OracleBudgetError."""
     by_sym, candidates = _reading_rule(grid, word, adjacency)
     if max_visits is not None:
         readings_per_end_cell(grid, word, adjacency, distinct_cells=distinct_cells,
@@ -240,12 +245,18 @@ def word_readings(
     return _search(word, by_sym, candidates, distinct_cells)
 
 
-def _search(word, by_sym, candidates, distinct_cells) -> Iterator[PathWitness]:
+def _search(word, by_sym, candidates, distinct_cells) -> Iterator[tuple[tuple[int, int], ...]]:
     # Depth-first from every cell holding the first symbol, kept on an explicit
     # stack so long words cannot exhaust the interpreter's recursion limit.
     # Candidates are tried in ascending (x, y) order, which makes the output
     # order lexicographic.
     last = len(word) - 1
+    # next_of[i] maps a cell at position i to its candidates for word[i + 1],
+    # filled on first use.  Positions followed by the same symbol share one map;
+    # one map for all positions would be wrong, as a cell may be followed by
+    # different symbols at different positions.
+    memo = {symbol: {} for symbol in word}
+    next_of = [memo[symbol] for symbol in word[1:]]
     path: list[tuple[int, int]] = []
     # Only consulted under distinct_cells, where a path never repeats a cell.
     on_path: set[tuple[int, int]] = set()
@@ -253,15 +264,25 @@ def _search(word, by_sym, candidates, distinct_cells) -> Iterator[PathWitness]:
     pending = [iter(by_sym.get(word[0], []))]
     while pending:
         i = len(path)
+        if i == last:
+            # Every candidate left at the last position completes a reading.
+            prefix = tuple(path)
+            for cell in pending.pop():
+                if not (distinct_cells and cell in on_path):
+                    yield prefix + (cell,)
+            if path:
+                on_path.discard(path.pop())
+            continue
         for cell in pending[-1]:
             if distinct_cells and cell in on_path:
                 continue
-            if i == last:
-                yield PathWitness((*path, cell))
-                continue
             path.append(cell)
             on_path.add(cell)
-            pending.append(iter(candidates(cell, word[i + 1])))
+            known = next_of[i]
+            following = known.get(cell)
+            if following is None:
+                following = known[cell] = candidates(cell, word[i + 1])
+            pending.append(iter(following))
             break
         else:
             pending.pop()
@@ -272,8 +293,9 @@ def _search(word, by_sym, candidates, distinct_cells) -> Iterator[PathWitness]:
 def enumerate_word_paths(grid: LetterGrid, word: str, adjacency: AdjacencyRule = "side",
                          distinct_cells: bool = False,
                          max_visits: int | None = None) -> list[PathWitness]:
-    """``word_readings`` as a list."""
-    return list(word_readings(grid, word, adjacency, distinct_cells, max_visits))
+    """``word_readings`` as a list of ``PathWitness``."""
+    return [PathWitness(cells) for cells in
+            word_readings(grid, word, adjacency, distinct_cells, max_visits)]
 
 
 def count_word_paths_closed(word: str) -> CountReport:

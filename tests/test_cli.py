@@ -116,6 +116,48 @@ def test_enumerate_json(runner):
     assert doc["omitted"] == "28"
 
 
+_LIMITED = (
+    ProblemSpec("sq", "squares", cols=7, rows=5, variant="all"),
+    ProblemSpec("tm", "word-paths", word="abab", layout="explicit",
+                rows_data=("aba", "bab", "aab"), adjacency="king"),
+    ProblemSpec("dp", "word-paths", word="aaaaa", layout="explicit",
+                rows_data=("aaa", "aaa"), adjacency="king", distinct_cells=True),
+)
+
+
+@pytest.mark.parametrize("spec", _LIMITED, ids=lambda spec: spec.name)
+def test_enumerate_limit_reads_omitted_off_the_count(runner, tmp_path, monkeypatch, spec):
+    # The stream is drawn up to the limit and no further; what it would still
+    # have yielded is the problem's count (power sums, transfer matrix,
+    # visited-set DP) less the limit.
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]))
+    total = sum(1 for _ in verify_mod.enumerate_witnesses(spec))
+    drawn = []
+    real = verify_mod.enumerate_witnesses
+
+    def spy(*args, **kwargs):
+        stream = real(*args, **kwargs)
+        return (drawn.append(item) or item for item in stream)
+
+    monkeypatch.setattr(verify_mod, "enumerate_witnesses", spy)
+    for limit in (1, 3, total - 1, total, total + 5):
+        for fmt in ("text", "json"):
+            drawn.clear()
+            result = invoke(runner, "enumerate", path, "--problem", spec.name,
+                            "--format", fmt, "--limit", limit)
+            assert result.exit_code == 0
+            assert len(drawn) == min(limit, total), (limit, fmt)
+            omitted = total - len(drawn)
+            if fmt == "json":
+                assert json.loads(result.stdout)["omitted"] == str(omitted)
+            else:
+                tail = f"(omitted {omitted} more)\n" if omitted else ""
+                assert result.stdout.count("\n") == len(drawn) + bool(omitted)
+                assert result.stdout.endswith(tail)
+    assert total > 5
+
+
 def test_enumerate_unknown_problem_exits_2(runner):
     result = invoke(runner, "enumerate", SAMPLES, "--problem", "nope")
     assert result.exit_code == 2
@@ -533,7 +575,7 @@ _KING_WALK_9 = ('problem w { kind: word-paths word: "aaaaaaaaa" layout: explicit
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
 def test_verify_and_enumerate_stream_readings_in_bounded_memory(tmp_path):
     # 436,984 self-avoiding readings, none held: verify tallies each one as the
-    # search yields it, and enumerate --limit counts the rest.
+    # search yields it, and enumerate --limit reads the rest off the count.
     (tmp_path / "w.ccspec").write_text(_KING_WALK_9)
     code, out, err = _run_capped(["verify", "w.ccspec"], tmp_path, 64)
     assert code == 0, err[-500:]
@@ -719,12 +761,13 @@ def test_importing_the_cli_skips_network_and_xml_modules():
 
 
 def _small_budget_everywhere(monkeypatch, budget=1000):
-    # Each command looks the enumerator up in its own module; render also caps
-    # a figure's size by the default budget, count and explain read word
-    # classes off the reading counter, class_counts caps their listings, and
-    # verify streams square keys without the enumerator.
+    # Render looks the enumerator up in its own module, and enumerate reaches it
+    # through verify.counted_witnesses; render also caps a figure's size by the
+    # default budget, count and explain read word classes off the reading
+    # counter, class_counts caps their listings, and verify streams square keys
+    # without the enumerator.
     real = verify_mod.enumerate_witnesses
-    for module in (verify_mod, cli_mod, render_mod):
+    for module in (verify_mod, render_mod):
         monkeypatch.setattr(module, "enumerate_witnesses",
                             lambda spec, _budget=None, table=None: real(spec, budget, table))
     monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
@@ -732,7 +775,7 @@ def _small_budget_everywhere(monkeypatch, budget=1000):
     real_counts = verify_mod.class_counts
     for module in (verify_mod, cli_mod):
         monkeypatch.setattr(module, "class_counts",
-                            lambda spec, _budget=None: real_counts(spec, budget))
+                            lambda spec, _budget=None, table=None: real_counts(spec, budget, table))
     real_verify = verify_mod.verify_problem
     monkeypatch.setattr(cli_mod, "verify_problem",
                         lambda spec: real_verify(spec, oracle_budget=budget))

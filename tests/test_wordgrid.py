@@ -17,6 +17,7 @@ from configcount.wordgrid import (
     generate_manhattan_rings,
     letter_grid_from_rows,
     readings_per_end_cell,
+    word_readings,
 )
 
 DISTINCT_WORDS = {1: "a", 3: "abc", 5: "abcde", 7: "abcdefg"}
@@ -82,6 +83,27 @@ def test_letter_grid_from_rows_validation():
         letter_grid_from_rows(["ab", "c"])
     with pytest.raises(ValueError):
         letter_grid_from_rows(["ab", ""])
+
+
+@pytest.mark.parametrize("cells", [
+    {(0, 0): "a", (1, 0): "b"},
+    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (2, 0): "d"},
+    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (1, 2): "d"},
+    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (0.5, 1): "d"},
+    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (1, 1, 0): "d"},
+    {(0, 0): "a", (1, 0): "b", (0, 1): "c", "xy": "d"},
+], ids=["missing", "x-out-of-range", "y-out-of-range", "not-integral", "three-axes",
+        "not-a-tuple"])
+def test_letter_grid_refuses_cells_that_miss_the_table(cells):
+    with pytest.raises(ValueError, match=r"cells must cover every \(x, y\) in the grid exactly"):
+        wordgrid.LetterGrid(2, 2, cells)
+
+
+def test_letter_grid_takes_an_exact_cover_in_any_order():
+    g = wordgrid.LetterGrid(2, 2, {(1, 1): "d", (0, 0): "a", (0, 1): "c", (1, 0): "b"})
+    assert g.cells_by_symbol == {"a": [(0, 0)], "b": [(1, 0)], "c": [(0, 1)], "d": [(1, 1)]}
+    with pytest.raises(ValueError, match="single symbol"):
+        wordgrid.LetterGrid(1, 1, {(0, 0): "ab"})
 
 
 def test_enumerate_open_side_adjacency():
@@ -237,6 +259,53 @@ def test_overrun_is_refused_before_any_reading_is_stored(monkeypatch):
         enumerate_word_paths(g, "aaaa", "king", max_visits=50)
     assert built == []
     assert len(enumerate_word_paths(g, "aa", "king", max_visits=50)) == len(built) == 40
+
+
+def test_readings_stream_as_cell_tuples_and_only_the_list_wraps_them():
+    g = letter_grid_from_rows(["aba", "bab", "aab"])
+    for adjacency in ADJACENCY_RULES:
+        for distinct in (False, True):
+            readings = list(word_readings(g, "abab", adjacency, distinct))
+            assert readings and all(type(cells) is tuple for cells in readings)
+            assert all(type(cell) is tuple for cells in readings for cell in cells)
+            assert readings == sorted(set(readings))
+            listed = enumerate_word_paths(g, "abab", adjacency, distinct)
+            assert listed == [wordgrid.PathWitness(cells) for cells in readings]
+
+
+def _spy_on_candidates(monkeypatch):
+    # Every (cell, symbol) pair the candidate rule is asked for, in order.
+    asked = []
+    real = wordgrid._reading_rule
+
+    def rule(grid, word, adjacency):
+        by_sym, candidates = real(grid, word, adjacency)
+        return by_sym, lambda cell, symbol: asked.append((cell, symbol)) or candidates(cell, symbol)
+
+    monkeypatch.setattr(wordgrid, "_reading_rule", rule)
+    return asked
+
+
+@pytest.mark.parametrize("adjacency", ADJACENCY_RULES)
+@pytest.mark.parametrize("distinct", [False, True])
+def test_search_asks_for_each_cells_candidates_once(monkeypatch, adjacency, distinct):
+    # Every "a" cell is stepped into many times per search.
+    asked = _spy_on_candidates(monkeypatch)
+    readings = list(word_readings(letter_grid_from_rows(["aaa", "aba", "aaa"]), "aaaab",
+                                  adjacency, distinct))
+    assert readings and max(Counter(asked).values()) == 1
+
+
+def test_search_memo_tells_symbols_apart():
+    # In "aab" an "a" cell is followed by "a" at one position and by "b" at the
+    # next, so its candidates must be kept per symbol, not per cell.
+    g = letter_grid_from_rows(["aab", "aba", "baa"])
+    for word in ("aab", "aaba", "abab"):
+        for adjacency in ADJACENCY_RULES:
+            for distinct in (False, True):
+                found = Counter(cells[-1] for cells in word_readings(g, word, adjacency, distinct))
+                assert dict(sorted(found.items())) == readings_per_end_cell(
+                    g, word, adjacency, distinct_cells=distinct), (word, adjacency, distinct)
 
 
 def test_deep_word_does_not_recurse():
