@@ -11,7 +11,9 @@ round them through a fixed-width type.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, a few hundred lines per write, with one flush at the end; a JSON
-document's pieces join to ``json.dumps`` of the whole document.
+document's pieces join to ``json.dumps`` of the whole document.  ``render``
+writes its figure to the file piece by piece, opening it only once the first
+piece is drawn.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import click
 
 from .budget import OracleBudgetError
-from .render import render_problem
+from .render import render_pieces
 from .speclang import ProblemSpec, SpecError, parse_spec
 from .verify import (
     VerifyReport,
@@ -386,12 +388,16 @@ def render(spec_file, problem_name, highlight, cell_size, output_path):
     spec = _select(_load_specs(spec_file), problem_name)[0]
     parsed = None if highlight is None else _parse_highlight(highlight)
     with _naming(spec, (ValueError, OracleBudgetError)):
-        svg = render_problem(spec, cell_size=cell_size, highlight=parsed)
-    try:
-        with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        _fail(f"{output_path}: {exc.strerror}")
+        pieces = render_pieces(spec, cell_size=cell_size, highlight=parsed)
+        # Every refusal comes before the first piece, so a refused figure
+        # neither creates nor truncates the output file.
+        head = next(pieces)
+        try:
+            with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(head)
+                fh.writelines(pieces)
+        except OSError as exc:
+            _fail(f"{output_path}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -6,28 +6,30 @@ problems draw the point grid with every square of the key stream as a
 polygon; word problems draw the letter table.  A highlight either marks one
 size class of squares or traces one enumerated witness as an arrowed polyline;
 the witness is taken from the stream, and no list of witnesses is held.
+
+A figure is written in pieces: the head, runs of at most ``_ELEMENTS``
+elements, then the tail, so its memory does not grow with the figure.  Each
+pixel coordinate is formatted once per column and once per row, and each
+element is one ``str.format`` call on those strings.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from html import escape
-from itertools import islice
+from itertools import islice, product
 
 from .budget import DEFAULT_ORACLE_BUDGET
-from .geometry import key_vertices
 from .speclang import ProblemSpec
-from .verify import (
-    class_total,
-    closed_form_classes,
-    enumerate_witnesses,
-    letter_grid,
-    table_size,
-)
+from .verify import class_total, counted_witnesses, letter_grid, table_size
 
 Highlight = tuple[str, int]  # ("class", k) or ("witness", index)
 
+# Elements per piece of a figure.
+_ELEMENTS = 4096
 
-def _document(width: int, height: int, cell_size: int, body: list[str]) -> str:
+
+def _head(width: int, height: int, cell_size: int) -> str:
     font = max(cell_size // 2, 6)
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -48,7 +50,16 @@ def _document(width: int, height: int, cell_size: int, body: list[str]) -> str:
         "</marker>",
         "</defs>",
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    return "\n".join(head) + "\n"
+
+
+_TAIL = "</svg>\n"
+
+
+def _pieces(elements: Iterator[str]) -> Iterator[str]:
+    """The elements joined ``_ELEMENTS`` at a time."""
+    while piece := "".join(islice(elements, _ELEMENTS)):
+        yield piece
 
 
 def _refuse_large_figure(elements: int) -> None:
@@ -56,42 +67,52 @@ def _refuse_large_figure(elements: int) -> None:
         raise ValueError(f"figure too large: {elements} elements > {DEFAULT_ORACLE_BUDGET}")
 
 
-def _squares_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
-    keys = enumerate_witnesses(spec)
-    count = class_total(spec, closed_form_classes(spec))
+def _squares_figure(spec: ProblemSpec, cell_size: int,
+                    highlight: Highlight | None) -> Iterator[str]:
+    keys, classes = counted_witnesses(spec)
+    count = class_total(spec, classes)
     # A one-row grid has no squares to refuse, but it still draws every point.
     _refuse_large_figure(count + spec.cols * spec.rows)
 
+    # The highlighted squares are one run of the key stream: a witness, or a
+    # size class, since the keys are sorted by k first.
     mode, value = highlight or (None, None)
-    if mode == "class" and not 1 <= value < min(spec.cols, spec.rows):
-        raise ValueError(f"no squares in size class k={value}")
-    if mode == "witness" and not 0 <= value < count:
-        raise ValueError(f"witness index {value} out of range (have {count})")
+    if mode == "class":
+        if not 1 <= value < min(spec.cols, spec.rows):
+            raise ValueError(f"no squares in size class k={value}")
+        first = sum(islice(classes.values(), value - 1))
+        marked = range(first, first + classes[value])
+    elif mode == "witness":
+        if not 0 <= value < count:
+            raise ValueError(f"witness index {value} out of range (have {count})")
+        marked = range(value, value + 1)
+    else:
+        marked = range(0)
 
     margin = cell_size
     width = 2 * margin + (spec.cols - 1) * cell_size
     height = 2 * margin + (spec.rows - 1) * cell_size
+    xs = [str(margin + x * cell_size) for x in range(spec.cols)]
+    # lattice y grows upward, svg y grows downward
+    ys = [str(margin + (spec.rows - 1 - y) * cell_size) for y in range(spec.rows)]
 
-    def px(x: int) -> int:
-        return margin + x * cell_size
-
-    def py(y: int) -> int:
-        # lattice y grows upward, svg y grows downward
-        return margin + (spec.rows - 1 - y) * cell_size
-
-    body = []
-    for i, key in enumerate(keys):
-        pts = " ".join(f"{px(x)},{py(y)}" for x, y in key_vertices(key))
-        cls = "sq hl" if (key[0] if mode == "class" else i) == value else "sq"
-        body.append(f'<polygon class="{cls}" points="{pts}"/>')
+    yield _head(width, height, cell_size)
+    for cls, n in (("sq", marked.start), ("sq hl", len(marked)), ("sq", None)):
+        polygon = f'<polygon class="{cls}" points="{{}},{{}} {{}},{{}} {{}},{{}} {{}},{{}}"/>\n'.format
+        # The vertices in geometry.key_vertices order.
+        yield from _pieces(
+            polygon(xs[x + a], ys[y], xs[x + k], ys[y + a], xs[x + k - a], ys[y + k],
+                    xs[x], ys[y + k - a])
+            for k, a, y, x in islice(keys, n)
+        )
     radius = max(cell_size // 10, 2)
-    for x in range(spec.cols):
-        for y in range(spec.rows):
-            body.append(f'<circle class="pt" cx="{px(x)}" cy="{py(y)}" r="{radius}"/>')
-    return _document(width, height, cell_size, body)
+    circle = f'<circle class="pt" cx="{{0[0]}}" cy="{{0[1]}}" r="{radius}"/>\n'.format
+    yield from _pieces(map(circle, product(xs, ys)))
+    yield _TAIL
 
 
-def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None) -> str:
+def _word_figure(spec: ProblemSpec, cell_size: int,
+                 highlight: Highlight | None) -> Iterator[str]:
     cols, rows = table_size(spec)  # a table too large to build is refused first
     _refuse_large_figure(2 * cols * rows)
     grid = letter_grid(spec)
@@ -101,48 +122,57 @@ def _word_figure(spec: ProblemSpec, cell_size: int, highlight: Highlight | None)
         mode, value = highlight
         if mode == "class":
             raise ValueError("size-class highlight only applies to squares problems")
-        readings = iter(enumerate_witnesses(spec, table=grid))  # in the table drawn
-        skipped = sum(1 for _ in islice(readings, max(value, 0)))
-        witness = next(readings, None) if value >= 0 else None
+        # Counted in the table drawn; no reading is drawn for an index out of range.
+        readings, classes = counted_witnesses(spec, table=grid)
+        have = class_total(spec, classes)
+        if 0 <= value < have:
+            witness = next(islice(readings, value, None), None)
         if witness is None:
-            have = skipped + sum(1 for _ in readings)
             raise ValueError(f"witness index {value} out of range (have {have})")
 
     margin = cell_size // 2
     width = 2 * margin + grid.cols * cell_size
     height = 2 * margin + grid.rows * cell_size
     font = max(cell_size // 2, 6)
+    half = cell_size // 2
+    lefts = [margin + x * cell_size for x in range(grid.cols)]
+    tops = [margin + y * cell_size for y in range(grid.rows)]
+    mid_xs = [str(left + half) for left in lefts]
 
-    body = []
-    for y in range(grid.rows):
-        for x in range(grid.cols):
-            left = margin + x * cell_size
-            top = margin + y * cell_size
-            body.append(
-                f'<rect class="cell" x="{left}" y="{top}" '
-                f'width="{cell_size}" height="{cell_size}"/>'
-            )
-    for y in range(grid.rows):
-        for x in range(grid.cols):
-            cx = margin + x * cell_size + cell_size // 2
-            cy = margin + y * cell_size + cell_size // 2 + font // 3
-            glyph = escape(grid.cells[(x, y)], quote=False)
-            body.append(f'<text class="glyph" x="{cx}" y="{cy}">{glyph}</text>')
+    yield _head(width, height, cell_size)
+    rect = (f'<rect class="cell" x="{{0[1]}}" y="{{0[0]}}" '
+            f'width="{cell_size}" height="{cell_size}"/>\n').format
+    yield from _pieces(map(rect, product(map(str, tops), map(str, lefts))))
+    cells = grid.cells
+    glyphs = {symbol: escape(symbol, quote=False) for symbol in set(cells.values())}
+    text = '<text class="glyph" x="{0[1]}" y="{0[0]}">{1}</text>\n'.format
+    yield from _pieces(map(
+        text,
+        product([str(top + half + font // 3) for top in tops], mid_xs),
+        (glyphs[cells[x, y]] for y in range(grid.rows) for x in range(grid.cols)),
+    ))
     if witness is not None:
-        pts = " ".join(
-            f"{margin + x * cell_size + cell_size // 2},{margin + y * cell_size + cell_size // 2}"
-            for x, y in witness
-        )
-        body.append(f'<polyline class="witness" points="{pts}" marker-end="url(#arrow)"/>')
-    return _document(width, height, cell_size, body)
+        points = " ".join(f"{mid_xs[x]},{tops[y] + half}" for x, y in witness)
+        yield f'<polyline class="witness" points="{points}" marker-end="url(#arrow)"/>\n'
+    yield _TAIL
+
+
+def render_pieces(spec: ProblemSpec, cell_size: int = 40,
+                  highlight: Highlight | None = None) -> Iterator[str]:
+    """The SVG figure for one problem, as a stream of text pieces.
+
+    Every refusal (ValueError, OracleBudgetError) is raised before the first
+    piece: the figure is too large, the highlight is out of range, or the
+    problem overruns the oracle budget.
+    """
+    if cell_size < 1:
+        raise ValueError("cell size must be positive")
+    figure = _squares_figure if spec.kind == "squares" else _word_figure
+    return figure(spec, cell_size, highlight)
 
 
 def render_problem(
     spec: ProblemSpec, cell_size: int = 40, highlight: Highlight | None = None
 ) -> str:
-    """The SVG figure for one problem, as text."""
-    if cell_size < 1:
-        raise ValueError("cell size must be positive")
-    if spec.kind == "squares":
-        return _squares_figure(spec, cell_size, highlight)
-    return _word_figure(spec, cell_size, highlight)
+    """The SVG figure for one problem, as text: ``render_pieces`` joined."""
+    return "".join(render_pieces(spec, cell_size, highlight))

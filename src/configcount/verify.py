@@ -191,13 +191,15 @@ def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_B
                          max_visits=budget)
 
 
-def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
-    """``enumerate_witnesses(spec, budget)``, refused as it is, and the problem's
-    ``class_counts``.  A word without a closed form runs its reading counter
-    once, as the count and as the search's budget check."""
+def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
+                      table: LetterGrid | None = None):
+    """``enumerate_witnesses(spec, budget, table)``, refused as it is, and the
+    problem's ``class_counts``.  A word without a closed form runs its reading
+    counter once, as the count and as the search's budget check."""
     if spec.kind == "squares" or has_registered_closed_form(spec):
-        return enumerate_witnesses(spec, budget), class_counts(spec, budget)
-    table = _letter_grid(spec, budget)
+        return enumerate_witnesses(spec, budget, table), class_counts(spec, budget)
+    if table is None:
+        table = _letter_grid(spec, budget)
     classes = class_counts(spec, budget, table)
     return enumerate_witnesses(spec, None, table), classes
 

@@ -605,11 +605,28 @@ def test_self_avoiding_overrun_is_refused_before_searching(tmp_path, command):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
 def test_running_out_of_memory_exits_2_naming_the_problem(tmp_path):
-    # render holds a figure of 1,083,300 elements, more than 64 MB of text.
+    # The visited-set DP of a 4-letter walk on a 100x100 table of one letter
+    # keeps a bitmask over 10^4 cells per state: about 336 MB, uncapped.
+    rows = ", ".join(['"' + "a" * 100 + '"'] * 100)
+    (tmp_path / "sparse.ccspec").write_text(
+        'problem sparse { kind: word-paths word: "aaaa" layout: explicit '
+        f"rows-data: [{rows}] adjacency: side distinct-cells: true }}")
+    code, out, err = _run_capped(["count", "sparse.ccspec"], tmp_path, 64)
+    assert (code, out, err) == (2, "", b"error: problem sparse: out of memory\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_render_writes_squares_in_bounded_memory(tmp_path):
+    # 1,079,700 polygons and 3,600 points, 73 MB of SVG, written piece by piece
+    # under a 64 MB address-space cap (held as one string, it took 298 MB).
     (tmp_path / "t60.ccspec").write_text(_T60)
     code, out, err = _run_capped(["render", "t60.ccspec", "--problem", "t60", "-o", "out.svg"],
                                  tmp_path, 64)
-    assert (code, out, err) == (2, "", b"error: problem t60: out of memory\n")
+    assert (code, out, err) == (0, "", b"")
+    svg = (tmp_path / "out.svg").read_bytes()
+    assert svg.count(b"<polygon") == 1079700
+    assert svg.count(b"<circle") == 3600
+    assert svg.endswith(b"</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +766,44 @@ def test_one_row_grid_too_large_to_draw_exits_2(runner, tmp_path):
                              "100000000000 elements > 10000000\n")
 
 
+_REFUSED_RENDERS = {
+    "too-large": ("problem p { kind: squares cols: 100000000000 rows: 1 variant: all }", [],
+                  "figure too large: 100000000000 elements > 10000000"),
+    "highlight": ("problem p { kind: squares cols: 5 rows: 5 variant: axis }",
+                  ["--highlight", "30"], "witness index 30 out of range (have 30)"),
+    "budget": ("problem p { kind: squares cols: 4000 rows: 4000 variant: axis }", [],
+               "oracle budget exceeded: 21325334000 candidate squares > 10000000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_RENDERS))
+def test_refused_render_leaves_the_output_alone(runner, tmp_path, case):
+    text, extra, reason = _REFUSED_RENDERS[case]
+    spec = tmp_path / "p.ccspec"
+    spec.write_text(text)
+    out = tmp_path / "fig.svg"
+    for before in (None, b"an earlier figure\n"):
+        if before is not None:
+            out.write_bytes(before)
+        result = invoke(runner, "render", spec, "--problem", "p", *extra, "-o", out)
+        assert (result.exit_code, result.stderr) == (2, f"error: problem p: {reason}\n")
+        if before is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == before
+
+
+def test_render_failing_after_the_first_piece_exits_2_naming_the_problem(runner, tmp_path,
+                                                                         monkeypatch):
+    def pieces(spec, cell_size, highlight):
+        yield "<svg>\n"
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "render_pieces", pieces)
+    result = invoke(runner, "render", SAMPLES, "--problem", "squares5", "-o", tmp_path / "f.svg")
+    assert (result.exit_code, result.stderr) == (2, "error: problem squares5: out of memory\n")
+
+
 def test_importing_the_cli_skips_network_and_xml_modules():
     # Every command imports cli; xml.sax.saxutils pulled in urllib.request,
     # http.client and email at start-up.
@@ -761,15 +816,13 @@ def test_importing_the_cli_skips_network_and_xml_modules():
 
 
 def _small_budget_everywhere(monkeypatch, budget=1000):
-    # Render looks the enumerator up in its own module, and enumerate reaches it
-    # through verify.counted_witnesses; render also caps a figure's size by the
-    # default budget, count and explain read word classes off the reading
-    # counter, class_counts caps their listings, and verify streams square keys
-    # without the enumerator.
+    # Enumerate and render reach the enumerator through verify.counted_witnesses;
+    # render also caps a figure's size by the default budget, count and explain
+    # read word classes off the reading counter, class_counts caps their
+    # listings, and verify streams square keys without the enumerator.
     real = verify_mod.enumerate_witnesses
-    for module in (verify_mod, render_mod):
-        monkeypatch.setattr(module, "enumerate_witnesses",
-                            lambda spec, _budget=None, table=None: real(spec, budget, table))
+    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
+                        lambda spec, _budget=None, table=None: real(spec, budget, table))
     monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
     _small_counter_budget(monkeypatch, budget)
     real_counts = verify_mod.class_counts

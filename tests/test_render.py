@@ -4,8 +4,11 @@ from collections import Counter
 
 import pytest
 
+import configcount.render as render_mod
+import configcount.verify as verify_mod
+from configcount.budget import OracleBudgetError
 from configcount.geometry import LatticeGrid
-from configcount.render import render_problem
+from configcount.render import render_pieces, render_problem
 from configcount.cli import main
 from configcount.speclang import ProblemSpec, parse_spec
 from configcount.squares import (
@@ -81,6 +84,66 @@ def test_out_of_range_highlights_rejected():
         render_problem(OPEN_SIDE, highlight=("class", 1))
     with pytest.raises(ValueError, match="out of range"):
         render_problem(OPEN_SIDE, highlight=("witness", 24))
+
+
+WALK = ProblemSpec("walk", "word-paths", word="aaaa", layout="explicit",
+                   rows_data=["aaa", "aaa", "aaa"], adjacency="king", distinct_cells=True)
+
+
+@pytest.mark.parametrize("spec,have", [(WALK, 496), (OPEN_SIDE, 24)], ids=["counter", "closed"])
+def test_out_of_range_witness_is_refused_before_drawing_a_reading(monkeypatch, spec, have):
+    # The index is checked against the count of the table drawn (the reading
+    # counter, or the closed form); the search is asked for no reading.
+    drawn = []
+    real = verify_mod.word_readings
+
+    def spy(*args, **kwargs):
+        for cells in real(*args, **kwargs):
+            drawn.append(cells)
+            yield cells
+
+    monkeypatch.setattr(verify_mod, "word_readings", spy)
+    for index in (have, 99999999, -1):
+        with pytest.raises(ValueError) as err:
+            render_problem(spec, highlight=("witness", index))
+        assert str(err.value) == f"witness index {index} out of range (have {have})"
+    assert drawn == []
+    svg = render_problem(spec, highlight=("witness", have - 1))
+    assert len(drawn) == have
+    assert f'points="{_arrow_points(drawn[-1])}"' in svg
+
+
+def _arrow_points(cells, cell_size=40):
+    return " ".join(f"{cell_size // 2 + x * cell_size + cell_size // 2},"
+                    f"{cell_size // 2 + y * cell_size + cell_size // 2}" for x, y in cells)
+
+
+@pytest.mark.parametrize("spec,highlight", [
+    (ALL5, None), (ALL5, ("class", 3)), (ALL5, ("witness", 49)),
+    (OPEN_SIDE, None), (WALK, ("witness", 7)),
+], ids=["squares", "class", "witness", "word", "reading"])
+def test_pieces_join_to_the_figure(monkeypatch, spec, highlight):
+    # Pieces of a few elements each give the same bytes as one piece per run.
+    whole = render_problem(spec, highlight=highlight)
+    monkeypatch.setattr(render_mod, "_ELEMENTS", 3)
+    pieces = list(render_pieces(spec, highlight=highlight))
+    assert "".join(pieces) == whole
+    assert pieces[0].startswith("<?xml") and pieces[0].endswith("</defs>\n")
+    assert pieces[-1] == "</svg>\n"
+    assert max(piece.count("\n") for piece in pieces[1:]) <= 3
+
+
+@pytest.mark.parametrize("spec,highlight", [
+    (ProblemSpec("row", "squares", cols=10**11, rows=1, variant="all"), None),
+    (AXIS5, ("class", 9)),
+    (AXIS5, ("witness", 30)),
+    (OPEN_SIDE, ("witness", 24)),
+    (ProblemSpec("big", "squares", cols=4000, rows=4000, variant="axis"), None),
+], ids=["too-large", "class", "square-index", "reading-index", "budget"])
+def test_every_refusal_comes_before_the_first_piece(spec, highlight):
+    pieces = render_pieces(spec, highlight=highlight)
+    with pytest.raises((ValueError, OracleBudgetError)):
+        next(pieces)
 
 
 @pytest.mark.parametrize("spec", [
