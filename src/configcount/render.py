@@ -143,13 +143,12 @@ def _word_figure(spec: ProblemSpec, cell_size: int,
     rect = (f'<rect class="cell" x="{{0[1]}}" y="{{0[0]}}" '
             f'width="{cell_size}" height="{cell_size}"/>\n').format
     yield from _pieces(map(rect, product(map(str, tops), map(str, lefts))))
-    cells = grid.cells
-    glyphs = {symbol: escape(symbol, quote=False) for symbol in set(cells.values())}
+    glyphs = {symbol: escape(symbol, quote=False) for symbol in set().union(*grid.lines)}
     text = '<text class="glyph" x="{0[1]}" y="{0[0]}">{1}</text>\n'.format
     yield from _pieces(map(
         text,
         product([str(top + half + font // 3) for top in tops], mid_xs),
-        (glyphs[cells[x, y]] for y in range(grid.rows) for x in range(grid.cols)),
+        (glyphs[symbol] for line in grid.lines for symbol in line),
     ))
     if witness is not None:
         points = " ".join(f"{mid_xs[x]},{tops[y] + half}" for x, y in witness)

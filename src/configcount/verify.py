@@ -65,7 +65,6 @@ from .wordgrid import (
     LetterGrid,
     count_word_paths_closed,
     generate_manhattan_rings,
-    letter_grid_from_rows,
     readings_per_end_cell,
     word_readings,
 )
@@ -174,7 +173,7 @@ def table_size(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) ->
 def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
     table_size(spec, budget)  # refuses a table over budget before it is built
     if spec.layout == "explicit":
-        return letter_grid_from_rows(spec.rows_data)
+        return LetterGrid(spec.rows_data)
     return generate_manhattan_rings(spec.word)
 
 

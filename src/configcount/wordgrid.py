@@ -16,17 +16,19 @@ state merge.  ``word_readings`` is the brute-force oracle: depth-first
 extension from every starting cell, yielding each reading as its tuple of
 (x, y) cells, one at a time, in lexicographic order;
 ``enumerate_word_paths``, the public list API, wraps them in ``PathWitness``.
-All of them step by one candidate rule over the table's cells per symbol,
-sorted once per table; the search asks it once per (cell, next symbol) pair.
-The counter sums the reading prefixes the search would visit, so it refuses a
-budget overrun under exactly the search's condition, and it is the search's
-only budget: the search runs it first, before the first reading.
+All of them step by one candidate rule over each symbol's cells, found once
+per table by a scan of its columns; the search asks it once per (cell, next
+symbol) pair.  The counter sums the reading prefixes the search would visit,
+so it refuses a budget overrun under exactly the search's condition, and it
+is the search's only budget, run before the first reading.
 
-The manhattan-rings layout is the symmetric board the closed form applies to:
-an LxL grid (L odd) whose cell at Manhattan distance d from the center holds
-the d-th symbol of the word.  Under side adjacency and pairwise-distinct
-symbols, every reading walks strictly outward from the center to one of the
-four corners, and each corner class is a count of U/R move interleavings:
+A ``LetterGrid`` is its rows of symbols, a cover of its cells by construction.
+On the manhattan-rings layout, the symmetric board the closed form applies
+to, an LxL grid (L odd), the cell at Manhattan distance d from the center
+holds word[d], so each row is cut from the word with two slices.  Under side
+adjacency and pairwise-distinct symbols, every reading walks strictly outward
+from the center to one of the four corners, and each corner class is a count
+of U/R move interleavings:
 
     total = 4 * C(L-1, (L-1)/2)
 """
@@ -37,7 +39,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import inf, prod
 from typing import Literal
 
 from .budget import OracleBudgetError
@@ -54,31 +56,31 @@ _OVERRUN = "oracle budget exceeded: more than {} cell visits"
 
 @dataclass(frozen=True)
 class LetterGrid:
-    """A cols x rows table of single symbols, keyed by (x, y) cell coordinates."""
+    """A table of single symbols as its rows, top row first: (x, y) is ``lines[y][x]``."""
 
-    cols: int
-    rows: int
-    cells: dict[tuple[int, int], str]
+    lines: tuple[str, ...]
 
     def __post_init__(self):
-        if self.cols < 1 or self.rows < 1:
-            raise ValueError("letter grid needs at least one cell")
-        # The keys are unique, so as many in-range keys as cells cover the grid.
-        xs, ys = range(self.cols), range(self.rows)
-        if len(self.cells) != self.cols * self.rows or not all(
-                isinstance(xy, tuple) and len(xy) == 2 and xy[0] in xs and xy[1] in ys
-                for xy in self.cells):
-            raise ValueError("cells must cover every (x, y) in the grid exactly")
-        for xy, sym in self.cells.items():
-            if len(sym) != 1:
-                raise ValueError(f"cell {xy} must hold a single symbol")
+        if not self.lines or not all(self.lines):
+            raise ValueError("rows must be non-empty")
+        if len(set(map(len, self.lines))) != 1:
+            raise ValueError("rows must all have the same length")
+
+    @property
+    def cols(self) -> int:
+        return len(self.lines[0])
+
+    @property
+    def rows(self) -> int:
+        return len(self.lines)
 
     @cached_property
     def cells_by_symbol(self) -> dict[str, list[tuple[int, int]]]:
-        """Each symbol's cells in (x, y) order."""
+        """Each symbol's cells in (x, y) order: the columns scanned left to right."""
         by_sym: dict[str, list[tuple[int, int]]] = {}
-        for xy in sorted(self.cells):
-            by_sym.setdefault(self.cells[xy], []).append(xy)
+        for x, column in enumerate(zip(*self.lines)):
+            for y, sym in enumerate(column):
+                by_sym.setdefault(sym, []).append((x, y))
         return by_sym
 
 
@@ -102,36 +104,25 @@ class CountReport:
 
 
 def letter_grid_from_rows(rows_data) -> LetterGrid:
-    """Build a grid from equal-length row strings, top row first.
-
-    Cell (x, y) is character x of row y, so y counts downward in reading
-    order.
-    """
-    rows = list(rows_data)
-    if not rows or any(not row for row in rows):
-        raise ValueError("rows must be non-empty")
-    if len({len(row) for row in rows}) != 1:
-        raise ValueError("rows must all have the same length")
-    cells = {(x, y): ch for y, row in enumerate(rows) for x, ch in enumerate(row)}
-    return LetterGrid(len(rows[0]), len(rows), cells)
+    """Build a grid from equal-length row strings, top row first."""
+    return LetterGrid(tuple(rows_data))
 
 
 def generate_manhattan_rings(word: str) -> LetterGrid:
     """The LxL grid (L = len(word), odd) with word[d] at Manhattan distance d.
 
     The center holds the first symbol and the four corners the last one; ring
-    d holds 4*min(d, L-d) cells.
+    d holds 4*min(d, L-d) cells.  Row y is cut from the word: the symbol at x
+    is word[|x-c| + d] for d = |y-c|, the left half word[d:d+c+1] reversed.
     """
     length = len(word)
     if length < 1 or length % 2 == 0:
         raise ValueError("manhattan-rings layout requires odd word length")
     c = (length - 1) // 2
-    cells = {
-        (x, y): word[abs(x - c) + abs(y - c)]
-        for x in range(length)
-        for y in range(length)
-    }
-    return LetterGrid(length, length, cells)
+    return LetterGrid(tuple(
+        word[d:d + c + 1][::-1] + word[d + 1:d + c + 1]
+        for d in (abs(y - c) for y in range(length))
+    ))
 
 
 def _reading_rule(grid: LetterGrid, word: str, adjacency: AdjacencyRule):
@@ -143,15 +134,17 @@ def _reading_rule(grid: LetterGrid, word: str, adjacency: AdjacencyRule):
         raise ValueError("word must be non-empty")
     by_sym = grid.cells_by_symbol
     offsets = _SIDE_OFFSETS if adjacency == "side" else _KING_OFFSETS
+    lines, cols, rows = grid.lines, grid.cols, grid.rows
 
     def candidates(cell: tuple[int, int], symbol: str) -> list[tuple[int, int]]:
         if adjacency == "none":
             return by_sym.get(symbol, [])
         # The offsets ascend in (dx, dy), so the neighbours come out in (x, y) order.
+        x, y = cell
         return [
-            (cell[0] + dx, cell[1] + dy)
+            (x + dx, y + dy)
             for dx, dy in offsets
-            if grid.cells.get((cell[0] + dx, cell[1] + dy)) == symbol
+            if 0 <= x + dx < cols and 0 <= y + dy < rows and lines[y + dy][x + dx] == symbol
         ]
 
     return by_sym, candidates
@@ -172,31 +165,36 @@ def readings_per_end_cell(
     state is a reading's visited set and end cell (the subset DP of Bellman,
     and of Held and Karp, 1962), unless no symbol recurs and so no cell can.
     More reading prefixes (one search visit each) than ``max_visits`` raise
-    the search's OracleBudgetError.
+    the search's OracleBudgetError, checked before each (cell, next cell) step.
     """
     by_sym, candidates = _reading_rule(grid, word, adjacency)
+    limit = inf if max_visits is None else max_visits
     if distinct_cells and len(set(word)) < len(word):
-        return _visited_set_counts(word, by_sym, candidates, max_visits)
+        return _visited_set_counts(word, by_sym, candidates, limit)
     level = dict.fromkeys(by_sym.get(word[0], ()), 1)
     needed = len(level)
     for symbol in word[1:]:
-        if max_visits is not None and needed > max_visits:
+        if needed > limit:
             break
         if adjacency == "none":
             level = dict.fromkeys(by_sym.get(symbol, ()), sum(level.values()))
+            needed += sum(level.values())
         else:
             counts: dict[tuple[int, int], int] = {}
             for cell, n in level.items():
                 for nbr in candidates(cell, symbol):
+                    needed += n
+                    if needed > limit:
+                        raise OracleBudgetError(_OVERRUN.format(limit))
                     counts[nbr] = counts.get(nbr, 0) + n
             level = counts
-        needed += sum(level.values())
-    if max_visits is not None and needed > max_visits:
-        raise OracleBudgetError(_OVERRUN.format(max_visits))
-    return {cell: n for cell, n in sorted(level.items()) if n}
+    if needed > limit:
+        raise OracleBudgetError(_OVERRUN.format(limit))
+    # The last symbol's cells, in (x, y) order, hold every end cell.
+    return {cell: level[cell] for cell in by_sym.get(word[-1], ()) if level.get(cell)}
 
 
-def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int, int], int]:
+def _visited_set_counts(word, by_sym, candidates, limit) -> dict[tuple[int, int], int]:
     # level[cell] maps the visited sets of the readings of word[:i+1] that end at
     # cell, as bitmasks, to their counts.  Only a cell whose symbol recurs in the
     # word can be revisited, so only those cells are tracked; the others add no
@@ -205,7 +203,6 @@ def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int,
     tracked = [cell for symbol, uses in Counter(word).items() if uses > 1
                for cell in by_sym.get(symbol, ())]
     unit = {cell: 1 << i for i, cell in enumerate(tracked)}
-    limit = inf if max_visits is None else max_visits
     level = {cell: {unit.get(cell, 0): 1} for cell in by_sym.get(word[0], ())}
     needed = len(level)
     for symbol in word[1:]:
@@ -213,7 +210,7 @@ def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int,
         for cell, sets in level.items():
             for nbr in candidates(cell, symbol):
                 if needed > limit:
-                    raise OracleBudgetError(_OVERRUN.format(max_visits))
+                    raise OracleBudgetError(_OVERRUN.format(limit))
                 bit, into = unit.get(nbr, 0), nxt.setdefault(nbr, {})
                 for visited, n in sets.items():
                     if not visited & bit:
@@ -222,8 +219,8 @@ def _visited_set_counts(word, by_sym, candidates, max_visits) -> dict[tuple[int,
                         needed += n
         level = nxt
     if needed > limit:
-        raise OracleBudgetError(_OVERRUN.format(max_visits))
-    totals = ((cell, sum(sets.values())) for cell, sets in sorted(level.items()))
+        raise OracleBudgetError(_OVERRUN.format(limit))
+    totals = ((cell, sum(level.get(cell, {}).values())) for cell in by_sym.get(word[-1], ()))
     return {cell: n for cell, n in totals if n}
 
 
@@ -323,6 +320,10 @@ def count_paths_by_symbol_product(grid: LetterGrid, word: str) -> int:
     """Unconstrained reading count: the product of per-symbol cell counts.
 
     With no adjacency rule every cell tuple spelling the word is a reading,
-    so the count multiplies out one factor per position: the ``none`` total.
+    so the count multiplies out one factor per position: the number of cells
+    holding that position's symbol, counted in the rows themselves.
     """
-    return sum(readings_per_end_cell(grid, word, "none").values())
+    if len(word) < 1:
+        raise ValueError("word must be non-empty")
+    return prod(sum(line.count(symbol) for line in grid.lines) ** uses
+                for symbol, uses in Counter(word).items())

@@ -629,6 +629,29 @@ def test_render_writes_squares_in_bounded_memory(tmp_path):
     assert svg.endswith(b"</svg>\n")
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_render_writes_a_large_letter_table_in_bounded_memory(tmp_path):
+    # The 1,001-symbol abab...a rings word: 1,002,001 cells, 112 MB of SVG.  The
+    # table is its 1,001 rows cut from the word, so drawing it fits under a
+    # 64 MB address-space cap (a dict of the cells took 143 MB uncapped).
+    (tmp_path / "rings.ccspec").write_text(
+        f'problem big {{ kind: word-paths word: "{"ab" * 500}a" layout: manhattan-rings '
+        "adjacency: side }")
+    code, out, err = _run_capped(["render", "rings.ccspec", "--problem", "big", "-o", "out.svg"],
+                                 tmp_path, 64)
+    assert (code, out, err) == (0, "", b"")
+    svg = tmp_path / "out.svg"
+    texts, tail = 0, b""
+    with open(svg, "rb") as fh:
+        # Four bytes of overlap catch a "<text" split across two reads, and
+        # cannot hold a whole one.
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            texts += (tail + chunk).count(b"<text")
+            tail = chunk[-4:]
+    svg.unlink()
+    assert texts == 1002001
+
+
 # ---------------------------------------------------------------------------
 # exit-code discipline and determinism
 

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from collections import Counter
+from functools import cached_property
 from itertools import islice
 
 import pytest
@@ -399,8 +400,8 @@ def test_count_and_explain_build_no_reading(monkeypatch):
 ], ids=["rings", "explicit", "self-avoiding"])
 def test_verify_builds_one_table_with_one_transfer_matrix(monkeypatch, spec):
     # The search and the reading counter (transfer matrix or visited-set DP)
-    # read the same table, whose cells are sorted once; the counter also serves
-    # as the search's budget check.
+    # read the same table, whose symbol index is built once; the counter also
+    # serves as the search's budget check.
     work = Counter()
 
     def spy(name, fn):
@@ -409,17 +410,17 @@ def test_verify_builds_one_table_with_one_transfer_matrix(monkeypatch, spec):
             return fn(*args, **kwargs)
         return wrapped
 
-    for builder in ("generate_manhattan_rings", "letter_grid_from_rows"):
+    for builder in ("generate_manhattan_rings", "LetterGrid"):
         monkeypatch.setattr(verify_mod, builder, spy("table", getattr(verify_mod, builder)))
     counter = spy("transfer matrix", wordgrid.readings_per_end_cell)
     monkeypatch.setattr(wordgrid, "readings_per_end_cell", counter)
     monkeypatch.setattr(verify_mod, "readings_per_end_cell", counter)
-    monkeypatch.setattr(wordgrid, "sorted", lambda items: (
-        work.update(["cell sort"] if isinstance(items, dict) else []) or sorted(items)),
-        raising=False)
+    index = cached_property(spy("cell index", wordgrid.LetterGrid.cells_by_symbol.func))
+    index.__set_name__(wordgrid.LetterGrid, "cells_by_symbol")
+    monkeypatch.setattr(wordgrid.LetterGrid, "cells_by_symbol", index)
     report = verify_problem(spec)
     assert report.verdict == "PASS"
-    assert work == {"table": 1, "transfer matrix": 1, "cell sort": 1}
+    assert work == {"table": 1, "transfer matrix": 1, "cell index": 1}
 
 
 def test_class_listing_over_budget_is_refused():

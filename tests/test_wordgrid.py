@@ -36,30 +36,50 @@ def _center_distance(grid, cell):
 def test_rings_layout_for_open():
     g = generate_manhattan_rings("Open!")
     assert (g.cols, g.rows) == (5, 5)
-    assert g.cells[(2, 2)] == "O"
-    for corner in [(0, 0), (4, 0), (0, 4), (4, 4)]:
-        assert g.cells[corner] == "!"
-    assert Counter(g.cells.values()) == {"O": 1, "p": 4, "e": 8, "n": 8, "!": 4}
+    assert g.lines[2][2] == "O"
+    for x, y in [(0, 0), (4, 0), (0, 4), (4, 4)]:
+        assert g.lines[y][x] == "!"
+    assert Counter("".join(g.lines)) == {"O": 1, "p": 4, "e": 8, "n": 8, "!": 4}
+    assert g.lines == ("!nen!", "nepen", "epOpe", "nepen", "!nen!")
 
 
 def test_rings_sizes_follow_min_formula():
     for word in ("abcde", "abcdefg"):
         g = generate_manhattan_rings(word)
         length = len(word)
-        by_distance = Counter(_center_distance(g, cell) for cell in g.cells)
+        by_distance = Counter(_center_distance(g, (x, y))
+                              for y in range(g.rows) for x in range(g.cols))
         assert by_distance[0] == 1
         for d in range(1, length):
             assert by_distance[d] == 4 * min(d, length - d)
 
 
+def _rings_by_distance(word):
+    # Row by row, the symbol at Manhattan distance d from the center is word[d].
+    c = (len(word) - 1) // 2
+    return tuple("".join(word[abs(x - c) + abs(y - c)] for x in range(len(word)))
+                 for y in range(len(word)))
+
+
+def test_rings_rows_hold_the_word_by_distance_for_every_odd_length():
+    for length in range(1, 16, 2):
+        word = "ABCDEFGHIJKLMNO"[:length]
+        assert generate_manhattan_rings(word).lines == _rings_by_distance(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7).flatmap(
+    lambda half: st.text(alphabet="ab<&é", min_size=2 * half + 1, max_size=2 * half + 1)))
+def test_rings_rows_hold_any_word_by_distance(word):
+    assert generate_manhattan_rings(word).lines == _rings_by_distance(word)
+
+
 def test_rings_degenerate_and_small():
     g = generate_manhattan_rings("X")
     assert (g.cols, g.rows) == (1, 1)
-    assert g.cells == {(0, 0): "X"}
+    assert g.lines == ("X",)
     g = generate_manhattan_rings("aba")
-    assert g.cells[(1, 1)] == "a"
-    assert all(g.cells[c] == "b" for c in [(0, 1), (1, 0), (2, 1), (1, 2)])
-    assert all(g.cells[c] == "a" for c in [(0, 0), (2, 0), (0, 2), (2, 2)])
+    assert g.lines == ("aba", "bab", "aba")
 
 
 def test_rings_rejects_even_length():
@@ -72,8 +92,9 @@ def test_rings_rejects_even_length():
 def test_letter_grid_from_rows_reading_order():
     g = letter_grid_from_rows(["abc", "def"])
     assert (g.cols, g.rows) == (3, 2)
-    assert g.cells[(0, 0)] == "a"
-    assert g.cells[(2, 1)] == "f"
+    assert g.lines == ("abc", "def")
+    assert g.lines[0][0] == "a"
+    assert g.lines[1][2] == "f"
 
 
 def test_letter_grid_from_rows_validation():
@@ -85,25 +106,16 @@ def test_letter_grid_from_rows_validation():
         letter_grid_from_rows(["ab", ""])
 
 
-@pytest.mark.parametrize("cells", [
-    {(0, 0): "a", (1, 0): "b"},
-    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (2, 0): "d"},
-    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (1, 2): "d"},
-    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (0.5, 1): "d"},
-    {(0, 0): "a", (1, 0): "b", (0, 1): "c", (1, 1, 0): "d"},
-    {(0, 0): "a", (1, 0): "b", (0, 1): "c", "xy": "d"},
-], ids=["missing", "x-out-of-range", "y-out-of-range", "not-integral", "three-axes",
-        "not-a-tuple"])
-def test_letter_grid_refuses_cells_that_miss_the_table(cells):
-    with pytest.raises(ValueError, match=r"cells must cover every \(x, y\) in the grid exactly"):
-        wordgrid.LetterGrid(2, 2, cells)
-
-
-def test_letter_grid_takes_an_exact_cover_in_any_order():
-    g = wordgrid.LetterGrid(2, 2, {(1, 1): "d", (0, 0): "a", (0, 1): "c", (1, 0): "b"})
-    assert g.cells_by_symbol == {"a": [(0, 0)], "b": [(1, 0)], "c": [(0, 1)], "d": [(1, 1)]}
-    with pytest.raises(ValueError, match="single symbol"):
-        wordgrid.LetterGrid(1, 1, {(0, 0): "ab"})
+@pytest.mark.parametrize("lines, message", [
+    ((), "rows must be non-empty"),
+    (("",), "rows must be non-empty"),
+    (("ab", ""), "rows must be non-empty"),
+    (("ab", "c"), "rows must all have the same length"),
+    (("a", "bc", "d"), "rows must all have the same length"),
+], ids=["no-rows", "empty-row", "empty-last-row", "short-row", "long-row"])
+def test_letter_grid_refuses_empty_and_ragged_rows(lines, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        wordgrid.LetterGrid(lines)
 
 
 def test_enumerate_open_side_adjacency():
@@ -334,6 +346,16 @@ _tiny_grids = st.integers(min_value=1, max_value=4).flatmap(
 
 
 @settings(max_examples=60, deadline=None)
+@given(rows=_tiny_grids)
+def test_cells_by_symbol_is_a_sorted_scan_of_the_cells(rows):
+    g = letter_grid_from_rows(rows)
+    scan: dict[str, list] = {}
+    for x, y in sorted((x, y) for y in range(g.rows) for x in range(g.cols)):
+        scan.setdefault(rows[y][x], []).append((x, y))
+    assert g.cells_by_symbol == scan
+
+
+@settings(max_examples=60, deadline=None)
 @given(rows=_tiny_grids, word=st.text(alphabet="ab", min_size=1, max_size=5))
 def test_witnesses_come_out_in_cell_order(rows, word):
     # Candidates are generated in (x, y) order, never sorted afterwards.
@@ -399,7 +421,15 @@ def test_transfer_matrix_matches_enumerated_class_sizes(rows, word):
             with pytest.raises(OracleBudgetError, match="more than 50000 cell visits"):
                 readings_per_end_cell(grid, word, adjacency, max_visits=50_000)
             continue
-        assert readings_per_end_cell(grid, word, adjacency) == _class_sizes(witnesses)
+        counts = readings_per_end_cell(grid, word, adjacency)
+        assert counts == _class_sizes(witnesses)
+        # At the edge: exactly the search's visits pass, one fewer is refused.
+        visits = sum(len(enumerate_word_paths(grid, word[:j], adjacency))
+                     for j in range(1, len(word) + 1))
+        assert readings_per_end_cell(grid, word, adjacency, max_visits=visits) == counts
+        if visits:
+            with pytest.raises(OracleBudgetError, match=f"more than {visits - 1} cell visits"):
+                readings_per_end_cell(grid, word, adjacency, max_visits=visits - 1)
     free = readings_per_end_cell(grid, word, "none")
     assert count_paths_by_symbol_product(grid, word) == sum(free.values())
 
@@ -414,6 +444,31 @@ def test_visited_set_dp_counts_the_pinned_king_walk():
     counts = readings_per_end_cell(grid, "a" * 6, "king", distinct_cells=True)
     assert sum(counts.values()) == KING_WALK_4X4_LENGTH_6
     assert counts == _class_sizes(enumerate_word_paths(grid, "a" * 6, "king", True))
+
+
+def test_transfer_matrix_checks_its_budget_inside_a_level(monkeypatch):
+    # 90,000 first-level prefixes leave 10,000 visits of a 100,000 budget, which
+    # about 1,250 (cell, next cell) lookups spend; a check only between levels
+    # would look up all 90,000 cells' neighbours first.
+    lookups = 0
+    real = wordgrid._reading_rule
+
+    def counting_rule(*args):
+        by_sym, candidates = real(*args)
+
+        def counted(cell, symbol):
+            nonlocal lookups
+            lookups += 1
+            return candidates(cell, symbol)
+
+        return by_sym, counted
+
+    monkeypatch.setattr(wordgrid, "_reading_rule", counting_rule)
+    grid = letter_grid_from_rows(["a" * 300] * 300)
+    with pytest.raises(OracleBudgetError,
+                       match="^oracle budget exceeded: more than 100000 cell visits$"):
+        readings_per_end_cell(grid, "aaa", "king", max_visits=100_000)
+    assert 0 < lookups < 2_000
 
 
 def test_reading_counter_takes_its_options_by_keyword():
