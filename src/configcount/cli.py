@@ -10,8 +10,12 @@ inputs and flags; counts appear in JSON as decimal strings so consumers never
 round them through a fixed-width type.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
-is formatted, a few hundred lines per write, with one flush at the end; a JSON
-document's pieces join to ``json.dumps`` of the whole document.  ``render``
+is formatted, with one flush at the end: a write holds at most 256 listing
+lines or 16,384 JSON list items.  A JSON document's pieces join to
+``json.dumps`` of the whole document.  ``enumerate`` formats each witness from
+a template, not through ``json.dumps``: a square key fills one format string,
+and a reading joins strings made once per column and once per row.  Its JSON
+is still byte for byte ``json.dumps`` of the documented form.  ``render``
 writes its figure to the file piece by piece, opening it only once the first
 piece is drawn.
 """
@@ -22,7 +26,7 @@ import contextlib
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from pathlib import Path
 
 import click
@@ -37,6 +41,7 @@ from .verify import (
     class_label,
     class_total,
     counted_witnesses,
+    table_size,
     verify_problem,
 )
 
@@ -108,7 +113,7 @@ _FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                        default="text", help="Output format.")
 
 
-# Pieces of output joined into one write, and items of a JSON list dumped into
+# Pieces of output joined into one write, and items of a JSON list encoded into
 # one piece: a write holds at most 256 listing lines or 16,384 JSON items.
 _CHUNK = 256
 _JSON_ITEMS = 64
@@ -146,12 +151,18 @@ def _json_pieces(doc: dict) -> Iterator[str]:
             yield from _json_pieces(value)
             continue
         yield "["
-        comma = ""
-        while chunk := list(islice(value, _JSON_ITEMS)):
-            yield comma + json.dumps(chunk)[1:-1]
-            comma = ", "
+        yield from _json_items(value, lambda chunk: json.dumps(chunk)[1:-1])
         yield "]"
     yield separator + json.dumps(plain)[1:] if plain or separator == "{" else "}"
+
+
+def _json_items(items: Iterator, encode) -> Iterator[str]:
+    """A JSON list's items, without its brackets, ``_JSON_ITEMS`` per piece:
+    ``encode`` turns a chunk of items into their text joined with ``", "``."""
+    comma = ""
+    while chunk := list(islice(items, _JSON_ITEMS)):
+        yield comma + encode(chunk)
+        comma = ", "
 
 
 def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
@@ -215,13 +226,30 @@ def count(spec_file, problem_name, fmt):
                  _count_json if fmt == "json" else _count_text, fmt)
 
 
-# How enumerate writes one witness of each kind: as a text line, as a JSON item.
+# How enumerate writes one witness, per kind and format, from the witness's
+# fields as arguments.  A square key's (k, a, y, x) fill one template.  Each of
+# a reading's cells joins a string for its column and one for its row, made
+# once per command: O(cols + rows) strings, never one per cell.
 _WITNESS_FORMS = {
-    "squares": ("({0[3]},{0[2]}) k={0[0]} a={0[1]}".format,
-                lambda key: {"anchor": [key[3], key[2]], "k": key[0], "a": key[1]}),
-    "word-paths": (lambda cells: " ".join(f"({x},{y})" for x, y in cells),
-                   lambda cells: {"cells": cells}),
+    "squares": {"text": "({3},{2}) k={0} a={1}\n",
+                "json": '{{"anchor": [{3}, {2}], "k": {0}, "a": {1}}}'},
+    # start, column, row, separator, end
+    "word-paths": {"text": ("", "({},", "{})", " ", "\n"),
+                   "json": ('{"cells": [', "[{}, ", "{}]", ", ", "]}")},
 }
+
+
+def _witness_form(spec: ProblemSpec, fmt: str):
+    """How ``enumerate`` writes one of ``spec``'s witnesses, given its fields
+    as arguments, in ``fmt``: a text line, or an encoded JSON item."""
+    form = _WITNESS_FORMS[spec.kind][fmt]
+    if spec.kind == "squares":
+        return form.format
+    start, column, row, separator, end = form
+    cols, rows = table_size(spec, None)
+    xs = list(map(column.format, range(cols)))
+    ys = list(map(row.format, range(rows)))
+    return lambda *cells: start + separator.join([xs[x] + ys[y] for x, y in cells]) + end
 
 
 @main.command("enumerate")
@@ -240,15 +268,15 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     with _naming(spec):
         witnesses, classes = counted_witnesses(spec)
     omitted = 0 if limit is None else max(class_total(spec, classes) - limit, 0)
-    as_text, as_json = _WITNESS_FORMS[spec.kind]
-    shown = islice(witnesses, limit)
+    shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit))
     if fmt == "json":
-        doc = {"problem": spec.name, "kind": spec.kind,
-               "witnesses": map(as_json, shown), "omitted": str(omitted)}
-        _write(chain(_json_pieces(doc), ("\n",)))
+        _write(chain((f'{{"problem": {json.dumps(spec.name)}, '
+                      f'"kind": {json.dumps(spec.kind)}, "witnesses": [',),
+                     _json_items(shown, ", ".join),
+                     (f'], "omitted": {json.dumps(str(omitted))}}}\n',)))
         return
     omission = (f"(omitted {omitted} more)\n",) if omitted else ()
-    _write(chain(map("{}\n".format, map(as_text, shown)), omission))
+    _write(chain(shown, omission))
 
 
 def _verify_text(report: VerifyReport) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import configcount.cli as cli_mod
@@ -24,7 +24,7 @@ from configcount.speclang import ProblemSpec, print_spec
 from configcount.squares import _square_totals, enumerate_all_squares, enumerate_axis_squares
 
 from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES
-from test_speclang import _SPEC_TOKENS, _explicit_specs, _rings_specs
+from test_speclang import _SPEC_TOKENS, _explicit_specs, _names, _rings_specs
 
 
 def invoke(runner, *args):
@@ -443,6 +443,145 @@ def test_streamed_enumeration_matches_whole_documents(runner, tmp_path, variant,
                 result = invoke(runner, *args, *(() if limit is None else ("--limit", limit)))
                 assert result.exit_code == 0
                 assert result.stdout == _whole_enumerate(spec, fmt, limit), (cols, rows, limit)
+
+
+def _documented_enumerate(spec, fmt, limit):
+    # enumerate's documented output, built whole with json.dumps and f-strings
+    # from the library's witness stream.
+    witnesses = list(verify_mod.enumerate_witnesses(spec, None))
+    shown = witnesses[:limit]
+    omitted = len(witnesses) - len(shown)
+    if spec.kind == "squares":
+        items = [{"anchor": [x, y], "k": k, "a": a} for k, a, y, x in shown]
+        lines = [f"({x},{y}) k={k} a={a}" for k, a, y, x in shown]
+    else:
+        items = [{"cells": [[x, y] for x, y in cells]} for cells in shown]
+        lines = [" ".join(f"({x},{y})" for x, y in cells) for cells in shown]
+    if fmt == "json":
+        return json.dumps({"problem": spec.name, "kind": spec.kind, "witnesses": items,
+                           "omitted": str(omitted)}) + "\n"
+    if omitted:
+        lines.append(f"(omitted {omitted} more)")
+    return "".join(line + "\n" for line in lines)
+
+
+def _assert_enumerate_bytes(runner, tmp_path, spec, limit):
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]), encoding="utf-8")
+    for fmt in ("text", "json"):
+        for extra in ((), ("--limit", limit)):
+            result = invoke(runner, "enumerate", path, "--problem", spec.name,
+                            "--format", fmt, *extra)
+            assert result.exit_code == 0, result.output
+            expected = _documented_enumerate(spec, fmt, limit if extra else None)
+            if result.stdout != expected:
+                # Name the first differing byte: a diff of long outputs takes minutes.
+                at = next(i for i, (a, b) in enumerate(zip(result.stdout + "$", expected + "$"))
+                          if a != b)
+                pytest.fail(f"{fmt} {extra}: byte {at}: {result.stdout[at - 40:at + 40]!r} "
+                            f"!= {expected[at - 40:at + 40]!r}")
+
+
+_table_words = st.text(alphabet="ab", min_size=1, max_size=3)
+_wide_tables = st.integers(min_value=1, max_value=13).flatmap(
+    lambda cols: st.lists(st.text(alphabet="ab", min_size=cols, max_size=cols),
+                          min_size=1, max_size=3).map(tuple))
+_witness_specs = st.one_of(
+    st.builds(lambda name, cols, rows, variant: ProblemSpec(
+                  name, "squares", cols=cols, rows=rows, variant=variant),
+              _names, st.integers(1, 13), st.integers(1, 13), st.sampled_from(["axis", "all"])),
+    st.builds(lambda name, word, table, adjacency, distinct: ProblemSpec(
+                  name, "word-paths", word=word, layout="explicit", rows_data=table,
+                  adjacency=adjacency, distinct_cells=distinct),
+              _names, _table_words, _wide_tables, st.sampled_from(["side", "king", "none"]),
+              st.booleans()),
+    st.builds(lambda name, word, adjacency, distinct: ProblemSpec(
+                  name, "word-paths", word=word, layout="manhattan-rings",
+                  adjacency=adjacency, distinct_cells=distinct),
+              _names,
+              # Distinct symbols keep every count cheap on an 11x11 table.
+              st.integers(0, 5).flatmap(lambda h: st.permutations("abcdefghijk").map(
+                  lambda letters: "".join(letters[:2 * h + 1]))),
+              st.sampled_from(["side", "king", "none"]), st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_witness_specs, limit=st.integers(1, 40))
+def test_enumerate_writes_the_documented_bytes(tmp_path_factory, spec, limit):
+    # Witnesses are formatted from templates and column/row strings, not
+    # through json.dumps; the bytes must be json.dumps of the documented form,
+    # with coordinates of one and two digits.
+    try:
+        total = verify_mod.class_total(spec, verify_mod.class_counts(spec))
+    except verify_mod.OracleBudgetError:
+        total = None
+    assume(total is not None and total <= 3000)
+    _assert_enumerate_bytes(CliRunner(), tmp_path_factory.mktemp("e"), spec, limit)
+
+
+@pytest.mark.parametrize("spec, fmt, stdout", [
+    (ProblemSpec("one", "word-paths", word="a", layout="explicit", rows_data=("a",),
+                 adjacency="side"), "json",
+     '{"problem": "one", "kind": "word-paths", "witnesses": [{"cells": [[0, 0]]}], '
+     '"omitted": "0"}\n'),
+    (ProblemSpec("one", "word-paths", word="a", layout="explicit", rows_data=("a",),
+                 adjacency="side"), "text", "(0,0)\n"),
+    (ProblemSpec("none", "word-paths", word="ab", layout="explicit", rows_data=("aa",),
+                 adjacency="king"), "json",
+     '{"problem": "none", "kind": "word-paths", "witnesses": [], "omitted": "0"}\n'),
+    (ProblemSpec("none", "word-paths", word="ab", layout="explicit", rows_data=("aa",),
+                 adjacency="king"), "text", ""),
+    (ProblemSpec("thin", "squares", cols=1, rows=5, variant="all"), "json",
+     '{"problem": "thin", "kind": "squares", "witnesses": [], "omitted": "0"}\n'),
+    (ProblemSpec("thin", "squares", cols=1, rows=5, variant="all"), "text", ""),
+], ids=["one-letter-json", "one-letter-text", "no-reading-json", "no-reading-text",
+        "thin-grid-json", "thin-grid-text"])
+def test_enumerate_edge_documents(runner, tmp_path, spec, fmt, stdout):
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]))
+    for extra in ((), ("--limit", 1), ("--limit", 5)):
+        result = invoke(runner, "enumerate", path, "--problem", spec.name, "--format", fmt,
+                        *extra)
+        assert (result.exit_code, result.stdout) == (0, stdout), extra
+
+
+class _WriteRecorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+_KING_WALK_6 = ProblemSpec("king-walk", "word-paths", word="aaaaaa", layout="explicit",
+                           rows_data=("aaaa",) * 4, adjacency="king", distinct_cells=True)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("spec, total", [
+    (ProblemSpec("t30", "squares", cols=30, rows=30, variant="all"), 67425),
+    (_KING_WALK_6, 22672),
+], ids=["30x30-all", "king-walk"])
+def test_enumerate_write_holds_a_bounded_number_of_witnesses(tmp_path, monkeypatch,
+                                                              spec, total, fmt):
+    # The cli docstring's bound: at most 16,384 JSON items or 256 lines per write.
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]))
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    main(["enumerate", str(path), "--problem", spec.name, "--format", fmt],
+         standalone_mode=False)
+    monkeypatch.undo()
+    marker = '"anchor"' if spec.kind == "squares" else '"cells"'
+    per_write = [w.count(marker) if fmt == "json" else w.count("\n") for w in recorder.writes]
+    assert sum(per_write) == total
+    assert max(per_write) <= (16384 if fmt == "json" else 256)
+    if fmt == "json":
+        assert len(json.loads("".join(recorder.writes))["witnesses"]) == total
 
 
 def test_no_command_builds_a_square(runner, tmp_path, monkeypatch):
