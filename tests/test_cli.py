@@ -382,22 +382,50 @@ def _whole_explain_json(trace):
 
 def _whole_explain_text(trace):
     sizes = [n for _, n in trace.step_iv_classes]
+    total = sum(sizes)
     lines = [f"problem {trace.problem}", f"Step i) {trace.step_i}", "Step ii) constraints:"]
     lines += [f"  - {item}" for item in trace.step_ii]
     lines.append("Step iii) classes:")
     lines += [f"  - {label}: {note}" for label, note in trace.step_iii]
-    lines.append(f"Step iv) {' + '.join(map(str, sizes))} = {sum(sizes)} (addition principle)")
+    if trace.step_iv_rule == "enumeration-only":
+        step_iv = f"enumeration only, no closed form; total {total}"
+    elif trace.step_iv_rule == "product":
+        step_iv = (f"{len(sizes)} × {sizes[0]} = {total} "
+                   f"(product principle over {len(sizes)} symmetric classes)")
+    elif not sizes:
+        step_iv = f"total {total} (no classes fit)"
+    else:
+        step_iv = f"{' + '.join(map(str, sizes))} = {total} (addition principle)"
+    lines.append(f"Step iv) {step_iv}")
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("variant", ["axis", "all"])
-def test_streamed_listings_match_whole_documents(runner, tmp_path, variant):
-    spec = ProblemSpec("wide", "squares", cols=2000, rows=1500, variant=variant)
-    path = tmp_path / "wide.ccspec"
+def _rings(name, word, adjacency, distinct=False):
+    return ProblemSpec(name, "word-paths", word=word, layout="manhattan-rings",
+                       adjacency=adjacency, distinct_cells=distinct)
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec("wide", "squares", cols=2000, rows=1500, variant="axis"),
+    ProblemSpec("wide", "squares", cols=2000, rows=1500, variant="all"),
+    # 19,999 classes: the listing spans several writes.
+    ProblemSpec("giant", "squares", cols=20000, rows=20000, variant="all"),
+    _rings("closed", "abcdefghi", "side"),
+    _rings("single", "x", "side"),
+    # Distinct symbols keep the counters cheap (see enumerate's byte test).
+    _rings("king", "abcdefg", "king"),
+    _rings("free", "abcdefg", "none", distinct=True),
+    # End cells up to x = 11: labels of one and two digits.
+    ProblemSpec("table", "word-paths", word="ab", layout="explicit",
+                rows_data=("abababababab", "babababababa", "abababababab"), adjacency="king"),
+], ids=["axis", "all", "20000x20000-all", "rings-closed", "rings-single", "rings-king", "rings-none",
+        "table-12-cols"])
+def test_streamed_listings_match_whole_documents(runner, tmp_path, spec):
+    path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
     classes = dict(verify_mod.class_counts(spec))
     trace = verify_mod.build_step_trace(spec)
-    assert len(classes) == 1499
+    assert classes
     expected = {
         ("count", "text"): _whole_count_text(spec, classes),
         ("count", "json"): _whole_count_json(spec, classes),
@@ -405,9 +433,92 @@ def test_streamed_listings_match_whole_documents(runner, tmp_path, variant):
         ("explain", "json"): _whole_explain_json(trace),
     }
     for (command, fmt), document in expected.items():
-        result = invoke(runner, command, path, "--problem", "wide", "--format", fmt)
+        result = invoke(runner, command, path, "--problem", spec.name, "--format", fmt)
         assert result.exit_code == 0
         assert result.stdout == document + "\n", (command, fmt)
+
+
+_THIN = ProblemSpec("thin", "squares", cols=1, rows=5, variant="all")
+_TWO = ProblemSpec("two", "squares", cols=2, rows=2, variant="axis")
+_ONE_LETTER = ProblemSpec("one", "word-paths", word="a", layout="explicit", rows_data=("a",),
+                          adjacency="side")
+_NO_READING = ProblemSpec("none", "word-paths", word="ab", layout="explicit", rows_data=("aa",),
+                          adjacency="king")
+
+
+@pytest.mark.parametrize("spec, documents", [
+    (_THIN, {
+        ("count", "text"): "problem thin: squares all 1x5\ntotal 0\n",
+        ("count", "json"):
+            '{"problem": "thin", "kind": "squares", "total": "0", "classes": []}\n',
+        ("explain", "text"):
+            "problem thin\nStep i) squares of any tilt drawn on a 1x5 grid of points\n"
+            "Step ii) constraints:\n  - all four vertices are grid points\n"
+            "Step iii) classes:\nStep iv) total 0 (no classes fit)\n",
+        ("explain", "json"):
+            '{"problem": "thin", "step_i": "squares of any tilt drawn on a 1x5 grid of points", '
+            '"step_ii": ["all four vertices are grid points"], "step_iii": [], '
+            '"step_iv": {"classes": [], "rule": "addition", "total": "0"}}\n',
+    }),
+    (_TWO, {
+        ("count", "text"): "problem two: squares axis 2x2\nk=1: 1\ntotal 1\n",
+        ("count", "json"):
+            '{"problem": "two", "kind": "squares", "total": "1", '
+            '"classes": [{"label": "k=1", "count": "1"}]}\n',
+        ("explain", "text"):
+            "problem two\nStep i) axis-aligned squares drawn on a 2x2 grid of points\n"
+            "Step ii) constraints:\n  - all four vertices are grid points\n"
+            "  - sides are parallel to the coordinate axes\nStep iii) classes:\n"
+            "  - k=1: 1 rail pairs at distance 1, 1 squares per pair\n"
+            "Step iv) 1 = 1 (addition principle)\n",
+        ("explain", "json"):
+            '{"problem": "two", "step_i": "axis-aligned squares drawn on a 2x2 grid of points", '
+            '"step_ii": ["all four vertices are grid points", '
+            '"sides are parallel to the coordinate axes"], '
+            '"step_iii": [{"label": "k=1", "note": "1 rail pairs at distance 1, 1 squares per pair"}], '
+            '"step_iv": {"classes": [{"label": "k=1", "count": "1"}], "rule": "addition", '
+            '"total": "1"}}\n',
+    }),
+    (_ONE_LETTER, {
+        ("count", "text"): "problem one: word-paths 'a' explicit side\n(0,0): 1\ntotal 1\n",
+        ("count", "json"):
+            '{"problem": "one", "kind": "word-paths", "total": "1", '
+            '"classes": [{"label": "(0,0)", "count": "1"}]}\n',
+        ("explain", "text"):
+            "problem one\nStep i) readings of 'a' in a 1x1 letter grid\n"
+            "Step ii) constraints:\n  - consecutive cells share a side\n"
+            "  - the visited cells spell 'a' in order\nStep iii) classes:\n"
+            "  - (0,0): readings ending at cell (0,0)\n"
+            "Step iv) enumeration only, no closed form; total 1\n",
+        ("explain", "json"):
+            '{"problem": "one", "step_i": "readings of \'a\' in a 1x1 letter grid", '
+            '"step_ii": ["consecutive cells share a side", "the visited cells spell \'a\' in order"], '
+            '"step_iii": [{"label": "(0,0)", "note": "readings ending at cell (0,0)"}], '
+            '"step_iv": {"classes": [{"label": "(0,0)", "count": "1"}], '
+            '"rule": "enumeration-only", "total": "1"}}\n',
+    }),
+    (_NO_READING, {
+        ("count", "text"): "problem none: word-paths 'ab' explicit king\ntotal 0\n",
+        ("count", "json"):
+            '{"problem": "none", "kind": "word-paths", "total": "0", "classes": []}\n',
+        ("explain", "text"):
+            "problem none\nStep i) readings of 'ab' in a 2x1 letter grid\n"
+            "Step ii) constraints:\n  - consecutive cells share a side or a corner\n"
+            "  - the visited cells spell 'ab' in order\nStep iii) classes:\n"
+            "Step iv) enumeration only, no closed form; total 0\n",
+        ("explain", "json"):
+            '{"problem": "none", "step_i": "readings of \'ab\' in a 2x1 letter grid", '
+            '"step_ii": ["consecutive cells share a side or a corner", '
+            '"the visited cells spell \'ab\' in order"], "step_iii": [], '
+            '"step_iv": {"classes": [], "rule": "enumeration-only", "total": "0"}}\n',
+    }),
+], ids=["thin-grid", "2x2-axis", "one-letter", "no-reading"])
+def test_listing_edge_documents(runner, tmp_path, spec, documents):
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]))
+    for (command, fmt), stdout in documents.items():
+        result = invoke(runner, command, path, "--problem", spec.name, "--format", fmt)
+        assert (result.exit_code, result.stdout) == (0, stdout), (command, fmt)
 
 
 def _whole_enumerate(spec, fmt, limit):
@@ -582,6 +693,32 @@ def test_enumerate_write_holds_a_bounded_number_of_witnesses(tmp_path, monkeypat
     assert max(per_write) <= (16384 if fmt == "json" else 256)
     if fmt == "json":
         assert len(json.loads("".join(recorder.writes))["witnesses"]) == total
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["count", "explain"])
+def test_listing_write_holds_a_bounded_number_of_classes(tmp_path, monkeypatch, command, fmt):
+    # The cli docstring's bound: at most 256 listing lines, or 16,384 step iv
+    # terms or JSON items, per write.  20000x20000 `all` has 19,999 classes.
+    spec = ProblemSpec("t20000", "squares", cols=20000, rows=20000, variant="all")
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]))
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    main([command, str(path), "--problem", spec.name, "--format", fmt], standalone_mode=False)
+    monkeypatch.undo()
+    listings = 2 if command == "explain" else 1
+    if fmt == "json":
+        items = [w.count('"label"') for w in recorder.writes]
+        assert sum(items) == 19999 * listings
+        assert max(items) <= 16384
+        return
+    lines = [w.count("k=") for w in recorder.writes]  # one per listing line
+    terms = [w.count(" + ") for w in recorder.writes]
+    assert sum(lines) == 19999
+    assert sum(terms) == (19998 if command == "explain" else 0)
+    assert max(lines) <= 256
+    assert max(terms) <= 16384
 
 
 def test_no_command_builds_a_square(runner, tmp_path, monkeypatch):
