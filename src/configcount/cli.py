@@ -11,13 +11,15 @@ round them through a fixed-width type.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, with one flush at the end: a write holds at most 256 listing
-lines or 16,384 JSON list items.  A JSON document's pieces join to
-``json.dumps`` of the whole document.  ``enumerate`` formats each witness from
-a template, not through ``json.dumps``: a square key fills one format string,
-and a reading joins strings made once per column and once per row.  Its JSON
-is still byte for byte ``json.dumps`` of the documented form.  ``render``
-writes its figure to the file piece by piece, opening it only once the first
-piece is drawn.
+lines, or 16,384 JSON list items or step iv terms.  A JSON document's pieces
+join to ``json.dumps`` of the whole document.  Listings are written from
+templates, with no function call per item: ``count`` and ``explain`` fill one
+``%`` template per listing, made from the class label and step iii note that
+``verify`` keeps, from columns of ints; ``enumerate`` fills one format string
+per square key, and joins a reading from strings made once per column and
+once per row.  The bytes are still the documented text, and ``json.dumps`` of
+the documented form.  ``render`` writes its figure to the file piece by piece,
+opening it only once the first piece is drawn.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from .budget import OracleBudgetError
 from .render import render_pieces
 from .speclang import ProblemSpec, SpecError, parse_spec
 from .verify import (
+    CLASS_LABELS,
     VerifyReport,
     build_step_trace,
     class_counts,
-    class_label,
     class_total,
     counted_witnesses,
+    label_columns,
     table_size,
     verify_problem,
 )
@@ -113,8 +116,9 @@ _FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                        default="text", help="Output format.")
 
 
-# Pieces of output joined into one write, and items of a JSON list encoded into
-# one piece: a write holds at most 256 listing lines or 16,384 JSON items.
+# Pieces of output joined into one write, and items of a JSON list (or terms of
+# step iv's sum) joined into one piece: a write holds at most 256 listing lines,
+# or 16,384 JSON items or terms.
 _CHUNK = 256
 _JSON_ITEMS = 64
 
@@ -134,8 +138,8 @@ def _write(pieces: Iterable[str]) -> None:
 def _json_pieces(doc: dict) -> Iterator[str]:
     """``json.dumps(doc)`` in pieces.
 
-    An iterator value, at any depth, is written as a list, ``_JSON_ITEMS``
-    items per piece.
+    An iterator value, at any depth, is a list of already-encoded items,
+    written ``_JSON_ITEMS`` items per piece.
     """
     separator, plain = "{", {}
     for key, value in doc.items():
@@ -151,18 +155,24 @@ def _json_pieces(doc: dict) -> Iterator[str]:
             yield from _json_pieces(value)
             continue
         yield "["
-        yield from _json_items(value, lambda chunk: json.dumps(chunk)[1:-1])
+        yield from _json_items(value)
         yield "]"
     yield separator + json.dumps(plain)[1:] if plain or separator == "{" else "}"
 
 
-def _json_items(items: Iterator, encode) -> Iterator[str]:
-    """A JSON list's items, without its brackets, ``_JSON_ITEMS`` per piece:
-    ``encode`` turns a chunk of items into their text joined with ``", "``."""
+def _json_items(items: Iterator[str]) -> Iterator[str]:
+    """A JSON list's encoded items, without its brackets, joined with ``", "``,
+    ``_JSON_ITEMS`` per piece."""
     comma = ""
     while chunk := list(islice(items, _JSON_ITEMS)):
-        yield comma + encode(chunk)
+        yield comma + ", ".join(chunk)
         comma = ", "
+
+
+def _filled(template: dict, rows: Iterable[tuple]) -> Iterator[str]:
+    """One JSON item per row: ``template``, a dict of ``%`` templates, encoded
+    once and filled with each row.  Its fields are ints, which need no escaping."""
+    return map(json.dumps(template).__mod__, rows)
 
 
 def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
@@ -199,7 +209,8 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
 
 def _count_text(spec: ProblemSpec, classes) -> Iterator[str]:
     yield f"problem {spec.name}: {_describe(spec)}"
-    yield from (f"\n{class_label(key)}: {n}" for key, n in classes.items())
+    yield from map(f"\n{CLASS_LABELS[spec.kind]}: %d".__mod__,
+                   zip(*label_columns(spec, classes), classes.values()))
     yield f"\ntotal {class_total(spec, classes)}"
 
 
@@ -208,7 +219,8 @@ def _count_json(spec: ProblemSpec, classes) -> Iterator[str]:
         "problem": spec.name,
         "kind": spec.kind,
         "total": str(class_total(spec, classes)),
-        "classes": ({"label": class_label(key), "count": str(n)} for key, n in classes.items()),
+        "classes": _filled({"label": CLASS_LABELS[spec.kind], "count": "%d"},
+                           zip(*label_columns(spec, classes), classes.values())),
     })
 
 
@@ -272,7 +284,7 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     if fmt == "json":
         _write(chain((f'{{"problem": {json.dumps(spec.name)}, '
                       f'"kind": {json.dumps(spec.kind)}, "witnesses": [',),
-                     _json_items(shown, ", ".join),
+                     _json_items(shown),
                      (f'], "omitted": {json.dumps(str(omitted))}}}\n',)))
         return
     omission = (f"(omitted {omitted} more)\n",) if omitted else ()
@@ -345,10 +357,11 @@ def _step_iv_text(trace) -> Iterator[str]:
     elif not trace.classes:
         yield f"total {trace.step_iv_total} (no classes fit)"
     else:
-        # The terms need only the counts: no class label is formatted.
-        counts = iter(trace.classes.values())
-        yield str(next(counts))
-        yield from map(" + {}".format, counts)
+        # The terms need only the counts.
+        counts, plus = iter(trace.classes.values()), ""
+        while chunk := list(islice(counts, _JSON_ITEMS)):
+            yield plus + " + ".join(map(str, chunk))
+            plus = " + "
         yield f" = {trace.step_iv_total} (addition principle)"
 
 
@@ -356,7 +369,7 @@ def _explain_text(trace) -> Iterator[str]:
     yield f"problem {trace.problem}\nStep i) {trace.step_i}\nStep ii) constraints:\n"
     yield from (f"  - {item}\n" for item in trace.step_ii)
     yield "Step iii) classes:\n"
-    yield from (f"  - {label}: {note}\n" for label, note in trace.step_iii)
+    yield from map(f"  - {trace.label}: {trace.note}\n".__mod__, trace.class_fields())
     yield "Step iv) "
     yield from _step_iv_text(trace)
     yield "\n"
@@ -367,9 +380,10 @@ def _explain_json(trace) -> Iterator[str]:
         "problem": trace.problem,
         "step_i": trace.step_i,
         "step_ii": list(trace.step_ii),
-        "step_iii": ({"label": label, "note": note} for label, note in trace.step_iii),
+        "step_iii": _filled({"label": trace.label, "note": trace.note}, trace.class_fields()),
         "step_iv": {
-            "classes": ({"label": label, "count": str(n)} for label, n in trace.step_iv_classes),
+            "classes": _filled({"label": trace.label, "count": "%d"},
+                               zip(*trace.label_columns, trace.classes.values())),
             "rule": trace.step_iv_rule,
             "total": str(trace.step_iv_total),
         },

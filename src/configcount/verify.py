@@ -40,8 +40,10 @@ out off the count instead of drawing them.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
-classes, and how the class counts recombine into the total.  Its per-class
-rows are built from the class counts each time they are read (``Rows``).
+classes, and how the class counts recombine into the total.  A class's text
+is kept once, as ``%`` templates (``CLASS_LABELS`` for the label, one step
+iii note per family) and columns of ints to fill them with, so a listing of
+any length is written without a function call per class.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import starmap
+from operator import mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
@@ -97,19 +99,19 @@ class VerifyReport:
 
 
 class Rows:
-    """One row per class, ``row(key, count)``, built each time the rows are read.
+    """A listing's rows, built by ``rows()`` each time they are read.
 
     Rows compare equal to a tuple of the same rows.
     """
 
-    def __init__(self, classes: Mapping, row: Callable[[object, int], tuple]):
-        self._classes, self._row = classes, row
+    def __init__(self, size: int, rows: Callable[[], Iterator[tuple]]):
+        self._size, self._rows = size, rows
 
     def __iter__(self) -> Iterator[tuple]:
-        return starmap(self._row, self._classes.items())
+        return self._rows()
 
     def __len__(self) -> int:
-        return len(self._classes)
+        return self._size
 
     def __eq__(self, other):
         if isinstance(other, (tuple, Rows)):
@@ -121,21 +123,38 @@ class Rows:
 class StepTrace:
     """The four-step decomposition of one counting problem, as data.
 
-    ``classes`` is the problem's ``class_counts``; step iii's ``(label,
-    note)`` rows and step iv's ``(label, count)`` rows are read off it.
+    ``classes`` is the problem's ``class_counts``.  A class's text fills two
+    ``%`` templates, the kind's ``label`` and the family's step iii ``note``,
+    with ints from ``label_columns`` and ``note_columns()``; an int needs no
+    JSON escaping.  Step iii's ``(label, note)`` rows and step iv's ``(label,
+    count)`` rows are filled each time they are read.
     """
 
     problem: str
     step_i: str
     step_ii: tuple[str, ...]
-    step_iii: Rows
+    label: str
+    label_columns: tuple[Iterable[int], ...]
+    note: str
+    note_columns: Callable[[], tuple[Iterable[int], ...]]
     step_iv_rule: str  # "addition" | "product" | "enumeration-only"
     step_iv_total: int
     classes: Mapping
 
+    def class_fields(self) -> Iterator[tuple[int, ...]]:
+        """Each class's label fields, then its note's: ``label + note`` fills one."""
+        return zip(*self.label_columns, *self.note_columns())
+
+    @property
+    def step_iii(self) -> Rows:
+        label, note, split = self.label, self.note, len(self.label_columns)
+        return Rows(len(self.classes), lambda: (
+            (label % row[:split], note % row[split:]) for row in self.class_fields()))
+
     @property
     def step_iv_classes(self) -> Rows:
-        return Rows(self.classes, lambda key, n: (class_label(key), n))
+        return Rows(len(self.classes), lambda: zip(
+            map(self.label.__mod__, zip(*self.label_columns)), self.classes.values()))
 
 
 def has_registered_closed_form(spec: ProblemSpec) -> bool:
@@ -203,12 +222,22 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
     return enumerate_witnesses(spec, None, table), classes
 
 
+# How a class prints, per kind: a ``%`` template filled with the class key's
+# fields, a square class's size k or a reading's end cell (x, y).
+CLASS_LABELS = {"squares": "k=%d", "word-paths": "(%d,%d)"}
+
+
 def class_label(key) -> str:
     """How a class key prints: ``k=3`` or ``(x,y)``."""
-    if isinstance(key, int):
-        return f"k={key}"
-    x, y = key
-    return f"({x},{y})"
+    return CLASS_LABELS["squares" if isinstance(key, int) else "word-paths"] % key
+
+
+def label_columns(spec: ProblemSpec, classes: Mapping) -> tuple[Iterable[int], ...]:
+    """The fields of every class's label, one column per field of the kind's
+    ``CLASS_LABELS`` template, in class order; each column can be read again."""
+    if spec.kind == "squares":
+        return (range(1, len(classes) + 1),)
+    return [x for x, _ in classes], [y for _, y in classes]
 
 
 def closed_form_classes(spec: ProblemSpec) -> dict | None:
@@ -335,58 +364,63 @@ def build_step_trace(
         rule, steps = "product", _word_steps_closed
     else:
         rule, steps = "enumeration-only", _word_steps_enumerated
-    step_i, step_ii, step_iii_row = steps(spec)
+    fields = label_columns(spec, classes)
+    step_i, step_ii, note, note_columns = steps(spec, fields)
     return StepTrace(
         problem=spec.name,
         step_i=step_i,
         step_ii=step_ii,
-        step_iii=Rows(classes, step_iii_row),
+        label=CLASS_LABELS[spec.kind],
+        label_columns=fields,
+        note=note,
+        note_columns=note_columns,
         step_iv_rule=rule,
         step_iv_total=class_total(spec, classes),
         classes=classes,
     )
 
 
-# Each family's steps: step i, step ii, and step iii's row for a class (key, count).
+# Each family's steps, given its label columns: step i, step ii, and step iii's
+# note, a ``%`` template, with the function that gives the note's columns.
 
 
-def _squares_steps(spec: ProblemSpec):
+def _squares_steps(spec: ProblemSpec, fields):
     cols, rows = spec.cols, spec.rows
+    ks, = fields
+    # rows - k and cols - k for each class k
+    rails, slots = range(rows - 1, rows - len(ks) - 1, -1), range(cols - 1, cols - len(ks) - 1, -1)
     if spec.variant == "axis":
         step_i = f"axis-aligned squares drawn on a {cols}x{rows} grid of points"
         step_ii = (
             "all four vertices are grid points",
             "sides are parallel to the coordinate axes",
         )
-        return step_i, step_ii, lambda k, _: (
-            f"k={k}", f"{rows - k} rail pairs at distance {k}, {cols - k} squares per pair")
+        return (step_i, step_ii, "%d rail pairs at distance %d, %d squares per pair",
+                lambda: (rails, ks, slots))
     step_i = f"squares of any tilt drawn on a {cols}x{rows} grid of points"
     step_ii = ("all four vertices are grid points",)
-    return step_i, step_ii, lambda k, _: (
-        f"k={k}", f"{k} tilt offsets per box, {(cols - k) * (rows - k)} box positions")
+    return (step_i, step_ii, "%d tilt offsets per box, %d box positions",
+            lambda: (ks, map(mul, slots, rails)))
 
 
-def _word_steps_closed(spec: ProblemSpec):
+def _word_steps_closed(spec: ProblemSpec, fields):
     length = len(spec.word)
     half = (length - 1) // 2
     step_i = f"readings of {spec.word!r} in the {length}x{length} manhattan-rings letter grid"
     step_ii = (_ADJACENCY_TEXT["side"], f"the visited cells spell {spec.word!r} in order")
     if length == 1:
-        return step_i, step_ii, lambda cell, _: (
-            class_label(cell), "the single cell holding the whole word")
-    return step_i, step_ii, lambda cell, _: (
-        class_label(cell),
-        f"readings ending at corner {class_label(cell)}: "
-        f"{half} vertical and {half} horizontal moves interleaved",
-    )
+        return step_i, step_ii, "the single cell holding the whole word", lambda: ()
+    return step_i, step_ii, (
+        f"readings ending at corner {CLASS_LABELS['word-paths']}: "
+        f"{half} vertical and {half} horizontal moves interleaved"), lambda: fields
 
 
-def _word_steps_enumerated(spec: ProblemSpec):
+def _word_steps_enumerated(spec: ProblemSpec, fields):
     size = "{}x{}".format(*table_size(spec, None))
     rings = spec.layout == "manhattan-rings"
     layout = f"the {size} manhattan-rings letter grid" if rings else f"a {size} letter grid"
     step_ii = [_ADJACENCY_TEXT[spec.adjacency], f"the visited cells spell {spec.word!r} in order"]
     if spec.distinct_cells:
         step_ii.append("no cell is visited twice")
-    return f"readings of {spec.word!r} in {layout}", tuple(step_ii), lambda cell, _: (
-        class_label(cell), f"readings ending at cell {class_label(cell)}")
+    return (f"readings of {spec.word!r} in {layout}", tuple(step_ii),
+            f"readings ending at cell {CLASS_LABELS['word-paths']}", lambda: fields)
