@@ -120,7 +120,7 @@ _FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
 # step iv's sum) joined into one piece: a write holds at most 256 listing lines,
 # or 16,384 JSON items or terms.
 _CHUNK = 256
-_JSON_ITEMS = 64
+_ITEMS = 64
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -139,7 +139,7 @@ def _json_pieces(doc: dict) -> Iterator[str]:
     """``json.dumps(doc)`` in pieces.
 
     An iterator value, at any depth, is a list of already-encoded items,
-    written ``_JSON_ITEMS`` items per piece.
+    written ``_ITEMS`` items per piece.
     """
     separator, plain = "{", {}
     for key, value in doc.items():
@@ -155,18 +155,18 @@ def _json_pieces(doc: dict) -> Iterator[str]:
             yield from _json_pieces(value)
             continue
         yield "["
-        yield from _json_items(value)
+        yield from _joined(value)
         yield "]"
     yield separator + json.dumps(plain)[1:] if plain or separator == "{" else "}"
 
 
-def _json_items(items: Iterator[str]) -> Iterator[str]:
-    """A JSON list's encoded items, without its brackets, joined with ``", "``,
-    ``_JSON_ITEMS`` per piece."""
-    comma = ""
-    while chunk := list(islice(items, _JSON_ITEMS)):
-        yield comma + ", ".join(chunk)
-        comma = ", "
+def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
+    """``separator.join(items)`` in pieces of ``_ITEMS`` items: a JSON list's
+    encoded items without its brackets, or the terms of step iv's sum."""
+    lead = ""
+    while chunk := list(islice(items, _ITEMS)):
+        yield lead + separator.join(chunk)
+        lead = separator
 
 
 def _filled(template: dict, rows: Iterable[tuple]) -> Iterator[str]:
@@ -185,7 +185,7 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
     """
     results, overran = [], False
 
-    def pieces():
+    def blocks():
         nonlocal overran
         for spec in specs:
             try:
@@ -195,23 +195,25 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
                 overran = True
                 continue
             if results:
-                yield "\n\n" if fmt == "text" else "\n"
+                yield ("\n\n" if fmt == "text" else "\n",)
             results.append(result)
-            yield from block(spec, result)
+            yield block(spec, result)
         if results or not overran:
-            yield "\n"
+            yield ("\n",)
 
-    _write(pieces())
+    # Blocks are chained, not yielded from, so a piece passes through no
+    # Python frame here; the next problem is run once a block is written.
+    _write(chain.from_iterable(blocks()))
     if overran:
         sys.exit(2)
     return results
 
 
 def _count_text(spec: ProblemSpec, classes) -> Iterator[str]:
-    yield f"problem {spec.name}: {_describe(spec)}"
-    yield from map(f"\n{CLASS_LABELS[spec.kind]}: %d".__mod__,
-                   zip(*label_columns(spec, classes), classes.values()))
-    yield f"\ntotal {class_total(spec, classes)}"
+    return chain((f"problem {spec.name}: {_describe(spec)}",),
+                 map(f"\n{CLASS_LABELS[spec.kind]}: %d".__mod__,
+                     zip(*label_columns(spec, classes), classes.values())),
+                 (f"\ntotal {class_total(spec, classes)}",))
 
 
 def _count_json(spec: ProblemSpec, classes) -> Iterator[str]:
@@ -284,7 +286,7 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     if fmt == "json":
         _write(chain((f'{{"problem": {json.dumps(spec.name)}, '
                       f'"kind": {json.dumps(spec.kind)}, "witnesses": [',),
-                     _json_items(shown),
+                     _joined(shown),
                      (f'], "omitted": {json.dumps(str(omitted))}}}\n',)))
         return
     omission = (f"(omitted {omitted} more)\n",) if omitted else ()
@@ -358,21 +360,16 @@ def _step_iv_text(trace) -> Iterator[str]:
         yield f"total {trace.step_iv_total} (no classes fit)"
     else:
         # The terms need only the counts.
-        counts, plus = iter(trace.classes.values()), ""
-        while chunk := list(islice(counts, _JSON_ITEMS)):
-            yield plus + " + ".join(map(str, chunk))
-            plus = " + "
+        yield from _joined(map(str, trace.classes.values()), " + ")
         yield f" = {trace.step_iv_total} (addition principle)"
 
 
 def _explain_text(trace) -> Iterator[str]:
-    yield f"problem {trace.problem}\nStep i) {trace.step_i}\nStep ii) constraints:\n"
-    yield from (f"  - {item}\n" for item in trace.step_ii)
-    yield "Step iii) classes:\n"
-    yield from map(f"  - {trace.label}: {trace.note}\n".__mod__, trace.class_fields())
-    yield "Step iv) "
-    yield from _step_iv_text(trace)
-    yield "\n"
+    return chain((f"problem {trace.problem}\nStep i) {trace.step_i}\nStep ii) constraints:\n",),
+                 (f"  - {item}\n" for item in trace.step_ii),
+                 ("Step iii) classes:\n",),
+                 map(f"  - {trace.label}: {trace.note}\n".__mod__, trace.class_fields()),
+                 ("Step iv) ",), _step_iv_text(trace), ("\n",))
 
 
 def _explain_json(trace) -> Iterator[str]:

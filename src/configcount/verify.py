@@ -99,19 +99,19 @@ class VerifyReport:
 
 
 class Rows:
-    """A listing's rows, built by ``rows()`` each time they are read.
+    """One row per class of ``classes``, built by ``rows()`` each time the rows are read.
 
     Rows compare equal to a tuple of the same rows.
     """
 
-    def __init__(self, size: int, rows: Callable[[], Iterator[tuple]]):
-        self._size, self._rows = size, rows
+    def __init__(self, classes: Mapping, rows: Callable[[], Iterator[tuple]]):
+        self._classes, self._rows = classes, rows
 
     def __iter__(self) -> Iterator[tuple]:
         return self._rows()
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._classes)
 
     def __eq__(self, other):
         if isinstance(other, (tuple, Rows)):
@@ -148,12 +148,12 @@ class StepTrace:
     @property
     def step_iii(self) -> Rows:
         label, note, split = self.label, self.note, len(self.label_columns)
-        return Rows(len(self.classes), lambda: (
+        return Rows(self.classes, lambda: (
             (label % row[:split], note % row[split:]) for row in self.class_fields()))
 
     @property
     def step_iv_classes(self) -> Rows:
-        return Rows(len(self.classes), lambda: zip(
+        return Rows(self.classes, lambda: zip(
             map(self.label.__mod__, zip(*self.label_columns)), self.classes.values()))
 
 
@@ -236,7 +236,7 @@ def label_columns(spec: ProblemSpec, classes: Mapping) -> tuple[Iterable[int], .
     """The fields of every class's label, one column per field of the kind's
     ``CLASS_LABELS`` template, in class order; each column can be read again."""
     if spec.kind == "squares":
-        return (range(1, len(classes) + 1),)
+        return (range(1, min(spec.cols, spec.rows)),)
     return [x for x, _ in classes], [y for _, y in classes]
 
 
@@ -387,8 +387,9 @@ def build_step_trace(
 def _squares_steps(spec: ProblemSpec, fields):
     cols, rows = spec.cols, spec.rows
     ks, = fields
-    # rows - k and cols - k for each class k
-    rails, slots = range(rows - 1, rows - len(ks) - 1, -1), range(cols - 1, cols - len(ks) - 1, -1)
+    # rows - k and cols - k for each class k = 1..n
+    n = min(cols, rows) - 1
+    rails, slots = range(rows - 1, rows - n - 1, -1), range(cols - 1, cols - n - 1, -1)
     if spec.variant == "axis":
         step_i = f"axis-aligned squares drawn on a {cols}x{rows} grid of points"
         step_ii = (

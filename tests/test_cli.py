@@ -418,8 +418,8 @@ def _rings(name, word, adjacency, distinct=False):
     # End cells up to x = 11: labels of one and two digits.
     ProblemSpec("table", "word-paths", word="ab", layout="explicit",
                 rows_data=("abababababab", "babababababa", "abababababab"), adjacency="king"),
-], ids=["axis", "all", "20000x20000-all", "rings-closed", "rings-single", "rings-king", "rings-none",
-        "table-12-cols"])
+], ids=["axis", "all", "20000x20000-all", "rings-closed", "rings-single", "rings-king",
+        "rings-none", "table-12-cols"])
 def test_streamed_listings_match_whole_documents(runner, tmp_path, spec):
     path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
@@ -475,7 +475,8 @@ _NO_READING = ProblemSpec("none", "word-paths", word="ab", layout="explicit", ro
             '{"problem": "two", "step_i": "axis-aligned squares drawn on a 2x2 grid of points", '
             '"step_ii": ["all four vertices are grid points", '
             '"sides are parallel to the coordinate axes"], '
-            '"step_iii": [{"label": "k=1", "note": "1 rail pairs at distance 1, 1 squares per pair"}], '
+            '"step_iii": [{"label": "k=1", '
+            '"note": "1 rail pairs at distance 1, 1 squares per pair"}], '
             '"step_iv": {"classes": [{"label": "k=1", "count": "1"}], "rule": "addition", '
             '"total": "1"}}\n',
     }),
@@ -492,7 +493,8 @@ _NO_READING = ProblemSpec("none", "word-paths", word="ab", layout="explicit", ro
             "Step iv) enumeration only, no closed form; total 1\n",
         ("explain", "json"):
             '{"problem": "one", "step_i": "readings of \'a\' in a 1x1 letter grid", '
-            '"step_ii": ["consecutive cells share a side", "the visited cells spell \'a\' in order"], '
+            '"step_ii": ["consecutive cells share a side", '
+            '"the visited cells spell \'a\' in order"], '
             '"step_iii": [{"label": "(0,0)", "note": "readings ending at cell (0,0)"}], '
             '"step_iv": {"classes": [{"label": "(0,0)", "count": "1"}], '
             '"rule": "enumeration-only", "total": "1"}}\n',

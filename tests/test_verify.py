@@ -457,6 +457,14 @@ def test_trace_rows_are_read_off_the_classes():
     # Rows are built afresh on every read.
     assert list(islice(trace.step_iv_classes, 1)) == list(islice(trace.step_iv_classes, 1)) == [
         ("k=1", (side - 1) * side)]
+    # Nothing is listed or sized up front: with no budget, a grid with more
+    # classes than an index can hold still yields its first rows.
+    huge = 10**40
+    trace = build_step_trace(ProblemSpec("h", "squares", cols=huge, rows=huge + 1, variant="axis"),
+                             oracle_budget=None)
+    assert next(iter(trace.step_iii)) == (
+        "k=1", f"{huge} rail pairs at distance 1, {huge - 1} squares per pair")
+    assert next(iter(trace.step_iv_classes)) == ("k=1", huge * (huge - 1))
 
 
 def test_open_reading_trace():
