@@ -359,7 +359,6 @@ def _step_iv_text(trace) -> Iterator[str]:
     elif not trace.classes:
         yield f"total {trace.step_iv_total} (no classes fit)"
     else:
-        # The terms need only the counts.
         yield from _joined(map(str, trace.classes.values()), " + ")
         yield f" = {trace.step_iv_total} (addition principle)"
 
