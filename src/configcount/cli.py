@@ -379,7 +379,7 @@ def _explain_json(trace) -> Iterator[str]:
         "step_iii": _filled({"label": trace.label, "note": trace.note}, trace.class_fields()),
         "step_iv": {
             "classes": _filled({"label": trace.label, "count": "%d"},
-                               zip(*trace.label_columns, trace.classes.values())),
+                               zip(*trace.fields()[:trace.split], trace.classes.values())),
             "rule": trace.step_iv_rule,
             "total": str(trace.step_iv_total),
         },

@@ -66,11 +66,15 @@ class SizeClasses(Mapping):
     def items(self) -> ItemsView:
         return _SizeItems(self)
 
+    def margins(self) -> tuple[range, range]:
+        """cols-k and rows-k for k = 1..size, in class order."""
+        n, cols, rows = self.size, self.cols, self.rows
+        return range(cols - 1, cols - n - 1, -1), range(rows - 1, rows - n - 1, -1)
+
     def _values(self):
         # (cols-k)(rows-k), times k when tilted, for k = 1..size, without a Python-level loop.
-        n, cols, rows = self.size, self.cols, self.rows
-        boxes = map(mul, range(cols - 1, cols - n - 1, -1), range(rows - 1, rows - n - 1, -1))
-        return map(mul, range(1, n + 1), boxes) if self.tilted else boxes
+        boxes = map(mul, *self.margins())
+        return map(mul, range(1, self.size + 1), boxes) if self.tilted else boxes
 
 
 class _SizeValues(ValuesView):

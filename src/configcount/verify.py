@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
@@ -125,36 +125,37 @@ class StepTrace:
 
     ``classes`` is the problem's ``class_counts``.  A class's text fills two
     ``%`` templates, the kind's ``label`` and the family's step iii ``note``,
-    with ints from ``label_columns`` and ``note_columns()``; an int needs no
-    JSON escaping.  Step iii's ``(label, note)`` rows and step iv's ``(label,
-    count)`` rows are filled each time they are read.
+    with ints: ``fields()`` gives their columns in class order, the label's
+    ``split`` columns first.  An int needs no JSON escaping.  Step iii's
+    ``(label, note)`` rows and step iv's ``(label, count)`` rows are filled
+    each time they are read.
     """
 
     problem: str
     step_i: str
     step_ii: tuple[str, ...]
     label: str
-    label_columns: tuple[Iterable[int], ...]
     note: str
-    note_columns: Callable[[], tuple[Iterable[int], ...]]
+    fields: Callable[[], tuple[Iterable[int], ...]]
+    split: int
     step_iv_rule: str  # "addition" | "product" | "enumeration-only"
     step_iv_total: int
     classes: Mapping
 
     def class_fields(self) -> Iterator[tuple[int, ...]]:
         """Each class's label fields, then its note's: ``label + note`` fills one."""
-        return zip(*self.label_columns, *self.note_columns())
+        return zip(*self.fields())
 
     @property
     def step_iii(self) -> Rows:
-        label, note, split = self.label, self.note, len(self.label_columns)
+        label, note, split = self.label, self.note, self.split
         return Rows(self.classes, lambda: (
             (label % row[:split], note % row[split:]) for row in self.class_fields()))
 
     @property
     def step_iv_classes(self) -> Rows:
         return Rows(self.classes, lambda: zip(
-            map(self.label.__mod__, zip(*self.label_columns)), self.classes.values()))
+            map(self.label.__mod__, zip(*self.fields()[:self.split])), self.classes.values()))
 
 
 def has_registered_closed_form(spec: ProblemSpec) -> bool:
@@ -234,10 +235,10 @@ def class_label(key) -> str:
 
 def label_columns(spec: ProblemSpec, classes: Mapping) -> tuple[Iterable[int], ...]:
     """The fields of every class's label, one column per field of the kind's
-    ``CLASS_LABELS`` template, in class order; each column can be read again."""
+    ``CLASS_LABELS`` template, in class order, read off the class keys."""
     if spec.kind == "squares":
-        return (range(1, min(spec.cols, spec.rows)),)
-    return [x for x, _ in classes], [y for _, y in classes]
+        return (classes,)
+    return map(itemgetter(0), classes), map(itemgetter(1), classes)
 
 
 def closed_form_classes(spec: ProblemSpec) -> dict | None:
@@ -279,7 +280,7 @@ def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
             table = _letter_grid(spec, budget)
         classes = readings_per_end_cell(table, spec.word, spec.adjacency,
                                         distinct_cells=spec.distinct_cells, max_visits=budget)
-    listed = min(spec.cols, spec.rows) - 1 if spec.kind == "squares" else len(classes)
+    listed = classes.size if spec.kind == "squares" else len(classes)
     if budget is not None and listed > budget:
         raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
     return classes
@@ -364,32 +365,28 @@ def build_step_trace(
         rule, steps = "product", _word_steps_closed
     else:
         rule, steps = "enumeration-only", _word_steps_enumerated
-    fields = label_columns(spec, classes)
-    step_i, step_ii, note, note_columns = steps(spec, fields)
+    step_i, step_ii, note, note_columns = steps(spec, classes)
     return StepTrace(
         problem=spec.name,
         step_i=step_i,
         step_ii=step_ii,
         label=CLASS_LABELS[spec.kind],
-        label_columns=fields,
         note=note,
-        note_columns=note_columns,
+        fields=lambda: label_columns(spec, classes) + note_columns(),
+        split=len(label_columns(spec, classes)),
         step_iv_rule=rule,
         step_iv_total=class_total(spec, classes),
         classes=classes,
     )
 
 
-# Each family's steps, given its label columns: step i, step ii, and step iii's
-# note, a ``%`` template, with the function that gives the note's columns.
+# Each family's steps, given its classes: step i, step ii, and step iii's note,
+# a ``%`` template, with the function that gives the note's columns.
 
 
-def _squares_steps(spec: ProblemSpec, fields):
+def _squares_steps(spec: ProblemSpec, classes):
     cols, rows = spec.cols, spec.rows
-    ks, = fields
-    # rows - k and cols - k for each class k = 1..n
-    n = min(cols, rows) - 1
-    rails, slots = range(rows - 1, rows - n - 1, -1), range(cols - 1, cols - n - 1, -1)
+    slots, rails = classes.margins()
     if spec.variant == "axis":
         step_i = f"axis-aligned squares drawn on a {cols}x{rows} grid of points"
         step_ii = (
@@ -397,26 +394,26 @@ def _squares_steps(spec: ProblemSpec, fields):
             "sides are parallel to the coordinate axes",
         )
         return (step_i, step_ii, "%d rail pairs at distance %d, %d squares per pair",
-                lambda: (rails, ks, slots))
+                lambda: (rails, classes, slots))
     step_i = f"squares of any tilt drawn on a {cols}x{rows} grid of points"
     step_ii = ("all four vertices are grid points",)
     return (step_i, step_ii, "%d tilt offsets per box, %d box positions",
-            lambda: (ks, map(mul, slots, rails)))
+            lambda: (classes, map(mul, slots, rails)))
 
 
-def _word_steps_closed(spec: ProblemSpec, fields):
+def _word_steps_closed(spec: ProblemSpec, classes):
     length = len(spec.word)
     half = (length - 1) // 2
     step_i = f"readings of {spec.word!r} in the {length}x{length} manhattan-rings letter grid"
     step_ii = (_ADJACENCY_TEXT["side"], f"the visited cells spell {spec.word!r} in order")
     if length == 1:
         return step_i, step_ii, "the single cell holding the whole word", lambda: ()
-    return step_i, step_ii, (
-        f"readings ending at corner {CLASS_LABELS['word-paths']}: "
-        f"{half} vertical and {half} horizontal moves interleaved"), lambda: fields
+    note = (f"readings ending at corner {CLASS_LABELS['word-paths']}: "
+            f"{half} vertical and {half} horizontal moves interleaved")
+    return step_i, step_ii, note, lambda: label_columns(spec, classes)
 
 
-def _word_steps_enumerated(spec: ProblemSpec, fields):
+def _word_steps_enumerated(spec: ProblemSpec, classes):
     size = "{}x{}".format(*table_size(spec, None))
     rings = spec.layout == "manhattan-rings"
     layout = f"the {size} manhattan-rings letter grid" if rings else f"a {size} letter grid"
@@ -424,4 +421,5 @@ def _word_steps_enumerated(spec: ProblemSpec, fields):
     if spec.distinct_cells:
         step_ii.append("no cell is visited twice")
     return (f"readings of {spec.word!r} in {layout}", tuple(step_ii),
-            f"readings ending at cell {CLASS_LABELS['word-paths']}", lambda: fields)
+            f"readings ending at cell {CLASS_LABELS['word-paths']}",
+            lambda: label_columns(spec, classes))
