@@ -284,10 +284,8 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     omitted = 0 if limit is None else max(class_total(spec, classes) - limit, 0)
     shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit))
     if fmt == "json":
-        _write(chain((f'{{"problem": {json.dumps(spec.name)}, '
-                      f'"kind": {json.dumps(spec.kind)}, "witnesses": [',),
-                     _joined(shown),
-                     (f'], "omitted": {json.dumps(str(omitted))}}}\n',)))
+        _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind, "witnesses": shown,
+                                   "omitted": str(omitted)}), ("\n",)))
         return
     omission = (f"(omitted {omitted} more)\n",) if omitted else ()
     _write(chain(shown, omission))

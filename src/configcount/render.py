@@ -78,7 +78,7 @@ def _squares_figure(spec: ProblemSpec, cell_size: int,
     # size class, since the keys are sorted by k first.
     mode, value = highlight or (None, None)
     if mode == "class":
-        if not 1 <= value < min(spec.cols, spec.rows):
+        if value not in classes:
             raise ValueError(f"no squares in size class k={value}")
         first = sum(islice(classes.values(), value - 1))
         marked = range(first, first + classes[value])

@@ -177,8 +177,9 @@ def tally_square_keys(keys: Iterable[SquareKey], cols: int, rows: int,
     """
     classes = SizeClasses(cols, rows, tilted)
     offset = [0, *accumulate(classes.values(), initial=0)]
-    area = [0, *((cols - k) * (rows - k) for k in classes)]
-    width = [0, *range(cols - 1, cols - classes.size - 1, -1)]
+    slots, rails = classes.margins()
+    area = [0, *map(mul, slots, rails)]
+    width = [0, *slots]
     seen = bytearray(offset[-1])
     sizes = [0] * (classes.size + 1)
     duplicates = 0

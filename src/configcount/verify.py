@@ -20,23 +20,24 @@ Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
 are still enumerated and checked for duplicates, and each enumerated class
 size is compared with the reading counter's count for that end cell
-(``readings_per_end_cell``): the transfer matrix, or for readings that keep
-to distinct cells the visited-set DP.  For every word the counter runs once,
-on the table the search reads, and is the search's only budget check.
+(``readings_per_end_cell``).  One comparison serves both sources, and a
+failed class's note names its source: the closed form, or the counter by the
+name ``wordgrid.reading_counter`` gives, from the rule the counter branches
+on.  For every word the counter runs once, on the table the search reads, and
+is the search's only budget check.
 
 The per-family decisions live here as well, each in one function that every
 command calls: ``letter_grid`` builds a word problem's table, whose size
 ``table_size`` reads off the spec, ``enumerate_witnesses`` returns the
 family's witness stream under the oracle budget (a word problem's in the table
-its caller passes, else in one it builds), ``closed_form_classes`` returns the
-registered closed form's per-class counts, or None, and
-``class_counts`` answers ``count`` and ``explain``: the closed form, else the
-reading counter, so neither command lists a witness; it refuses a listing of
-more classes than the budget.  ``class_total`` sums a problem's listing, from
-the power sums for squares.  ``counted_witnesses`` gives ``verify`` and
-``enumerate`` the stream and the class counts together, with a word's reading
-counter run once, so ``enumerate --limit`` reads how many witnesses it left
-out off the count instead of drawing them.
+its caller passes, else in one it builds), and ``class_counts`` answers
+``count`` and ``explain``: the registered closed form's per-class counts, else
+the reading counter's, so neither command lists a witness; it refuses a
+listing of more classes than the budget.  ``class_total`` sums a problem's
+listing, from the power sums for squares.  ``counted_witnesses`` gives
+``verify`` and ``enumerate`` the stream and the class counts together, with a
+word's reading counter run once, so ``enumerate --limit`` reads how many
+witnesses it left out off the count instead of drawing them.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -67,6 +68,7 @@ from .wordgrid import (
     LetterGrid,
     count_word_paths_closed,
     generate_manhattan_rings,
+    reading_counter,
     readings_per_end_cell,
     word_readings,
 )
@@ -175,11 +177,6 @@ def has_registered_closed_form(spec: ProblemSpec) -> bool:
     )
 
 
-def letter_grid(spec: ProblemSpec) -> LetterGrid:
-    """The letter table a word-paths problem is read in, within the default budget."""
-    return _letter_grid(spec, DEFAULT_ORACLE_BUDGET)
-
-
 def table_size(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> tuple[int, int]:
     """A word problem's letter table as (cols, rows), read off the spec, within ``budget`` cells."""
     cols, rows = ((len(spec.rows_data[0]), len(spec.rows_data)) if spec.layout == "explicit"
@@ -190,7 +187,8 @@ def table_size(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) ->
     return cols, rows
 
 
-def _letter_grid(spec: ProblemSpec, budget: int | None) -> LetterGrid:
+def letter_grid(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> LetterGrid:
+    """The letter table a word-paths problem is read in, within ``budget`` cells."""
     table_size(spec, budget)  # refuses a table over budget before it is built
     if spec.layout == "explicit":
         return LetterGrid(spec.rows_data)
@@ -205,7 +203,7 @@ def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_B
     if spec.kind == "squares":
         return square_keys(LatticeGrid(spec.cols, spec.rows), spec.variant == "all", budget)
     if table is None:
-        table = _letter_grid(spec, budget)
+        table = letter_grid(spec, budget)
     return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells,
                          max_visits=budget)
 
@@ -215,10 +213,10 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
     """``enumerate_witnesses(spec, budget, table)``, refused as it is, and the
     problem's ``class_counts``.  A word without a closed form runs its reading
     counter once, as the count and as the search's budget check."""
-    if spec.kind == "squares" or has_registered_closed_form(spec):
+    if has_registered_closed_form(spec):
         return enumerate_witnesses(spec, budget, table), class_counts(spec, budget)
     if table is None:
-        table = _letter_grid(spec, budget)
+        table = letter_grid(spec, budget)
     classes = class_counts(spec, budget, table)
     return enumerate_witnesses(spec, None, table), classes
 
@@ -241,17 +239,6 @@ def label_columns(spec: ProblemSpec, classes: Mapping) -> tuple[Iterable[int], .
     return map(itemgetter(0), classes), map(itemgetter(1), classes)
 
 
-def closed_form_classes(spec: ProblemSpec) -> dict | None:
-    """Closed-form count per class (k, or end cell), or None if unregistered."""
-    if not has_registered_closed_form(spec):
-        return None
-    if spec.kind == "word-paths":
-        return count_word_paths_closed(spec.word).per_class
-    if spec.variant == "axis":
-        return count_axis_squares(spec.cols, spec.rows).per_k
-    return count_all_squares(spec.cols, spec.rows).per_k
-
-
 def _tally_readings(readings: Iterable[tuple]) -> tuple[dict, bool]:
     """Readings (cell tuples) per end cell, in (x, y) order, and whether each
     reading is greater than the one before (then none is a duplicate), in one pass."""
@@ -268,18 +255,22 @@ def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
                  table: LetterGrid | None = None) -> Mapping:
     """Count per class: the closed form, else the reading counter; nothing is enumerated.
 
-    The counter is the transfer matrix, or for self-avoiding readings the
-    visited-set DP, under the search's visit budget, run in ``table``, a word
-    problem's letter table, built here if not given.
+    The counter (``reading_counter`` names it) runs under the search's visit
+    budget, in ``table``, a word problem's letter table, built here if not given.
 
     A listing of more classes than ``budget`` is refused before it is written.
     """
-    classes = closed_form_classes(spec)
-    if classes is None:
+    if not has_registered_closed_form(spec):
         if table is None:
-            table = _letter_grid(spec, budget)
+            table = letter_grid(spec, budget)
         classes = readings_per_end_cell(table, spec.word, spec.adjacency,
                                         distinct_cells=spec.distinct_cells, max_visits=budget)
+    elif spec.kind == "word-paths":
+        classes = count_word_paths_closed(spec.word).per_class
+    elif spec.variant == "axis":
+        classes = count_axis_squares(spec.cols, spec.rows).per_k
+    else:
+        classes = count_all_squares(spec.cols, spec.rows).per_k
     listed = classes.size if spec.kind == "squares" else len(classes)
     if budget is not None and listed > budget:
         raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
@@ -302,7 +293,7 @@ def verify_problem(
     # per class: the closed form, else the reading counter, which then is also
     # the search's budget check and the second oracle.
     witnesses, counted = counted_witnesses(spec, oracle_budget)
-    expected_classes = counted if has_registered_closed_form(spec) else None
+    closed = has_registered_closed_form(spec)
     if spec.kind == "squares":
         # Keys, not squares: one pass marks each key's rank.
         observed, duplicates = tally_square_keys(witnesses, spec.cols, spec.rows,
@@ -316,25 +307,21 @@ def verify_problem(
 
     # Every failed check adds one note, so the verdict is read off the notes.
     notes = [f"{duplicates} duplicate witnesses in the enumeration"] if duplicates else []
-    expected = expected_classes or {}
-    rows = [
-        PartitionRow(class_label(key), expected.get(key), observed.get(key, 0))
-        for key in sorted(expected.keys() | observed.keys())
-    ]
+    # A closed form lacking a class reads None; the counter leaves out only zeros.
+    source, missing = (("closed form", None) if closed
+                       else (reading_counter(spec.word, spec.distinct_cells), 0))
+    rows = []
+    for key in sorted(counted.keys() | observed.keys()):
+        label, expected, seen = class_label(key), counted.get(key, missing), observed.get(key, 0)
+        rows.append(PartitionRow(label, expected if closed else None, seen))
+        if expected != seen:
+            notes.append(f"class {label}: {source} {expected} != oracle {seen}")
     closed_total = None
-    if expected_classes is not None:
+    if closed:
         family = "word-side" if spec.kind == "word-paths" else f"squares-{spec.variant}"
-        closed_total = class_total(spec, expected_classes) + _FAULT_OFFSETS.get(family, 0)
-        notes += [f"class {r.label}: closed form {r.expected} != oracle {r.observed}"
-                  for r in rows if r.expected != r.observed]
+        closed_total = class_total(spec, counted) + _FAULT_OFFSETS.get(family, 0)
         if closed_total != oracle_total:
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
-    else:  # every square problem has a closed form, so this is a word
-        counter = "visited-set DP" if spec.distinct_cells else "transfer matrix"
-        notes += [f"class {class_label(key)}: {counter} {counted.get(key, 0)} "
-                  f"!= oracle {observed.get(key, 0)}"
-                  for key in sorted(counted.keys() | observed.keys())
-                  if counted.get(key, 0) != observed.get(key, 0)]
 
     return VerifyReport(
         problem=spec,

@@ -10,9 +10,10 @@ word, with consecutive cells constrained by an adjacency rule:
 ``readings_per_end_cell`` counts the readings per end cell without listing
 them.  Readings that may revisit cells go through a transfer matrix: level by
 level, each cell adds its count to the cells that may follow it.  Readings
-that keep to distinct cells go through a visited-set DP: a state is a
-reading's set of visited cells and its end cell, and readings in the same
-state merge.  ``word_readings`` is the brute-force oracle: depth-first
+that keep to distinct cells of a word whose symbols recur go through a
+visited-set DP: a state is a reading's set of visited cells and its end cell,
+and readings in the same state merge.  ``reading_counter`` names the counter a
+word gets.  ``word_readings`` is the brute-force oracle: depth-first
 extension from every starting cell, yielding each reading as its tuple of
 (x, y) cells, one at a time, in lexicographic order;
 ``enumerate_word_paths``, the public list API, wraps them in ``PathWitness``.
@@ -150,6 +151,13 @@ def _reading_rule(grid: LetterGrid, word: str, adjacency: AdjacencyRule):
     return by_sym, candidates
 
 
+def reading_counter(word: str, distinct_cells: bool) -> str:
+    """The name of the counter ``readings_per_end_cell`` runs: the visited-set DP
+    when readings keep to distinct cells and a symbol recurs (only then can a
+    reading revisit a cell), else the transfer matrix."""
+    return "visited-set DP" if distinct_cells and len(set(word)) < len(word) else "transfer matrix"
+
+
 def readings_per_end_cell(
     grid: LetterGrid,
     word: str,
@@ -169,7 +177,7 @@ def readings_per_end_cell(
     """
     by_sym, candidates = _reading_rule(grid, word, adjacency)
     limit = inf if max_visits is None else max_visits
-    if distinct_cells and len(set(word)) < len(word):
+    if reading_counter(word, distinct_cells) == "visited-set DP":
         return _visited_set_counts(word, by_sym, candidates, limit)
     level = dict.fromkeys(by_sym.get(word[0], ()), 1)
     needed = len(level)

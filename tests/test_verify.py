@@ -227,21 +227,38 @@ def test_dropped_witness_fails_enumeration_only_problem(monkeypatch):
 
 KING_AVOIDING = ProblemSpec("k", "word-paths", word="aaa", layout="explicit",
                             rows_data=("aa", "aa"), adjacency="king", distinct_cells=True)
+# Self-avoiding too, but no symbol recurs, so no reading can revisit a cell and
+# the transfer matrix counts the readings.
+KING_DISTINCT = ProblemSpec("d", "word-paths", word="abc", layout="explicit",
+                            rows_data=("abc", "cba"), adjacency="king", distinct_cells=True)
+# Two readings, one per class: dropping the first empties class (0,1).
+SIDE_PAIR = ProblemSpec("p", "word-paths", word="ab", layout="explicit",
+                        rows_data=("ab", "bb"), adjacency="side", distinct_cells=True)
 
 
-def test_dropped_witness_fails_self_avoiding_problem(monkeypatch):
-    # For readings that keep to distinct cells the visited-set DP is the second
-    # oracle; a duplicate check alone would pass this enumeration.
+@pytest.mark.parametrize("spec, oracle_total, rows, note", [
+    (KING_AVOIDING, 23, (("(0,0)", None, 6), ("(0,1)", None, 6), ("(1,0)", None, 5),
+                         ("(1,1)", None, 6)),
+     "class (1,0): visited-set DP 6 != oracle 5"),
+    (KING_DISTINCT, 7, (("(0,1)", None, 3), ("(2,0)", None, 4)),
+     "class (0,1): transfer matrix 4 != oracle 3"),
+    (SIDE_PAIR, 1, (("(0,1)", None, 0), ("(1,0)", None, 1)),
+     "class (0,1): transfer matrix 1 != oracle 0"),
+], ids=["repeated-symbol", "distinct-symbols", "emptied-class"])
+def test_dropped_witness_fails_self_avoiding_problem(monkeypatch, spec, oracle_total, rows, note):
+    # For readings that keep to distinct cells the reading counter is the second
+    # oracle; a duplicate check alone would pass this enumeration.  The note
+    # names the counter that ran, and a class the enumeration lost entirely
+    # still gets its row.
     _with_faulty_enumeration(monkeypatch, _drop_first)
-    assert verify_problem(KING_AVOIDING) == VerifyReport(
-        problem=KING_AVOIDING,
+    assert verify_problem(spec) == VerifyReport(
+        problem=spec,
         closed_form_total=None,
-        oracle_total=23,
+        oracle_total=oracle_total,
         verdict="FAIL",
-        partition_rows=_rows(("(0,0)", None, 6), ("(0,1)", None, 6),
-                             ("(1,0)", None, 5), ("(1,1)", None, 6)),
+        partition_rows=_rows(*rows),
         duplicate_witnesses=0,
-        notes=("class (1,0): visited-set DP 6 != oracle 5",),
+        notes=(note,),
     )
 
 
