@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 # CLI `verify` on 104x104 `all`, the largest square grid under this budget (9,747,920
-# witnesses), takes 2.9-3.8 s at 26 MB peak RSS (2 vCPUs, Python 3.11).
+# witnesses), takes 1.9-3.0 s at 17 MB peak RSS (2 vCPUs, Python 3.11).
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 

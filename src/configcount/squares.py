@@ -13,9 +13,8 @@ total comes from the power sums of k (on n x n grids, OEIS A000330 for axis
 squares and A002415 for all squares).
 
 ``square_keys`` writes the canonical order once, as ``(k, a, y, x)`` keys, and
-every command reads squares there; ``tally_square_keys`` counts a key stream's
-classes and exact duplicates by each key's rank.  The list builders, one
-``Square`` per key over a shared anchor table, serve only the library API.
+every command reads squares there.  The list builders, one ``Square`` per key
+over a shared anchor table, serve only the library API.
 
 ``count_squares_by_point_subsets`` is a deliberately naive cross-check that
 never looks at the (anchor, k, a) encoding: it tests every 4-point subset of
@@ -25,10 +24,10 @@ is that it can disagree with the enumerators above.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from operator import mul
 
@@ -163,34 +162,6 @@ def square_keys(grid: LatticeGrid, tilted: bool,
         product((k,), range(k if tilted else 1), range(rows - k), range(cols - k))
         for k in range(1, min(cols, rows))
     )
-
-
-def tally_square_keys(keys: Iterable[SquareKey], cols: int, rows: int,
-                      tilted: bool) -> tuple[dict[int, int], int]:
-    """Keys per size class k, and how many keys repeat an earlier one, in one pass.
-
-    A key's rank is its position in ``square_keys`` order,
-    offset[k] + a(cols-k)(rows-k) + y(cols-k) + x, where offset[k] counts the
-    squares of the classes below k.  It is injective on the grid's squares, so
-    one byte per candidate square marks what was seen, and a key whose rank is
-    already marked is a duplicate.  Classes with no key are left out.
-    """
-    classes = SizeClasses(cols, rows, tilted)
-    offset = [0, *accumulate(classes.values(), initial=0)]
-    slots, rails = classes.margins()
-    area = [0, *map(mul, slots, rails)]
-    width = [0, *slots]
-    seen = bytearray(offset[-1])
-    sizes = [0] * (classes.size + 1)
-    duplicates = 0
-    for k, a, y, x in keys:
-        sizes[k] += 1
-        rank = offset[k] + a * area[k] + y * width[k] + x
-        if seen[rank]:
-            duplicates += 1
-        else:
-            seen[rank] = 1
-    return {k: n for k, n in enumerate(sizes) if n}, duplicates
 
 
 def _enumerate_squares(grid: LatticeGrid, tilted: bool, max_candidates: int | None) -> list[Square]:

@@ -10,11 +10,11 @@ all of them hold on the actual data:
 Each witness is counted once, in its class (a square key's k, a reading's end
 cell), so the classes cover the enumeration exactly by construction.  Every
 command reads witnesses as one stream and lists none: squares as ``(k, a, y,
-x)`` keys, a duplicate found by its rank in canonical order, one byte per
-candidate square (``tally_square_keys``); readings as the search yields them,
-bare tuples of (x, y) cells in ascending order (no ``PathWitness`` is built),
-so only a stream out of order can hold a duplicate, and only such a stream is
-read a second time, into a set.
+x)`` keys, readings as the search yields them, bare tuples of (x, y) cells (no
+``PathWitness`` is built).  Both streams come in ascending order, so one pass
+(``_tally``) counts the classes and checks the order; only a stream out of
+order can hold a duplicate, and only such a stream is read a second time, into
+a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
@@ -49,7 +49,6 @@ any length is written without a function call per class.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import itemgetter, mul
@@ -62,7 +61,6 @@ from .squares import (
     count_all_squares,
     count_axis_squares,
     square_keys,
-    tally_square_keys,
 )
 from .wordgrid import (
     LetterGrid,
@@ -239,15 +237,18 @@ def label_columns(spec: ProblemSpec, classes: Mapping) -> tuple[Iterable[int], .
     return map(itemgetter(0), classes), map(itemgetter(1), classes)
 
 
-def _tally_readings(readings: Iterable[tuple]) -> tuple[dict, bool]:
-    """Readings (cell tuples) per end cell, in (x, y) order, and whether each
-    reading is greater than the one before (then none is a duplicate), in one pass."""
-    sizes: Counter = Counter()
+def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:
+    """Witnesses per class, the field ``at`` of each (a square key's k, a
+    reading's end cell), in key order, and whether each witness is greater than
+    the one before (then none is a duplicate), in one pass."""
+    sizes: dict = {}
+    get = sizes.get
     last, ordered = (), True
-    for cells in readings:
-        ordered = ordered and last < cells
-        last = cells
-        sizes[cells[-1]] += 1
+    for witness in witnesses:
+        ordered = ordered and last < witness
+        last = witness
+        key = witness[at]
+        sizes[key] = get(key, 0) + 1
     return dict(sorted(sizes.items())), ordered
 
 
@@ -294,16 +295,11 @@ def verify_problem(
     # the search's budget check and the second oracle.
     witnesses, counted = counted_witnesses(spec, oracle_budget)
     closed = has_registered_closed_form(spec)
-    if spec.kind == "squares":
-        # Keys, not squares: one pass marks each key's rank.
-        observed, duplicates = tally_square_keys(witnesses, spec.cols, spec.rows,
-                                                 spec.variant == "all")
-    else:
-        observed, ordered = _tally_readings(witnesses)
-        # Only a faulty enumeration breaks the order; it is read again into a set.
-        duplicates = 0 if ordered else (
-            sum(observed.values()) - len(set(enumerate_witnesses(spec, None))))
+    # Both streams are in canonical order; a key's class is its k, a reading's its end cell.
+    observed, ordered = _tally(witnesses, 0 if spec.kind == "squares" else -1)
     oracle_total = sum(observed.values())
+    # Only a faulty enumeration breaks the order; it is read again into a set.
+    duplicates = 0 if ordered else oracle_total - len(set(enumerate_witnesses(spec, None)))
 
     # Every failed check adds one note, so the verdict is read off the notes.
     notes = [f"{duplicates} duplicate witnesses in the enumeration"] if duplicates else []

@@ -270,6 +270,17 @@ def test_duplicated_witness_fails_self_avoiding_problem(monkeypatch):
                             "class (1,0): visited-set DP 6 != oracle 7")
 
 
+def test_keys_outside_the_grid_count_in_their_class_not_as_duplicates(monkeypatch):
+    # An in-class key past the last anchor, and one whose x runs past cols-k:
+    # each is a witness of its class k, and neither repeats an earlier key.
+    _with_faulty_enumeration(monkeypatch, lambda keys: keys + [(4, 0, 0, 1), (1, 0, 0, 4)])
+    report = verify_problem(AXIS5)
+    assert (report.verdict, report.duplicate_witnesses) == ("FAIL", 0)
+    assert report.notes == ("class k=1: closed form 16 != oracle 17",
+                            "class k=4: closed form 1 != oracle 2",
+                            "closed-form total 30 != oracle total 32")
+
+
 @pytest.mark.parametrize("fault", [
     lambda ws: ws[1:] + ws[:1],
     lambda ws: ws[:3] + ws[2:],
@@ -293,7 +304,10 @@ def test_reading_duplicates_are_counted_exactly_in_any_order(monkeypatch, fault)
     (KING_AVOIDING, None, 1),
     (KING_AVOIDING, _drop_first, 1),
     (KING_AVOIDING, _duplicate_first, 2),
-], ids=["closed-form", "transfer-matrix", "visited-set-dp", "dropped", "out-of-order"])
+    (AXIS5, None, 1),
+    (AXIS5, _duplicate_first, 2),
+], ids=["closed-form", "transfer-matrix", "visited-set-dp", "dropped", "out-of-order",
+        "squares", "squares-out-of-order"])
 def test_only_a_stream_out_of_order_is_enumerated_twice(monkeypatch, spec, fault, passes):
     # A clean enumeration is one stream, read once; a stream that keeps the
     # order has no duplicate, and only one that breaks it is read again.
@@ -342,7 +356,10 @@ def test_duplicates_anywhere_in_the_stream_are_counted_exactly(monkeypatch, spec
     faulted = []
 
     def insert_copies(keys):
-        # Copies of random keys, and two more of one key, each at any position.
+        # Copies of random keys, and two more of one key, each at any position,
+        # drawn once, so both passes over an unordered stream read the same keys.
+        if faulted:
+            return faulted
         copies = [rng.choice(keys) for _ in range(rng.randint(1, 6))]
         copies += [rng.choice(keys)] * 2
         for key in copies:
