@@ -1,11 +1,11 @@
 """Command-line front end: count, enumerate, verify, explain, render.
 
 The commands parse arguments, format output and map errors to exit codes;
-which closed form and which enumerator a problem uses is decided in
-``verify``.  Exit codes: 0 on success (and on verify when every problem
-PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
-budget errors and on running out of memory; a budget error names the problem
-that overran, and outranks a FAIL.  All output is deterministic for fixed
+which closed form and which enumerator a problem uses is read off its family
+record in ``verify``.  Exit codes: 0 on success (and on verify when every
+problem PASSes), 1 when verification finds a discrepancy, 2 on usage, parse,
+or budget errors and on running out of memory; a budget error names the
+problem that overran, and outranks a FAIL.  All output is deterministic for fixed
 inputs and flags; counts appear in JSON as decimal strings so consumers never
 round them through a fixed-width type.
 
@@ -37,13 +37,12 @@ from .budget import OracleBudgetError
 from .render import render_pieces
 from .speclang import ProblemSpec, SpecError, parse_spec
 from .verify import (
-    CLASS_LABELS,
     VerifyReport,
     build_step_trace,
     class_counts,
     class_total,
     counted_witnesses,
-    label_columns,
+    family_of,
     table_size,
     verify_problem,
 )
@@ -210,19 +209,21 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
 
 
 def _count_text(spec: ProblemSpec, classes) -> Iterator[str]:
+    family = family_of(spec)
     return chain((f"problem {spec.name}: {_describe(spec)}",),
-                 map(f"\n{CLASS_LABELS[spec.kind]}: %d".__mod__,
-                     zip(*label_columns(spec, classes), classes.values())),
-                 (f"\ntotal {class_total(spec, classes)}",))
+                 map(f"\n{family.label}: %d".__mod__,
+                     zip(*family.columns(classes), classes.values())),
+                 (f"\ntotal {family.total(classes)}",))
 
 
 def _count_json(spec: ProblemSpec, classes) -> Iterator[str]:
+    family = family_of(spec)
     return _json_pieces({
         "problem": spec.name,
         "kind": spec.kind,
-        "total": str(class_total(spec, classes)),
-        "classes": _filled({"label": CLASS_LABELS[spec.kind], "count": "%d"},
-                           zip(*label_columns(spec, classes), classes.values())),
+        "total": str(family.total(classes)),
+        "classes": _filled({"label": family.label, "count": "%d"},
+                           zip(*family.columns(classes), classes.values())),
     })
 
 

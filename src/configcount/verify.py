@@ -20,31 +20,25 @@ Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
 are still enumerated and checked for duplicates, and each enumerated class
 size is compared with the reading counter's count for that end cell
-(``readings_per_end_cell``).  One comparison serves both sources, and a
-failed class's note names its source: the closed form, or the counter by the
-name ``wordgrid.reading_counter`` gives, from the rule the counter branches
-on.  For every word the counter runs once, on the table the search reads, and
-is the search's only budget check.
+(``readings_per_end_cell``), whose name ``wordgrid.reading_counter`` gives.
+For every word the counter runs once, on the table the search reads, and is
+the search's only budget check.
 
-The per-family decisions live here as well, each in one function that every
-command calls: ``letter_grid`` builds a word problem's table, whose size
-``table_size`` reads off the spec, ``enumerate_witnesses`` returns the
-family's witness stream under the oracle budget (a word problem's in the table
-its caller passes, else in one it builds), and ``class_counts`` answers
-``count`` and ``explain``: the registered closed form's per-class counts, else
-the reading counter's, so neither command lists a witness; it refuses a
-listing of more classes than the budget.  ``class_total`` sums a problem's
-listing, from the power sums for squares.  ``counted_witnesses`` gives
-``verify`` and ``enumerate`` the stream and the class counts together, with a
-word's reading counter run once, so ``enumerate --limit`` reads how many
-witnesses it left out off the count instead of drawing them.
+``FAMILIES`` holds one ``Family`` record per problem family: ``squares-axis``,
+``squares-all``, ``word-side`` (the registered rings form) and
+``word-counter`` (every other word).  ``family_of`` is the only code that
+reads a spec's kind, variant, adjacency or symbols to choose one, and every
+command reads the record it returns.  A record holds this module's own
+functions, which call the counters and enumerators by their names here when
+they run, never through a reference taken at import: a counter replaced in
+this module (a test's spy, a benchmark's span) is the one called.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
 classes, and how the class counts recombine into the total.  A class's text
-is kept once, as ``%`` templates (``CLASS_LABELS`` for the label, one step
-iii note per family) and columns of ints to fill them with, so a listing of
-any length is written without a function call per class.
+is kept once, as ``%`` templates (the record's label, one step iii note per
+family) and columns of ints to fill them with, so a listing of any length is
+written without a function call per class.
 """
 
 from __future__ import annotations
@@ -52,6 +46,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
@@ -72,9 +67,9 @@ from .wordgrid import (
 )
 
 # Test-only hook: additive offsets on registered closed-form totals, keyed by
-# family ("squares-axis", "squares-all", "word-side").  There is deliberately
-# no command-line surface for this; tests monkeypatch it to exercise the FAIL
-# path and the harness's sensitivity.
+# the name of a closed-form record in ``FAMILIES``.  There is deliberately no
+# command-line surface for this; tests monkeypatch it to exercise the FAIL path
+# and the harness's sensitivity.
 _FAULT_OFFSETS: dict[str, int] = {}
 
 
@@ -158,21 +153,40 @@ class StepTrace:
             map(self.label.__mod__, zip(*self.fields()[:self.split])), self.classes.values()))
 
 
-def has_registered_closed_form(spec: ProblemSpec) -> bool:
-    """Whether a closed form is registered for this problem.
+class Family(NamedTuple):
+    """One problem family's configuration, as every command reads it."""
 
-    Both square variants have one.  The word closed form requires the
+    name: str  # a closed form's key in ``_FAULT_OFFSETS``
+    closed: bool  # whether a closed form is registered
+    label: str  # how a class prints: a ``%`` template filled with the class key's fields
+    columns: Callable  # (classes) -> the label's fields, a column each, in class order
+    witnesses: Callable  # (spec, budget, table) -> the witness stream, in canonical order
+    at: int  # the field of a witness that is its class's key
+    classes: Callable  # (spec, budget, table) -> count per class: closed form or reading counter
+    total: Callable  # (classes) -> their sum
+    steps: Callable  # (spec, classes) -> explain's steps i and ii, step iii's note and its columns
+    rule: str  # explain's step iv: "addition", "product" or "enumeration-only"
+
+
+def family_of(spec: ProblemSpec) -> Family:
+    """The record in ``FAMILIES`` of the problem's family.
+
+    Both square variants have a closed form.  The word closed form requires the
     manhattan-rings layout with side adjacency and pairwise-distinct symbols;
     with distinct symbols a reading can never revisit a cell, so the
-    distinct-cells flag is inert there.  Everything else is oracle-only.
+    distinct-cells flag is inert there.  Every other word is oracle-only.
     """
     if spec.kind == "squares":
-        return True
-    return (
-        spec.layout == "manhattan-rings"
-        and spec.adjacency == "side"
-        and len(set(spec.word)) == len(spec.word)
-    )
+        return FAMILIES[f"squares-{spec.variant}"]
+    if (spec.layout == "manhattan-rings" and spec.adjacency == "side"
+            and len(set(spec.word)) == len(spec.word)):
+        return FAMILIES["word-side"]
+    return FAMILIES["word-counter"]
+
+
+def has_registered_closed_form(spec: ProblemSpec) -> bool:
+    """Whether a closed form is registered for this problem (see ``family_of``)."""
+    return family_of(spec).closed
 
 
 def table_size(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -> tuple[int, int]:
@@ -198,12 +212,7 @@ def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_B
     """Every witness in canonical order, as a stream refused before its first
     witness if over the oracle budget: square keys, or a word problem's readings
     in ``table``, its letter table, built here if not given."""
-    if spec.kind == "squares":
-        return square_keys(LatticeGrid(spec.cols, spec.rows), spec.variant == "all", budget)
-    if table is None:
-        table = letter_grid(spec, budget)
-    return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells,
-                         max_visits=budget)
+    return family_of(spec).witnesses(spec, budget, table)
 
 
 def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
@@ -211,7 +220,7 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
     """``enumerate_witnesses(spec, budget, table)``, refused as it is, and the
     problem's ``class_counts``.  A word without a closed form runs its reading
     counter once, as the count and as the search's budget check."""
-    if has_registered_closed_form(spec):
+    if family_of(spec).closed:
         return enumerate_witnesses(spec, budget, table), class_counts(spec, budget)
     if table is None:
         table = letter_grid(spec, budget)
@@ -219,22 +228,12 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
     return enumerate_witnesses(spec, None, table), classes
 
 
-# How a class prints, per kind: a ``%`` template filled with the class key's
-# fields, a square class's size k or a reading's end cell (x, y).
-CLASS_LABELS = {"squares": "k=%d", "word-paths": "(%d,%d)"}
+_SIZE_LABEL, _CELL_LABEL = "k=%d", "(%d,%d)"
 
 
 def class_label(key) -> str:
     """How a class key prints: ``k=3`` or ``(x,y)``."""
-    return CLASS_LABELS["squares" if isinstance(key, int) else "word-paths"] % key
-
-
-def label_columns(spec: ProblemSpec, classes: Mapping) -> tuple[Iterable[int], ...]:
-    """The fields of every class's label, one column per field of the kind's
-    ``CLASS_LABELS`` template, in class order, read off the class keys."""
-    if spec.kind == "squares":
-        return (classes,)
-    return map(itemgetter(0), classes), map(itemgetter(1), classes)
+    return (_SIZE_LABEL if isinstance(key, int) else _CELL_LABEL) % key
 
 
 def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:
@@ -259,30 +258,15 @@ def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
     The counter (``reading_counter`` names it) runs under the search's visit
     budget, in ``table``, a word problem's letter table, built here if not given.
 
-    A listing of more classes than ``budget`` is refused before it is written.
+    A listing of more classes than ``budget`` is refused before it is written;
+    the counter refuses one itself, as each class costs a visit.
     """
-    if not has_registered_closed_form(spec):
-        if table is None:
-            table = letter_grid(spec, budget)
-        classes = readings_per_end_cell(table, spec.word, spec.adjacency,
-                                        distinct_cells=spec.distinct_cells, max_visits=budget)
-    elif spec.kind == "word-paths":
-        classes = count_word_paths_closed(spec.word).per_class
-    elif spec.variant == "axis":
-        classes = count_axis_squares(spec.cols, spec.rows).per_k
-    else:
-        classes = count_all_squares(spec.cols, spec.rows).per_k
-    listed = classes.size if spec.kind == "squares" else len(classes)
-    if budget is not None and listed > budget:
-        raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
-    return classes
+    return family_of(spec).classes(spec, budget, table)
 
 
 def class_total(spec: ProblemSpec, classes: Mapping) -> int:
     """The sum of the problem's ``classes``; for squares, the power sums in closed form."""
-    if spec.kind == "squares":
-        return _square_totals(spec.cols, spec.rows)[spec.variant == "all"]
-    return sum(classes.values())
+    return family_of(spec).total(classes)
 
 
 def verify_problem(
@@ -290,13 +274,13 @@ def verify_problem(
 ) -> VerifyReport:
     """Enumerate, count the classes, and compare with the closed form where one
     exists, else with the reading counter."""
+    family = family_of(spec)
     # One stream, refused before its first witness if over budget, and the count
     # per class: the closed form, else the reading counter, which then is also
     # the search's budget check and the second oracle.
     witnesses, counted = counted_witnesses(spec, oracle_budget)
-    closed = has_registered_closed_form(spec)
     # Both streams are in canonical order; a key's class is its k, a reading's its end cell.
-    observed, ordered = _tally(witnesses, 0 if spec.kind == "squares" else -1)
+    observed, ordered = _tally(witnesses, family.at)
     oracle_total = sum(observed.values())
     # Only a faulty enumeration breaks the order; it is read again into a set.
     duplicates = 0 if ordered else oracle_total - len(set(enumerate_witnesses(spec, None)))
@@ -304,18 +288,18 @@ def verify_problem(
     # Every failed check adds one note, so the verdict is read off the notes.
     notes = [f"{duplicates} duplicate witnesses in the enumeration"] if duplicates else []
     # A closed form lacking a class reads None; the counter leaves out only zeros.
+    closed = family.closed
     source, missing = (("closed form", None) if closed
                        else (reading_counter(spec.word, spec.distinct_cells), 0))
     rows = []
     for key in sorted(counted.keys() | observed.keys()):
-        label, expected, seen = class_label(key), counted.get(key, missing), observed.get(key, 0)
+        label, expected, seen = family.label % key, counted.get(key, missing), observed.get(key, 0)
         rows.append(PartitionRow(label, expected if closed else None, seen))
         if expected != seen:
             notes.append(f"class {label}: {source} {expected} != oracle {seen}")
     closed_total = None
     if closed:
-        family = "word-side" if spec.kind == "word-paths" else f"squares-{spec.variant}"
-        closed_total = class_total(spec, counted) + _FAULT_OFFSETS.get(family, 0)
+        closed_total = family.total(counted) + _FAULT_OFFSETS.get(family.name, 0)
         if closed_total != oracle_total:
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
 
@@ -341,46 +325,96 @@ def build_step_trace(
     spec: ProblemSpec, *, oracle_budget: int | None = DEFAULT_ORACLE_BUDGET
 ) -> StepTrace:
     """Lay out the problem as configuration, constraints, classes, recombination."""
+    family = family_of(spec)
     classes = class_counts(spec, oracle_budget)
-    if spec.kind == "squares":
-        rule, steps = "addition", _squares_steps
-    elif has_registered_closed_form(spec):
-        rule, steps = "product", _word_steps_closed
-    else:
-        rule, steps = "enumeration-only", _word_steps_enumerated
-    step_i, step_ii, note, note_columns = steps(spec, classes)
+    step_i, step_ii, note, note_columns = family.steps(spec, classes)
     return StepTrace(
         problem=spec.name,
         step_i=step_i,
         step_ii=step_ii,
-        label=CLASS_LABELS[spec.kind],
+        label=family.label,
         note=note,
-        fields=lambda: label_columns(spec, classes) + note_columns(),
-        split=len(label_columns(spec, classes)),
-        step_iv_rule=rule,
-        step_iv_total=class_total(spec, classes),
+        fields=lambda: family.columns(classes) + note_columns(),
+        split=len(family.columns(classes)),
+        step_iv_rule=family.rule,
+        step_iv_total=family.total(classes),
         classes=classes,
     )
 
 
-# Each family's steps, given its classes: step i, step ii, and step iii's note,
-# a ``%`` template, with the function that gives the note's columns.
+def _size_column(classes):
+    return (classes,)
 
 
-def _squares_steps(spec: ProblemSpec, classes):
-    cols, rows = spec.cols, spec.rows
+def _cell_columns(classes):
+    return map(itemgetter(0), classes), map(itemgetter(1), classes)
+
+
+def _axis_keys(spec: ProblemSpec, budget, table):
+    return square_keys(LatticeGrid(spec.cols, spec.rows), False, budget)
+
+
+def _all_keys(spec: ProblemSpec, budget, table):
+    return square_keys(LatticeGrid(spec.cols, spec.rows), True, budget)
+
+
+def _readings(spec: ProblemSpec, budget, table):
+    if table is None:
+        table = letter_grid(spec, budget)
+    return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells,
+                         max_visits=budget)
+
+
+def _listing(classes: Mapping, listed: int, budget: int | None) -> Mapping:
+    """``classes``, refused if their number, ``listed``, is over ``budget``."""
+    if budget is not None and listed > budget:
+        raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
+    return classes
+
+
+def _axis_classes(spec: ProblemSpec, budget, table):
+    classes = count_axis_squares(spec.cols, spec.rows).per_k
+    return _listing(classes, classes.size, budget)
+
+
+def _all_classes(spec: ProblemSpec, budget, table):
+    classes = count_all_squares(spec.cols, spec.rows).per_k
+    return _listing(classes, classes.size, budget)
+
+
+def _side_classes(spec: ProblemSpec, budget, table):
+    classes = count_word_paths_closed(spec.word).per_class
+    return _listing(classes, len(classes), budget)
+
+
+def _counter_classes(spec: ProblemSpec, budget, table):
+    if table is None:
+        table = letter_grid(spec, budget)
+    return readings_per_end_cell(table, spec.word, spec.adjacency,
+                                 distinct_cells=spec.distinct_cells, max_visits=budget)
+
+
+def _size_total(classes):
+    return _square_totals(classes.cols, classes.rows)[classes.tilted]
+
+
+def _sum_total(classes):
+    return sum(classes.values())
+
+
+def _axis_steps(spec: ProblemSpec, classes):
     slots, rails = classes.margins()
-    if spec.variant == "axis":
-        step_i = f"axis-aligned squares drawn on a {cols}x{rows} grid of points"
-        step_ii = (
-            "all four vertices are grid points",
-            "sides are parallel to the coordinate axes",
-        )
-        return (step_i, step_ii, "%d rail pairs at distance %d, %d squares per pair",
-                lambda: (rails, classes, slots))
-    step_i = f"squares of any tilt drawn on a {cols}x{rows} grid of points"
-    step_ii = ("all four vertices are grid points",)
-    return (step_i, step_ii, "%d tilt offsets per box, %d box positions",
+    return (f"axis-aligned squares drawn on a {spec.cols}x{spec.rows} grid of points",
+            ("all four vertices are grid points", "sides are parallel to the coordinate axes"),
+            "%d rail pairs at distance %d, %d squares per pair",
+            lambda: (rails, classes, slots))
+
+
+def _all_steps(spec: ProblemSpec, classes):
+    slots, rails = classes.margins()
+    return (f"squares of any tilt drawn on a {spec.cols}x{spec.rows} grid of points",
+            ("all four vertices are grid points",),
+            "%d tilt offsets per box, %d box positions",
             lambda: (classes, map(mul, slots, rails)))
 
 
@@ -391,9 +425,9 @@ def _word_steps_closed(spec: ProblemSpec, classes):
     step_ii = (_ADJACENCY_TEXT["side"], f"the visited cells spell {spec.word!r} in order")
     if length == 1:
         return step_i, step_ii, "the single cell holding the whole word", lambda: ()
-    note = (f"readings ending at corner {CLASS_LABELS['word-paths']}: "
+    note = (f"readings ending at corner {_CELL_LABEL}: "
             f"{half} vertical and {half} horizontal moves interleaved")
-    return step_i, step_ii, note, lambda: label_columns(spec, classes)
+    return step_i, step_ii, note, lambda: _cell_columns(classes)
 
 
 def _word_steps_enumerated(spec: ProblemSpec, classes):
@@ -404,5 +438,22 @@ def _word_steps_enumerated(spec: ProblemSpec, classes):
     if spec.distinct_cells:
         step_ii.append("no cell is visited twice")
     return (f"readings of {spec.word!r} in {layout}", tuple(step_ii),
-            f"readings ending at cell {CLASS_LABELS['word-paths']}",
-            lambda: label_columns(spec, classes))
+            f"readings ending at cell {_CELL_LABEL}", lambda: _cell_columns(classes))
+
+
+# The family table: every record holds this module's own functions, never a
+# counter or an enumerator itself (see the module docstring).
+FAMILIES = {family.name: family for family in (
+    Family(name="squares-axis", closed=True, label=_SIZE_LABEL, columns=_size_column,
+           witnesses=_axis_keys, at=0, classes=_axis_classes, total=_size_total,
+           steps=_axis_steps, rule="addition"),
+    Family(name="squares-all", closed=True, label=_SIZE_LABEL, columns=_size_column,
+           witnesses=_all_keys, at=0, classes=_all_classes, total=_size_total,
+           steps=_all_steps, rule="addition"),
+    Family(name="word-side", closed=True, label=_CELL_LABEL, columns=_cell_columns,
+           witnesses=_readings, at=-1, classes=_side_classes, total=_sum_total,
+           steps=_word_steps_closed, rule="product"),
+    Family(name="word-counter", closed=False, label=_CELL_LABEL, columns=_cell_columns,
+           witnesses=_readings, at=-1, classes=_counter_classes, total=_sum_total,
+           steps=_word_steps_enumerated, rule="enumeration-only"),
+)}

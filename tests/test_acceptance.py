@@ -135,6 +135,12 @@ def _sweep_spec_text() -> str:
     return print_spec(specs)
 
 
+# The closed-form families criterion 7 perturbs, written out rather than read
+# from the family table, so that a family registered without a place in the
+# sweep fails the coverage test below.
+CRITERION_7_FAMILIES = ("squares-axis", "squares-all", "word-side")
+
+
 def test_criterion_7_harness_sensitivity(tmp_path, monkeypatch):
     sweep = tmp_path / "sweep.ccspec"
     sweep.write_text(_sweep_spec_text(), encoding="utf-8")
@@ -142,7 +148,7 @@ def test_criterion_7_harness_sensitivity(tmp_path, monkeypatch):
     clean = _invoke("verify", sweep)
     assert clean.exit_code == 0, clean.output
 
-    for family in ("squares-axis", "squares-all", "word-side"):
+    for family in CRITERION_7_FAMILIES:
         for delta in (1, -1):
             monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {family: delta})
             perturbed = _invoke("verify", sweep)
@@ -150,6 +156,11 @@ def test_criterion_7_harness_sensitivity(tmp_path, monkeypatch):
             assert "FAIL" in perturbed.output
     monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {})
     _report(7, "sweep verifies clean; every +-1 closed-form fault trips exit 1")
+
+
+def test_criterion_7_perturbs_every_closed_form_family():
+    closed = [family.name for family in verify_mod.FAMILIES.values() if family.closed]
+    assert sorted(closed) == sorted(CRITERION_7_FAMILIES)
 
 
 _names = st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,9}", fullmatch=True)

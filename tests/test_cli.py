@@ -199,6 +199,34 @@ def test_verify_fault_injection_exits_1(runner, monkeypatch):
     assert "closed-form total 29 != oracle total 30" in result.output
 
 
+# The closed form of each of samples.ccspec's closed-form problems.
+_SAMPLE_CLOSED_FORMS = {"squares5": "count_axis_squares", "squares5-all": "count_all_squares",
+                        "open-side": "count_word_paths_closed"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["count", "verify", "explain"])
+def test_commands_call_each_closed_form_where_verify_looks_it_up(runner, monkeypatch,
+                                                                 command, fmt):
+    # Tests and the traced benchmark replace a closed form in verify's namespace;
+    # code that held the function itself would bypass the replacement silently.
+    calls = []
+
+    def spy(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in _SAMPLE_CLOSED_FORMS.values():
+        monkeypatch.setattr(verify_mod, name, spy(name, getattr(verify_mod, name)))
+    for problem, name in _SAMPLE_CLOSED_FORMS.items():
+        calls.clear()
+        result = invoke(runner, command, SAMPLES, "--problem", problem, "--format", fmt)
+        assert result.exit_code == 0, (problem, result.output)
+        assert calls == [name], problem
+
+
 def test_verify_budget_exceeded_exits_2(runner, tmp_path):
     spec = tmp_path / "big.ccspec"
     spec.write_text("problem small { kind: squares cols: 3 rows: 3 variant: all }\n"
