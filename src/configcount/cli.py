@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice, starmap
@@ -399,15 +400,12 @@ def explain(spec_file, problem_name, fmt):
 
 
 def _parse_highlight(text: str):
-    if text.startswith("k="):
-        try:
-            return "class", int(text[2:])
-        except ValueError:
-            _fail(f"invalid highlight: {text!r}")
-    try:
-        return "witness", int(text)
-    except ValueError:
-        _fail(f"invalid highlight: {text!r} (use an index or k=SIZE)")
+    # The digits a .ccspec integer takes: no sign, underscore or whitespace.
+    match = re.fullmatch(r"(k=)?(\d+)", text)
+    if match:
+        with contextlib.suppress(ValueError):  # longer than sys.get_int_max_str_digits()
+            return "class" if match[1] else "witness", int(match[2])
+    _fail(f"invalid highlight: {text!r} (use an index or k=SIZE)")
 
 
 @main.command()

@@ -23,6 +23,11 @@ Two problem kinds exist:
   (``true``/``false``, default false).
 
 The manhattan-rings layout additionally requires an odd word length.
+
+The tokenizer yields ``(kind, value, offset)`` tuples as the parser asks for
+them, and no line or column is kept while parsing: ``_error`` works a position
+out from the offset only when a ``ParseError`` is raised.  Lines and columns
+are 1-based, and a tab or a carriage return counts as one column.
 """
 
 from __future__ import annotations
@@ -94,14 +99,6 @@ _ENUM_VALUES = {
 }
 
 
-@dataclass
-class _Token:
-    kind: str  # ident | int | string | punct | eof
-    value: object
-    line: int
-    column: int
-
-
 # Whitespace and comments, then at most one token.  \d is str.isdecimal, the
 # digits int() accepts, and [\w-] is isalnum() or "_-"; [^\W\d_] also admits
 # non-decimal digits such as "²", so an identifier's first character is
@@ -117,51 +114,45 @@ _TOKEN = re.compile(r"""
 _ESCAPE = re.compile(r"\\(.)")
 
 
+def _error(source: str, offset: int, message: str, expected: str | None = None) -> ParseError:
+    """The ParseError for ``message`` at ``offset``, with its 1-based line and column."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return ParseError(source.count("\n", 0, line_start) + 1, offset - line_start + 1,
+                      message, expected)
+
+
 def _tokens(source: str):
-    """Yield the tokens of ``source``, ending with one eof token."""
-    pos, line, line_start = 0, 1, 0
+    """Yield the ``(kind, value, offset)`` tokens of ``source``, ending with eof."""
+    pos = 0
     while True:
         match = _TOKEN.match(source, pos)
         kind = match.lastgroup
-        start = match.start(kind) if kind else match.end()
-        newline = source.rfind("\n", pos, start)
-        if newline >= 0:
-            line += source.count("\n", pos, start)
-            line_start = newline + 1
-        column = start - line_start + 1
         pos = match.end()
         if kind is None:
             if pos == len(source):
-                yield _Token("eof", None, line, column)
+                yield "eof", None, pos
                 return
-            raise ParseError(line, column, f"unexpected character {source[pos]!r}")
+            raise _error(source, pos, f"unexpected character {source[pos]!r}")
+        start = match.start(kind)
         value = match.group(kind)
         if kind == "ident" and not value[0].isalpha():
-            raise ParseError(line, column, f"unexpected character {value[0]!r}")
+            raise _error(source, start, f"unexpected character {value[0]!r}")
         if kind == "int":
             try:
                 value = int(value)
             except ValueError:  # longer than sys.get_int_max_str_digits()
-                raise ParseError(line, column,
-                                 f"integer literal too long ({len(value)} digits)") from None
+                raise _error(source, start,
+                             f"integer literal too long ({len(value)} digits)") from None
         elif kind == "string":
             end = source[pos:pos + 1]
             if end == "\\" and pos + 1 < len(source):
-                raise ParseError(line, pos + 2 - line_start, f"invalid escape \\{source[pos + 1]}")
+                raise _error(source, pos + 1, f"invalid escape \\{source[pos + 1]}")
             if end != '"':
-                raise ParseError(line, column, "unterminated string" if end in ("", "\\", "\n")
-                                 else "control character in string")
+                raise _error(source, start, "unterminated string" if end in ("", "\\", "\n")
+                             else "control character in string")
             pos += 1
             value = _ESCAPE.sub(r"\1", value[1:])
-        yield _Token(kind, value, line, column)
-
-
-def _expect(tok: _Token, kind: str, value: str | None, what: str,
-            message: str | None = None) -> _Token:
-    """``tok`` if it has this kind (and value, unless None); else a ParseError."""
-    if tok.kind != kind or (value is not None and tok.value != value):
-        raise ParseError(tok.line, tok.column, message or f"expected {what}", expected=what)
-    return tok
+        yield kind, value, start
 
 
 class _Parser:
@@ -169,13 +160,21 @@ class _Parser:
     # when asked for, so an early parse error is reported before a tokenizer
     # error further down the file.
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokens(source)
+
+    def _expect(self, tok: tuple, kind: str, value: str | None, what: str,
+                message: str | None = None):
+        """The value of ``tok`` if it has this kind (and value, unless None)."""
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            raise _error(self.source, tok[2], message or f"expected {what}", expected=what)
+        return tok[1]
 
     def parse_file(self) -> list[ProblemSpec]:
         specs = []
         names = set()
         for tok in self.tokens:
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 break
             spec = self._parse_block(tok)
             if spec.name in names:
@@ -184,91 +183,90 @@ class _Parser:
             specs.append(spec)
         return specs
 
-    def _parse_block(self, keyword: _Token) -> ProblemSpec:
-        _expect(keyword, "ident", "problem", "'problem'")
-        name = _expect(next(self.tokens), "ident", None, "problem name")
-        _expect(next(self.tokens), "punct", "{", "'{'")
+    def _parse_block(self, keyword: tuple) -> ProblemSpec:
+        self._expect(keyword, "ident", "problem", "'problem'")
+        name = self._expect(next(self.tokens), "ident", None, "problem name")
+        self._expect(next(self.tokens), "punct", "{", "'{'")
         fields: dict[str, object] = {}
         for tok in self.tokens:
-            if tok.kind == "punct" and tok.value == "}":
+            kind, key, offset = tok
+            if kind == "punct" and key == "}":
                 break
-            if tok.kind == "eof":
-                raise ParseError(tok.line, tok.column, "unterminated problem block", expected="'}'")
-            key = _expect(tok, "ident", None, "field name").value
+            if kind == "eof":
+                raise _error(self.source, offset, "unterminated problem block", expected="'}'")
+            self._expect(tok, "ident", None, "field name")
             if key not in _FIELDS:
-                raise ParseError(tok.line, tok.column, f"unknown field: {key}")
+                raise _error(self.source, offset, f"unknown field: {key}")
             if key in fields:
-                raise ParseError(tok.line, tok.column, f"duplicate field: {key}")
-            _expect(next(self.tokens), "punct", ":", "':'")
+                raise _error(self.source, offset, f"duplicate field: {key}")
+            self._expect(next(self.tokens), "punct", ":", "':'")
             fields[key] = self._parse_value(key)
-        return _validate(str(name.value), fields)
+        return _validate(name, fields)
 
     def _parse_value(self, key: str):
         kind, value, takes, what = _FIELDS[key]
-        tok = _expect(next(self.tokens), kind, value, what, f"field {key} takes {takes}")
+        tok = next(self.tokens)
+        found = self._expect(tok, kind, value, what, f"field {key} takes {takes}")
         if key == "rows-data":
             return self._parse_string_list()
-        if key in _ENUM_VALUES and tok.value not in _ENUM_VALUES[key]:
+        if key in _ENUM_VALUES and found not in _ENUM_VALUES[key]:
             allowed = ", ".join(_ENUM_VALUES[key])
-            raise ParseError(tok.line, tok.column, f"field {key} must be one of {allowed}")
-        return tok.value
+            raise _error(self.source, tok[2], f"field {key} must be one of {allowed}")
+        return found
 
     def _parse_string_list(self) -> tuple[str, ...]:
         items: list[str] = []
         tok = next(self.tokens)
-        if tok.kind == "punct" and tok.value == "]":
-            return ()
-        while True:
-            items.append(_expect(tok, "string", None, "quoted string",
-                                 "expected a quoted string").value)
+        while tok[:2] != ("punct", "]"):
+            if items:
+                self._expect(tok, "punct", ",", "',' or ']'")
+                tok = next(self.tokens)
+            items.append(self._expect(tok, "string", None, "quoted string",
+                                      "expected a quoted string"))
             tok = next(self.tokens)
-            if tok.kind == "punct" and tok.value == "]":
-                return tuple(items)
-            _expect(tok, "punct", ",", "',' or ']'")
-            tok = next(self.tokens)
+        return tuple(items)
 
 
-def _require(fields: dict, name: str, key: str):
-    if key not in fields:
-        raise ValidationError(f"problem {name}: missing field: {key}")
-    return fields[key]
-
-
-def _reject(fields: dict, name: str, kind: str, keys) -> None:
-    for key in keys:
-        if key in fields:
-            raise ValidationError(f"problem {name}: field {key} not allowed for kind {kind}")
+# The fields each kind rejects and the fields it requires, in the order they
+# are checked; a block without a kind requires one.
+_KIND_FIELDS = {
+    None: ((), ("kind",)),
+    "squares": (("word", "layout", "rows-data", "adjacency", "distinct-cells"),
+                ("cols", "rows", "variant")),
+    "word-paths": (("cols", "rows", "variant"), ("word", "layout", "adjacency")),
+}
 
 
 def _validate(name: str, fields: dict) -> ProblemSpec:
-    kind = _require(fields, name, "kind")
+    kind = fields.get("kind")
+    rejected, required = _KIND_FIELDS[kind]
+    for key in rejected:
+        if key in fields:
+            raise ValidationError(f"problem {name}: field {key} not allowed for kind {kind}")
+    for key in required:
+        if key not in fields:
+            raise ValidationError(f"problem {name}: missing field: {key}")
     if kind == "squares":
-        _reject(fields, name, kind, ("word", "layout", "rows-data", "adjacency", "distinct-cells"))
-        cols = _require(fields, name, "cols")
-        rows = _require(fields, name, "rows")
-        variant = _require(fields, name, "variant")
+        cols, rows = fields["cols"], fields["rows"]
         if cols < 1:
             raise ValidationError(f"problem {name}: cols must be positive")
         if rows < 1:
             raise ValidationError(f"problem {name}: rows must be positive")
-        return ProblemSpec(name, "squares", cols=cols, rows=rows, variant=variant)
+        return ProblemSpec(name, kind, cols=cols, rows=rows, variant=fields["variant"])
 
-    _reject(fields, name, kind, ("cols", "rows", "variant"))
-    word = _require(fields, name, "word")
-    layout = _require(fields, name, "layout")
-    adjacency = _require(fields, name, "adjacency")
-    distinct = fields.get("distinct-cells", "false") == "true"
+    word, layout = fields["word"], fields["layout"]
+    rows_data = fields.get("rows-data")
     if not word:
         raise ValidationError(f"problem {name}: word must be non-empty")
-    rows_data = None
     if layout == "explicit":
-        rows_data = _require(fields, name, "rows-data")
+        if rows_data is None:
+            raise ValidationError(f"problem {name}: missing field: rows-data")
         if not rows_data or any(not row for row in rows_data):
             raise ValidationError(f"problem {name}: rows-data rows must be non-empty")
         if len({len(row) for row in rows_data}) != 1:
             raise ValidationError(f"problem {name}: rows-data rows must have equal length")
     else:
-        if "rows-data" in fields:
+        if rows_data is not None:
             raise ValidationError(
                 f"problem {name}: field rows-data not allowed for manhattan-rings layout"
             )
@@ -278,12 +276,12 @@ def _validate(name: str, fields: dict) -> ProblemSpec:
             )
     return ProblemSpec(
         name,
-        "word-paths",
+        kind,
         word=word,
         layout=layout,
         rows_data=rows_data,
-        adjacency=adjacency,
-        distinct_cells=distinct,
+        adjacency=fields["adjacency"],
+        distinct_cells=fields.get("distinct-cells") == "true",
     )
 
 

@@ -193,7 +193,7 @@ def test_render_command_witness_highlight(runner, tmp_path):
 
 def test_render_command_rejects_bad_highlight(runner, tmp_path):
     out = tmp_path / "x.svg"
-    for bad in ("k=banana", "banana", "k=99", "999"):
+    for bad in ("k=banana", "banana", "k=99", "999", "1_0", " 0", "+1", "k= 2", "k=+2"):
         result = runner.invoke(main, ["render", str(SAMPLES), "--problem", "squares5",
                                       "--highlight", bad, "-o", str(out)])
         assert result.exit_code == 2, bad

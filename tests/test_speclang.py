@@ -287,6 +287,8 @@ _WORD = 'problem w { kind: word-paths word: "a'
                  id="parse-error-before-bad-character"),
     pytest.param('problem a { kind squares }\n"\\q', "1:18: expected ':' (expected ':')",
                  id="parse-error-before-bad-escape"),
+    pytest.param("# c\r\n" * 300 + "problem a { $ }", "301:13: unexpected character '$'",
+                 id="crlf-comment-lines"),
 ])
 def test_parse_error_texts(source, message):
     with pytest.raises(ParseError) as exc_info:
@@ -311,7 +313,7 @@ _SPEC_TOKENS = (
     "problem", "p", "q", "kind", "cols", "rows", "variant", "word", "layout", "rows-data",
     "adjacency", "distinct-cells", "squares", "word-paths", "axis", "all", "manhattan-rings",
     "explicit", "side", "king", "none", "true", "false",
-    "{", "}", ":", ",", "[", "]", '"', '"ab"', "\\", '\\"', "#", " ", "\n",
+    "{", "}", ":", ",", "[", "]", '"', '"ab"', "\\", '\\"', "#", " ", "\n", "\r\n", "\t",
     "0", "7", "\u0663", "\u00b2", "\u2460", "9" * 4301,
     "problem p { kind: squares cols: ",
 )
@@ -320,8 +322,27 @@ _SPEC_TOKENS = (
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(_SPEC_TOKENS), st.text(max_size=3)), max_size=16))
 def test_parse_returns_problems_or_raises_spec_error(pieces):
+    source = "".join(pieces)
     try:
-        result = parse_spec("".join(pieces))
+        result = parse_spec(source)
+    except ParseError as err:
+        _assert_positioned(source, err)
+        return
     except SpecError:
         return
     assert isinstance(result, list)
+
+
+def _assert_positioned(source, err):
+    """``err``'s line and column lie in ``source`` and point where its message says."""
+    lines = source.split("\n")
+    assert 1 <= err.line <= len(lines)
+    assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+    assert str(err).startswith(f"{err.line}:{err.column}: ")
+    offset = sum(len(line) + 1 for line in lines[:err.line - 1]) + err.column - 1
+    if err.message.startswith("unexpected character "):
+        assert repr(source[offset:offset + 1]) == err.message.removeprefix("unexpected character ")
+    elif err.message.startswith("invalid escape "):
+        assert source[offset - 1:offset] == "\\"
+    elif err.message in ("unterminated string", "control character in string"):
+        assert source[offset:offset + 1] == '"'
