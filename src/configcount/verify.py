@@ -24,19 +24,20 @@ size is compared with the reading counter's count for that end cell
 For every word the counter runs once, on the table the search reads, and is
 the search's only budget check.
 
-``FAMILIES`` holds one ``Family`` record per problem family: ``squares-axis``,
+``FAMILIES`` holds one instance per problem family: ``squares-axis``,
 ``squares-all``, ``word-side`` (the registered rings form) and
-``word-counter`` (every other word).  ``family_of`` is the only code that
-reads a spec's kind, variant, adjacency or symbols to choose one, and every
-command reads the record it returns.  A record holds this module's own
-functions, which call the counters and enumerators by their names here when
+``word-counter`` (every other word).  A kind's class (``Squares``, ``Words``)
+holds what its families share, and a family's subclass its own parts.
+``family_of`` is the only code that reads a spec's kind, variant, adjacency or
+symbols to choose one, and every command reads the family it returns.  A
+family's methods call the counters and enumerators by their names here when
 they run, never through a reference taken at import: a counter replaced in
 this module (a test's spy, a benchmark's span) is the one called.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
 classes, and how the class counts recombine into the total.  A class's text
-is kept once, as ``%`` templates (the record's label, one step iii note per
+is kept once, as ``%`` templates (the kind's label, one step iii note per
 family) and columns of ints to fill them with, so a listing of any length is
 written without a function call per class.
 """
@@ -46,7 +47,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import itemgetter, mul
-from typing import NamedTuple
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
@@ -67,7 +67,7 @@ from .wordgrid import (
 )
 
 # Test-only hook: additive offsets on registered closed-form totals, keyed by
-# the name of a closed-form record in ``FAMILIES``.  There is deliberately no
+# the name of a closed-form family in ``FAMILIES``.  There is deliberately no
 # command-line surface for this; tests monkeypatch it to exercise the FAIL path
 # and the harness's sensitivity.
 _FAULT_OFFSETS: dict[str, int] = {}
@@ -153,23 +153,8 @@ class StepTrace:
             map(self.label.__mod__, zip(*self.fields()[:self.split])), self.classes.values()))
 
 
-class Family(NamedTuple):
-    """One problem family's configuration, as every command reads it."""
-
-    name: str  # a closed form's key in ``_FAULT_OFFSETS``
-    closed: bool  # whether a closed form is registered
-    label: str  # how a class prints: a ``%`` template filled with the class key's fields
-    columns: Callable  # (classes) -> the label's fields, a column each, in class order
-    witnesses: Callable  # (spec, budget, table) -> the witness stream, in canonical order
-    at: int  # the field of a witness that is its class's key
-    classes: Callable  # (spec, budget, table) -> count per class: closed form or reading counter
-    total: Callable  # (classes) -> their sum
-    steps: Callable  # (spec, classes) -> explain's steps i and ii, step iii's note and its columns
-    rule: str  # explain's step iv: "addition", "product" or "enumeration-only"
-
-
-def family_of(spec: ProblemSpec) -> Family:
-    """The record in ``FAMILIES`` of the problem's family.
+def family_of(spec: ProblemSpec) -> Squares | Words:
+    """The problem's family, as it is in ``FAMILIES``.
 
     Both square variants have a closed form.  The word closed form requires the
     manhattan-rings layout with side adjacency and pairwise-distinct symbols;
@@ -228,12 +213,9 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
     return enumerate_witnesses(spec, None, table), classes
 
 
-_SIZE_LABEL, _CELL_LABEL = "k=%d", "(%d,%d)"
-
-
 def class_label(key) -> str:
     """How a class key prints: ``k=3`` or ``(x,y)``."""
-    return (_SIZE_LABEL if isinstance(key, int) else _CELL_LABEL) % key
+    return (Squares.label if isinstance(key, int) else Words.label) % key
 
 
 def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:
@@ -342,29 +324,6 @@ def build_step_trace(
     )
 
 
-def _size_column(classes):
-    return (classes,)
-
-
-def _cell_columns(classes):
-    return map(itemgetter(0), classes), map(itemgetter(1), classes)
-
-
-def _axis_keys(spec: ProblemSpec, budget, table):
-    return square_keys(LatticeGrid(spec.cols, spec.rows), False, budget)
-
-
-def _all_keys(spec: ProblemSpec, budget, table):
-    return square_keys(LatticeGrid(spec.cols, spec.rows), True, budget)
-
-
-def _readings(spec: ProblemSpec, budget, table):
-    if table is None:
-        table = letter_grid(spec, budget)
-    return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells,
-                         max_visits=budget)
-
-
 def _listing(classes: Mapping, listed: int, budget: int | None) -> Mapping:
     """``classes``, refused if their number, ``listed``, is over ``budget``."""
     if budget is not None and listed > budget:
@@ -372,88 +331,115 @@ def _listing(classes: Mapping, listed: int, budget: int | None) -> Mapping:
     return classes
 
 
-def _axis_classes(spec: ProblemSpec, budget, table):
-    classes = count_axis_squares(spec.cols, spec.rows).per_k
-    return _listing(classes, classes.size, budget)
+# A kind's class: how a class prints (a ``%`` template, filled from a column
+# per field), the witness stream in canonical order, the field ``at`` of a
+# witness that is its class's key, and the total.  A family's class: its
+# ``_FAULT_OFFSETS`` key, whether a closed form is registered, explain's steps
+# i to iii and step iv's rule.
+
+class Squares:
+    """A square family: a class is a size k; a witness, a ``(k, a, y, x)`` key."""
+
+    label, at = "k=%d", 0
+    tilted: bool
+
+    def columns(self, classes):
+        return (classes,)
+
+    def witnesses(self, spec: ProblemSpec, budget, table):
+        return square_keys(LatticeGrid(spec.cols, spec.rows), self.tilted, budget)
+
+    def classes(self, spec: ProblemSpec, budget, table):
+        count = count_all_squares if self.tilted else count_axis_squares
+        classes = count(spec.cols, spec.rows).per_k
+        return _listing(classes, classes.size, budget)
+
+    def total(self, classes):
+        return _square_totals(classes.cols, classes.rows)[classes.tilted]
 
 
-def _all_classes(spec: ProblemSpec, budget, table):
-    classes = count_all_squares(spec.cols, spec.rows).per_k
-    return _listing(classes, classes.size, budget)
+class Words:
+    """A word family: a class is an end cell; a witness, a reading's cells."""
+
+    label, at = "(%d,%d)", -1
+
+    def columns(self, classes):
+        return map(itemgetter(0), classes), map(itemgetter(1), classes)
+
+    def witnesses(self, spec: ProblemSpec, budget, table):
+        if table is None:
+            table = letter_grid(spec, budget)
+        return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells,
+                             max_visits=budget)
+
+    def total(self, classes):
+        return sum(classes.values())
 
 
-def _side_classes(spec: ProblemSpec, budget, table):
-    classes = count_word_paths_closed(spec.word).per_class
-    return _listing(classes, len(classes), budget)
+class SquaresAxis(Squares):
+    name, closed, rule, tilted = "squares-axis", True, "addition", False
+
+    def steps(self, spec: ProblemSpec, classes):
+        slots, rails = classes.margins()
+        return (f"axis-aligned squares drawn on a {spec.cols}x{spec.rows} grid of points",
+                ("all four vertices are grid points", "sides are parallel to the coordinate axes"),
+                "%d rail pairs at distance %d, %d squares per pair",
+                lambda: (rails, classes, slots))
 
 
-def _counter_classes(spec: ProblemSpec, budget, table):
-    if table is None:
-        table = letter_grid(spec, budget)
-    return readings_per_end_cell(table, spec.word, spec.adjacency,
-                                 distinct_cells=spec.distinct_cells, max_visits=budget)
+class SquaresAll(Squares):
+    name, closed, rule, tilted = "squares-all", True, "addition", True
+
+    def steps(self, spec: ProblemSpec, classes):
+        slots, rails = classes.margins()
+        return (f"squares of any tilt drawn on a {spec.cols}x{spec.rows} grid of points",
+                ("all four vertices are grid points",),
+                "%d tilt offsets per box, %d box positions",
+                lambda: (classes, map(mul, slots, rails)))
 
 
-def _size_total(classes):
-    return _square_totals(classes.cols, classes.rows)[classes.tilted]
+class WordSide(Words):
+    """The registered closed form: distinct symbols on rings under side adjacency."""
+
+    name, closed, rule = "word-side", True, "product"
+
+    def classes(self, spec: ProblemSpec, budget, table):
+        classes = count_word_paths_closed(spec.word).per_class
+        return _listing(classes, len(classes), budget)
+
+    def steps(self, spec: ProblemSpec, classes):
+        length = len(spec.word)
+        half = (length - 1) // 2
+        step_i = f"readings of {spec.word!r} in the {length}x{length} manhattan-rings letter grid"
+        step_ii = (_ADJACENCY_TEXT["side"], f"the visited cells spell {spec.word!r} in order")
+        if length == 1:
+            return step_i, step_ii, "the single cell holding the whole word", lambda: ()
+        note = (f"readings ending at corner {self.label}: "
+                f"{half} vertical and {half} horizontal moves interleaved")
+        return step_i, step_ii, note, lambda: self.columns(classes)
 
 
-def _sum_total(classes):
-    return sum(classes.values())
+class WordCounter(Words):
+    """Every other word: its classes are the reading counter's, checked by enumeration."""
+
+    name, closed, rule = "word-counter", False, "enumeration-only"
+
+    def classes(self, spec: ProblemSpec, budget, table):
+        if table is None:
+            table = letter_grid(spec, budget)
+        return readings_per_end_cell(table, spec.word, spec.adjacency,
+                                     distinct_cells=spec.distinct_cells, max_visits=budget)
+
+    def steps(self, spec: ProblemSpec, classes):
+        size = "{}x{}".format(*table_size(spec, None))
+        rings = spec.layout == "manhattan-rings"
+        layout = f"the {size} manhattan-rings letter grid" if rings else f"a {size} letter grid"
+        step_ii = [_ADJACENCY_TEXT[spec.adjacency], f"the visited cells spell {spec.word!r} in order"]
+        if spec.distinct_cells:
+            step_ii.append("no cell is visited twice")
+        return (f"readings of {spec.word!r} in {layout}", tuple(step_ii),
+                f"readings ending at cell {self.label}", lambda: self.columns(classes))
 
 
-def _axis_steps(spec: ProblemSpec, classes):
-    slots, rails = classes.margins()
-    return (f"axis-aligned squares drawn on a {spec.cols}x{spec.rows} grid of points",
-            ("all four vertices are grid points", "sides are parallel to the coordinate axes"),
-            "%d rail pairs at distance %d, %d squares per pair",
-            lambda: (rails, classes, slots))
-
-
-def _all_steps(spec: ProblemSpec, classes):
-    slots, rails = classes.margins()
-    return (f"squares of any tilt drawn on a {spec.cols}x{spec.rows} grid of points",
-            ("all four vertices are grid points",),
-            "%d tilt offsets per box, %d box positions",
-            lambda: (classes, map(mul, slots, rails)))
-
-
-def _word_steps_closed(spec: ProblemSpec, classes):
-    length = len(spec.word)
-    half = (length - 1) // 2
-    step_i = f"readings of {spec.word!r} in the {length}x{length} manhattan-rings letter grid"
-    step_ii = (_ADJACENCY_TEXT["side"], f"the visited cells spell {spec.word!r} in order")
-    if length == 1:
-        return step_i, step_ii, "the single cell holding the whole word", lambda: ()
-    note = (f"readings ending at corner {_CELL_LABEL}: "
-            f"{half} vertical and {half} horizontal moves interleaved")
-    return step_i, step_ii, note, lambda: _cell_columns(classes)
-
-
-def _word_steps_enumerated(spec: ProblemSpec, classes):
-    size = "{}x{}".format(*table_size(spec, None))
-    rings = spec.layout == "manhattan-rings"
-    layout = f"the {size} manhattan-rings letter grid" if rings else f"a {size} letter grid"
-    step_ii = [_ADJACENCY_TEXT[spec.adjacency], f"the visited cells spell {spec.word!r} in order"]
-    if spec.distinct_cells:
-        step_ii.append("no cell is visited twice")
-    return (f"readings of {spec.word!r} in {layout}", tuple(step_ii),
-            f"readings ending at cell {_CELL_LABEL}", lambda: _cell_columns(classes))
-
-
-# The family table: every record holds this module's own functions, never a
-# counter or an enumerator itself (see the module docstring).
-FAMILIES = {family.name: family for family in (
-    Family(name="squares-axis", closed=True, label=_SIZE_LABEL, columns=_size_column,
-           witnesses=_axis_keys, at=0, classes=_axis_classes, total=_size_total,
-           steps=_axis_steps, rule="addition"),
-    Family(name="squares-all", closed=True, label=_SIZE_LABEL, columns=_size_column,
-           witnesses=_all_keys, at=0, classes=_all_classes, total=_size_total,
-           steps=_all_steps, rule="addition"),
-    Family(name="word-side", closed=True, label=_CELL_LABEL, columns=_cell_columns,
-           witnesses=_readings, at=-1, classes=_side_classes, total=_sum_total,
-           steps=_word_steps_closed, rule="product"),
-    Family(name="word-counter", closed=False, label=_CELL_LABEL, columns=_cell_columns,
-           witnesses=_readings, at=-1, classes=_counter_classes, total=_sum_total,
-           steps=_word_steps_enumerated, rule="enumeration-only"),
-)}
+FAMILIES = {family.name: family for family in (SquaresAxis(), SquaresAll(), WordSide(),
+                                                WordCounter())}
