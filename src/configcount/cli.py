@@ -2,10 +2,10 @@
 
 The commands parse arguments, format output and map errors to exit codes;
 which closed form and which enumerator a problem uses is read off its family
-record in ``verify``.  Exit codes: 0 on success (and on verify when every
-problem PASSes), 1 when verification finds a discrepancy, 2 on usage, parse,
-or budget errors and on running out of memory; a budget error names the
-problem that overran, and outranks a FAIL.  All output is deterministic for
+in ``verify``.  Exit codes: 0 on success (and on verify when every problem
+PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
+budget errors, on running out of memory and on a failed write to stdout; a
+budget error names the problem that overran, and outranks a FAIL.  All output is deterministic for
 fixed inputs and flags; counts appear in JSON as decimal strings so consumers
 never round them through a fixed-width type.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -131,8 +132,21 @@ def _write(pieces: Iterable[str]) -> None:
     """
     pieces = iter(pieces)
     while chunk := list(islice(pieces, _CHUNK)):
-        sys.stdout.write("".join(chunk))
-    sys.stdout.flush()
+        _to_stdout(sys.stdout.write, "".join(chunk))
+    _to_stdout(sys.stdout.flush)
+
+
+def _to_stdout(call, *args) -> None:
+    """``call(*args)``; a failed write to stdout (a full disk, a closed pipe) exits 2."""
+    try:
+        call(*args)
+    except OSError as exc:
+        # Python flushes stdout again at exit, and a failed flush there would
+        # print a warning and exit 120: what is left goes to the null device.
+        with contextlib.suppress(OSError):  # no file descriptor under a test runner
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        _fail(f"stdout: {exc.strerror}")
 
 
 def _json_pieces(doc: dict) -> Iterator[str]:

@@ -27,12 +27,15 @@ the search's only budget check.
 ``FAMILIES`` holds one instance per problem family: ``squares-axis``,
 ``squares-all``, ``word-side`` (the registered rings form) and
 ``word-counter`` (every other word).  A kind's class (``Squares``, ``Words``)
-holds what its families share, and a family's subclass its own parts.
-``family_of`` is the only code that reads a spec's kind, variant, adjacency or
-symbols to choose one, and every command reads the family it returns.  A
-family's methods call the counters and enumerators by their names here when
-they run, never through a reference taken at import: a counter replaced in
-this module (a test's spy, a benchmark's span) is the one called.
+holds what its families share: the class label and its columns, the witness
+stream, ``_tally``'s field and the total.  A family's subclass holds its
+``_FAULT_OFFSETS`` key, whether a closed form is registered, explain's steps
+and step iv's rule, and a word family its class counts.  ``family_of`` is the
+only code that reads a spec's kind, variant, adjacency or symbols to choose
+one, and every command reads the family it returns.  A family's methods call
+the counters and enumerators by their names here when they run, never through
+a reference taken at import: a counter replaced in this module (a test's spy,
+a benchmark's span) is the one called.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -330,12 +333,6 @@ def _listing(classes: Mapping, listed: int, budget: int | None) -> Mapping:
         raise OracleBudgetError(f"oracle budget exceeded: listing of {listed} classes > {budget}")
     return classes
 
-
-# A kind's class: how a class prints (a ``%`` template, filled from a column
-# per field), the witness stream in canonical order, the field ``at`` of a
-# witness that is its class's key, and the total.  A family's class: its
-# ``_FAULT_OFFSETS`` key, whether a closed form is registered, explain's steps
-# i to iii and step iv's rule.
 
 class Squares:
     """A square family: a class is a size k; a witness, a ``(k, a, y, x)`` key."""

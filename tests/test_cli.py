@@ -1145,6 +1145,36 @@ def test_importing_the_cli_skips_network_and_xml_modules():
     assert done.stdout == "[]\n"
 
 
+def _child(args, cwd, stdout):
+    """``python -m configcount <args>`` as a child process, writing to ``stdout``."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "configcount", *args], cwd=cwd,
+                            stdout=stdout, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_2_with_one_error_line():
+    # Exit 1 means "verification failed": a failed write must not read as one.
+    with open("/dev/full", "wb") as full:
+        child = _child(["verify", str(SAMPLES)], REPO_ROOT, full)
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (2, b"error: stdout: No space left on device\n")
+
+
+def test_a_closed_pipe_exits_2_with_one_error_line(tmp_path):
+    # A reader that stops early, like `head -c 100`, closes the pipe mid-listing.
+    (tmp_path / "giant.ccspec").write_text(
+        "problem giant { kind: squares cols: 100000 rows: 100000 variant: all }")
+    child = _child(["explain", "giant.ccspec", "--problem", "giant"], tmp_path, subprocess.PIPE)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert err.count(b"\n") == 1 and err.startswith(b"error: stdout: ")
+    assert b"Traceback" not in err
+
+
 def _small_budget_everywhere(monkeypatch, budget=1000):
     # Enumerate and render reach the enumerator through verify.counted_witnesses;
     # render also caps a figure's size by the default budget, count and explain

@@ -12,7 +12,7 @@ import configcount.verify as verify_mod
 from configcount import wordgrid
 from configcount.budget import OracleBudgetError
 from configcount.render import render_problem
-from configcount.speclang import ProblemSpec
+from configcount.speclang import ProblemSpec, parse_spec
 from configcount.squares import _square_totals
 from configcount.verify import (
     PartitionRow,
@@ -21,9 +21,14 @@ from configcount.verify import (
     class_counts,
     class_label,
     enumerate_witnesses,
+    family_of,
     has_registered_closed_form,
     verify_problem,
 )
+
+from conftest import REPO_ROOT, SAMPLES
+
+GOLDEN = REPO_ROOT / "tests" / "data" / "golden"
 
 AXIS5 = ProblemSpec("axis5", "squares", cols=5, rows=5, variant="axis")
 ALL5 = ProblemSpec("all5", "squares", cols=5, rows=5, variant="all")
@@ -104,6 +109,25 @@ def test_closed_form_registration():
     report = verify_problem(flagged)
     assert report.verdict == "PASS"
     assert report.closed_form_total == report.oracle_total == 8
+
+
+def test_each_problem_resolves_to_its_family():
+    families = {
+        "squares5": "squares-axis", "squares5-all": "squares-all", "open-side": "word-side",
+        "open-free": "word-counter", "open-king": "word-counter",
+        "tiny": "squares-axis", "strip-all": "squares-all", "table-side": "word-counter",
+        "table-king-distinct": "word-counter", "rings-repeat": "word-counter",
+        "single": "word-side", "single-table": "word-counter", "glyphs": "word-side",
+    }
+    specs = [spec for path in (SAMPLES, GOLDEN / "branches.ccspec")
+             for spec in parse_spec(path.read_text(encoding="utf-8"))]
+    assert {spec.name: family_of(spec).name for spec in specs} == families
+    # distinct symbols make the flag inert; a repeated symbol leaves only the counter
+    for word, distinct, family in (("abc", True, "word-side"), ("aba", False, "word-counter"),
+                                   ("aba", True, "word-counter")):
+        spec = ProblemSpec("w", "word-paths", word=word, layout="manhattan-rings",
+                           adjacency="side", distinct_cells=distinct)
+        assert family_of(spec).name == family, (word, distinct)
 
 
 def test_injected_fault_fails_with_discrepancy_note(monkeypatch):
