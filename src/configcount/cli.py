@@ -5,9 +5,9 @@ which closed form and which enumerator a problem uses is read off its family
 in ``verify``.  Exit codes: 0 on success (and on verify when every problem
 PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
 budget errors, on running out of memory and on a failed write to stdout; a
-budget error names the problem that overran, and outranks a FAIL.  All output is deterministic for
-fixed inputs and flags; counts appear in JSON as decimal strings so consumers
-never round them through a fixed-width type.
+budget error names the problem that overran, and outranks a FAIL.  All output
+is deterministic for fixed inputs and flags; counts appear in JSON as decimal
+strings so consumers never round them through a fixed-width type.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, with one flush at the end: a write holds at most 256 listing
