@@ -4,10 +4,11 @@ The commands parse arguments, format output and map errors to exit codes;
 which closed form and which enumerator a problem uses is read off its family
 in ``verify``.  Exit codes: 0 on success (and on verify when every problem
 PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
-budget errors, on running out of memory and on a failed write to stdout; a
-budget error names the problem that overran, and outranks a FAIL.  All output
-is deterministic for fixed inputs and flags; counts appear in JSON as decimal
-strings so consumers never round them through a fixed-width type.
+budget errors, on running out of memory and on a failed write to stdout or
+stderr, click's own help and usage text included; a budget error names the
+problem that overran, and outranks a FAIL.  All output is deterministic for
+fixed inputs and flags; counts appear in JSON as decimal strings so consumers
+never round them through a fixed-width type.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, with one flush at the end: a write holds at most 256 listing
@@ -25,7 +26,6 @@ opening it only once the first piece is drawn.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import re
 import sys
@@ -51,7 +51,28 @@ from .verify import (
 
 
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _error(message)
+    sys.exit(2)
+
+
+def _error(message: str) -> None:
+    """One error line on stderr."""
+    try:
+        click.echo(f"error: {message}", err=True)
+    except OSError as exc:
+        _write_failed("stderr", exc)
+
+
+def _write_failed(stream: str, exc: OSError) -> None:
+    """Exit 2 after a failed write to ``sys.<stream>`` (a full disk, a closed
+    pipe), never 1, which means "verification failed".  A failed stdout write
+    is named on stderr; a failed stderr write leaves nowhere to name it."""
+    # Python flushes the stream again at exit, and a failed flush there would
+    # change the exit code: what is left goes to the null device.
+    with contextlib.suppress(OSError):  # no file descriptor under a test runner
+        os.dup2(os.open(os.devnull, os.O_WRONLY), getattr(sys, stream).fileno())
+    if stream == "stdout":
+        _fail(f"stdout: {exc.strerror}")
     sys.exit(2)
 
 
@@ -100,7 +121,37 @@ def _naming(spec: ProblemSpec, errors=(OracleBudgetError,)):
         _fail(_refusal(spec, exc))
 
 
-@click.group()
+class _HelpWrites:
+    """click writes ``--help`` text to stdout while it makes a context."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except OSError as exc:
+            _write_failed("stdout", exc)
+
+
+class _Command(_HelpWrites, click.Command):
+    pass
+
+
+class _Group(_HelpWrites, click.Group):
+    """The command group: a failed write exits 2 wherever click makes it.
+
+    click writes a usage error to stderr as ``main`` ends, and would turn a
+    closed pipe into exit 1 itself.
+    """
+
+    command_class = _Command
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **kwargs)
+        except OSError as exc:
+            _write_failed("stderr", exc)
+
+
+@click.group(cls=_Group)
 def main():
     """Exact counting workbench for lattice squares and grid word readings."""
     for stream in (sys.stdout, sys.stderr):
@@ -141,12 +192,14 @@ def _to_stdout(call, *args) -> None:
     try:
         call(*args)
     except OSError as exc:
-        # Python flushes stdout again at exit, and a failed flush there would
-        # print a warning and exit 120: what is left goes to the null device.
-        with contextlib.suppress(OSError):  # no file descriptor under a test runner
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        _fail(f"stdout: {exc.strerror}")
+        _write_failed("stdout", exc)
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value)``; json is loaded only by a command that writes JSON."""
+    import json
+
+    return json.dumps(value)
 
 
 def _json_pieces(doc: dict) -> Iterator[str]:
@@ -161,9 +214,9 @@ def _json_pieces(doc: dict) -> Iterator[str]:
             plain[key] = value
             continue
         if plain:
-            yield separator + json.dumps(plain)[1:-1]
+            yield separator + _dumps(plain)[1:-1]
             separator, plain = ", ", {}
-        yield f"{separator}{json.dumps(key)}: "
+        yield f"{separator}{_dumps(key)}: "
         separator = ", "
         if isinstance(value, dict):
             yield from _json_pieces(value)
@@ -171,7 +224,7 @@ def _json_pieces(doc: dict) -> Iterator[str]:
         yield "["
         yield from _joined(value)
         yield "]"
-    yield separator + json.dumps(plain)[1:] if plain or separator == "{" else "}"
+    yield separator + _dumps(plain)[1:] if plain or separator == "{" else "}"
 
 
 def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
@@ -186,7 +239,7 @@ def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
 def _filled(template: dict, rows: Iterable[tuple]) -> Iterator[str]:
     """One JSON item per row: ``template``, a dict of ``%`` templates, encoded
     once and filled with each row.  Its fields are ints, which need no escaping."""
-    return map(json.dumps(template).__mod__, rows)
+    return map(_dumps(template).__mod__, rows)
 
 
 def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
@@ -205,7 +258,7 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
             try:
                 result = run(spec)
             except (OracleBudgetError, MemoryError) as exc:
-                click.echo(f"error: {_refusal(spec, exc)}", err=True)
+                _error(_refusal(spec, exc))
                 overran = True
                 continue
             if results:
@@ -326,7 +379,7 @@ def _verify_text(report: VerifyReport) -> str:
 
 
 def _verify_json(report: VerifyReport) -> str:
-    return json.dumps({
+    return _dumps({
         "problem": report.problem.name,
         "kind": report.problem.kind,
         "verdict": report.verdict,

@@ -7,27 +7,32 @@ is no overflow to guard against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class MultisetSpec:
+class MultisetSpec(Record):
     """n objects split into types of sizes ``parts``; parts must sum to n."""
 
     n: int
     parts: tuple[int, ...]
 
+    def __init__(self, n: int, parts: tuple[int, ...]):
+        set_field(self, "n", n)
+        set_field(self, "parts", parts)
 
-@dataclass(frozen=True)
-class MoveWord:
+
+class MoveWord(Record):
     """A two-letter move alphabet: some number of U (up) and R (right) moves."""
 
     ups: int
     rights: int
 
-    def __post_init__(self):
-        if self.ups < 0 or self.rights < 0:
+    def __init__(self, ups: int, rights: int):
+        if ups < 0 or rights < 0:
             raise ValueError("move counts must be non-negative")
+        set_field(self, "ups", ups)
+        set_field(self, "rights", rights)
 
 
 def factorial(n: int) -> int:

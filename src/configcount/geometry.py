@@ -18,45 +18,74 @@ Coordinates are 0-based with y increasing upward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record, set_field
 
 # A square as (k, a, y, x): bounding-box size, tilt offset, anchor row and column.
 SquareKey = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class LatticePoint:
+class LatticePoint(Record):
     """An integer point, compared and ordered componentwise."""
 
+    __slots__ = ("x", "y")
     x: int
     y: int
 
+    def __init__(self, x: int, y: int):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
-@dataclass(frozen=True)
-class LatticeGrid:
+    # Ordered by (x, y), and only against another point.
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) < (other.x, other.y)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) <= (other.x, other.y)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) > (other.x, other.y)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) >= (other.x, other.y)
+
+
+class LatticeGrid(Record):
     """A full rectangle of integer points {(x, y) : 0 <= x < cols, 0 <= y < rows}."""
 
     cols: int
     rows: int
 
-    def __post_init__(self):
-        if self.cols < 1 or self.rows < 1:
+    def __init__(self, cols: int, rows: int):
+        if cols < 1 or rows < 1:
             raise ValueError("grid needs at least one point column and row")
+        set_field(self, "cols", cols)
+        set_field(self, "rows", rows)
 
 
-@dataclass(frozen=True, slots=True)
-class Square:
+class Square(Record):
     """Canonical square representation: bounding-box anchor, size k, tilt offset a."""
 
+    __slots__ = ("anchor", "k", "a")
     anchor: LatticePoint
     k: int
     a: int
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, anchor: LatticePoint, k: int, a: int):
+        if k < 1:
             raise ValueError("square size k must be positive")
-        if not 0 <= self.a < self.k:
+        if not 0 <= a < k:
             raise ValueError("tilt offset a must satisfy 0 <= a < k")
+        set_field(self, "anchor", anchor)
+        set_field(self, "k", k)
+        set_field(self, "a", a)
 
 
 def key_vertices(key: SquareKey) -> tuple[tuple[int, int], ...]:

@@ -16,7 +16,6 @@ element is one ``str.format`` call on those strings.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from html import escape
 from itertools import islice, product
 
 from .budget import DEFAULT_ORACLE_BUDGET
@@ -143,6 +142,8 @@ def _word_figure(spec: ProblemSpec, cell_size: int,
     rect = (f'<rect class="cell" x="{{0[1]}}" y="{{0[0]}}" '
             f'width="{cell_size}" height="{cell_size}"/>\n').format
     yield from _pieces(map(rect, product(map(str, tops), map(str, lefts))))
+    from html import escape  # loaded only for a letter table's glyphs
+
     glyphs = {symbol: escape(symbol, quote=False) for symbol in set().union(*grid.lines)}
     text = '<text class="glyph" x="{0[1]}" y="{0[0]}">{1}</text>\n'.format
     yield from _pieces(map(

@@ -25,7 +25,6 @@ is that it can disagree with the enumerators above.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
@@ -33,6 +32,7 @@ from operator import mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid, LatticePoint, Square, SquareKey
+from .record import Record, set_field
 
 
 class SizeClasses(Mapping):
@@ -86,22 +86,30 @@ class _SizeItems(ItemsView):
         return zip(range(1, self._mapping.size + 1), self._mapping._values())
 
 
-@dataclass(frozen=True)
-class SizeClassBreakdown:
+class SizeClassBreakdown(Record):
     """Counts per size class k, plus their sum.  Zero classes are omitted."""
 
     per_k: SizeClasses
     total: int
 
+    def __init__(self, per_k: SizeClasses, total: int):
+        set_field(self, "per_k", per_k)
+        set_field(self, "total", total)
 
-@dataclass(frozen=True)
-class RailReport:
+
+class RailReport(Record):
     """One size class counted as rail pairs times positions per pair."""
 
     k: int
     rail_pairs: int
     per_pair: int
     total: int
+
+    def __init__(self, k: int, rail_pairs: int, per_pair: int, total: int):
+        set_field(self, "k", k)
+        set_field(self, "rail_pairs", rail_pairs)
+        set_field(self, "per_pair", per_pair)
+        set_field(self, "total", total)
 
 
 def _size_classes(cols: int, rows: int, tilted: bool) -> SizeClassBreakdown:

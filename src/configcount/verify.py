@@ -48,11 +48,11 @@ written without a function call per class.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from operator import itemgetter, mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
 from .geometry import LatticeGrid
+from .record import Record, set_field
 from .speclang import ProblemSpec
 from .squares import (
     _square_totals,
@@ -76,17 +76,20 @@ from .wordgrid import (
 _FAULT_OFFSETS: dict[str, int] = {}
 
 
-@dataclass(frozen=True)
-class PartitionRow:
+class PartitionRow(Record):
     """Expected (closed-form) versus observed (enumerated) size of one class."""
 
     label: str
     expected: int | None
     observed: int
 
+    def __init__(self, label: str, expected: int | None, observed: int):
+        set_field(self, "label", label)
+        set_field(self, "expected", expected)
+        set_field(self, "observed", observed)
 
-@dataclass(frozen=True)
-class VerifyReport:
+
+class VerifyReport(Record):
     problem: ProblemSpec
     closed_form_total: int | None
     oracle_total: int
@@ -94,6 +97,17 @@ class VerifyReport:
     partition_rows: tuple[PartitionRow, ...]
     duplicate_witnesses: int
     notes: tuple[str, ...]
+
+    def __init__(self, problem: ProblemSpec, closed_form_total: int | None, oracle_total: int,
+                 verdict: str, partition_rows: tuple[PartitionRow, ...],
+                 duplicate_witnesses: int, notes: tuple[str, ...]):
+        set_field(self, "problem", problem)
+        set_field(self, "closed_form_total", closed_form_total)
+        set_field(self, "oracle_total", oracle_total)
+        set_field(self, "verdict", verdict)
+        set_field(self, "partition_rows", partition_rows)
+        set_field(self, "duplicate_witnesses", duplicate_witnesses)
+        set_field(self, "notes", notes)
 
 
 class Rows:
@@ -117,8 +131,7 @@ class Rows:
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(Record):
     """The four-step decomposition of one counting problem, as data.
 
     ``classes`` is the problem's ``class_counts``.  A class's text fills two
@@ -139,6 +152,20 @@ class StepTrace:
     step_iv_rule: str  # "addition" | "product" | "enumeration-only"
     step_iv_total: int
     classes: Mapping
+
+    def __init__(self, problem: str, step_i: str, step_ii: tuple[str, ...], label: str,
+                 note: str, fields: Callable[[], tuple[Iterable[int], ...]], split: int,
+                 step_iv_rule: str, step_iv_total: int, classes: Mapping):
+        set_field(self, "problem", problem)
+        set_field(self, "step_i", step_i)
+        set_field(self, "step_ii", step_ii)
+        set_field(self, "label", label)
+        set_field(self, "note", note)
+        set_field(self, "fields", fields)
+        set_field(self, "split", split)
+        set_field(self, "step_iv_rule", step_iv_rule)
+        set_field(self, "step_iv_total", step_iv_total)
+        set_field(self, "classes", classes)
 
     def class_fields(self) -> Iterator[tuple[int, ...]]:
         """Each class's label fields, then its note's: ``label + note`` fills one."""

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
 from typing import Literal
 
 from .budget import OracleBudgetError
 from .counting import MoveWord, count_move_words
+from .record import Record, set_field
 
 AdjacencyRule = Literal["side", "king", "none"]
 
@@ -55,17 +55,20 @@ _KING_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (
 _OVERRUN = "oracle budget exceeded: more than {} cell visits"
 
 
-@dataclass(frozen=True)
-class LetterGrid:
-    """A table of single symbols as its rows, top row first: (x, y) is ``lines[y][x]``."""
+class LetterGrid(Record):
+    """A table of single symbols as its rows, top row first: (x, y) is ``lines[y][x]``.
+
+    It keeps an instance dict, where ``cells_by_symbol`` is cached.
+    """
 
     lines: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.lines or not all(self.lines):
+    def __init__(self, lines: tuple[str, ...]):
+        if not lines or not all(lines):
             raise ValueError("rows must be non-empty")
-        if len(set(map(len, self.lines))) != 1:
+        if len(set(map(len, lines))) != 1:
             raise ValueError("rows must all have the same length")
+        set_field(self, "lines", lines)
 
     @property
     def cols(self) -> int:
@@ -85,23 +88,29 @@ class LetterGrid:
         return by_sym
 
 
-@dataclass(frozen=True, slots=True)
-class PathWitness:
+class PathWitness(Record):
     """One concrete reading: the cell coordinates visited, in order."""
 
+    __slots__ = ("cells",)
     cells: tuple[tuple[int, int], ...]
+
+    def __init__(self, cells: tuple[tuple[int, int], ...]):
+        set_field(self, "cells", cells)
 
     @property
     def final_cell(self) -> tuple[int, int]:
         return self.cells[-1]
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Record):
     """A closed-form count with its per-terminal-cell class sizes."""
 
     total: int
     per_class: dict[tuple[int, int], int]
+
+    def __init__(self, total: int, per_class: dict[tuple[int, int], int]):
+        set_field(self, "total", total)
+        set_field(self, "per_class", per_class)
 
 
 def letter_grid_from_rows(rows_data) -> LetterGrid:

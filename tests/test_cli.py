@@ -1136,20 +1136,22 @@ def test_render_failing_after_the_first_piece_exits_2_naming_the_problem(runner,
 
 def test_importing_the_cli_skips_network_and_xml_modules():
     # Every command imports cli; xml.sax.saxutils pulled in urllib.request,
-    # http.client and email at start-up.
+    # http.client and email at start-up.  json loads only for --format json,
+    # and html only to draw a letter table's glyphs.
     code = ("import sys, configcount.cli; "
-            "print(sorted({'urllib.request', 'xml.sax'} & set(sys.modules)))")
+            "print(sorted({'urllib.request', 'xml.sax', 'json', 'html'} & set(sys.modules)))")
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
     assert done.stdout == "[]\n"
 
 
-def _child(args, cwd, stdout):
-    """``python -m configcount <args>`` as a child process, writing to ``stdout``."""
+def _child(args, cwd, stdout, stderr=subprocess.PIPE):
+    """``python -m configcount <args>`` as a child process, writing to ``stdout``
+    and ``stderr``."""
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "configcount", *args], cwd=cwd,
-                            stdout=stdout, stderr=subprocess.PIPE,
+                            stdout=stdout, stderr=stderr,
                             env={**os.environ, "PYTHONPATH": path})
 
 
@@ -1160,6 +1162,27 @@ def test_a_full_stdout_exits_2_with_one_error_line():
         child = _child(["verify", str(SAMPLES)], REPO_ROOT, full)
         _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (2, b"error: stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_to_a_full_stdout_exits_2_with_one_error_line():
+    # click writes the help text itself, not through the commands' writes.
+    with open("/dev/full", "wb") as full:
+        child = _child(["--help"], REPO_ROOT, full)
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (2, b"error: stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_error_line_to_a_full_stderr_still_exits_2(tmp_path):
+    # The refusal's error line cannot be written; the exit code still tells it
+    # from a FAIL.
+    (tmp_path / "big.ccspec").write_text(
+        "problem big { kind: squares cols: 4000 rows: 4000 variant: all }")
+    with open("/dev/full", "wb") as full:
+        child = _child(["verify", "big.ccspec"], tmp_path, subprocess.PIPE, full)
+        out, _ = child.communicate(timeout=60)
+    assert (child.returncode, out) == (2, b"")
 
 
 def test_a_closed_pipe_exits_2_with_one_error_line(tmp_path):
