@@ -18,14 +18,17 @@ Coordinates are 0-based with y increasing upward.
 
 from __future__ import annotations
 
+from functools import total_ordering
+
 from .record import Record, set_field
 
 # A square as (k, a, y, x): bounding-box size, tilt offset, anchor row and column.
 SquareKey = tuple[int, int, int, int]
 
 
+@total_ordering
 class LatticePoint(Record):
-    """An integer point, compared and ordered componentwise."""
+    """An integer point, compared and ordered by (x, y), and only against another point."""
 
     __slots__ = ("x", "y")
     x: int
@@ -35,26 +38,10 @@ class LatticePoint(Record):
         set_field(self, "x", x)
         set_field(self, "y", y)
 
-    # Ordered by (x, y), and only against another point.
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.x, self.y) < (other.x, other.y)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) <= (other.x, other.y)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) > (other.x, other.y)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) >= (other.x, other.y)
 
 
 class LatticeGrid(Record):
