@@ -981,6 +981,59 @@ def test_bad_format_value_exits_2(runner):
     assert result.exit_code == 2
 
 
+_USAGE_ERRORS = {
+    "no-arguments": [],
+    "unknown-command": ["tally", SAMPLES],
+    "unknown-option": ["count", SAMPLES, "--bogus"],
+    "extra-argument": ["count", SAMPLES, SAMPLES],
+    "missing-spec-file": ["count"],
+    "enumerate-missing-problem": ["enumerate", SAMPLES],
+    "explain-missing-problem": ["explain", SAMPLES],
+    "render-missing-problem": ["render", SAMPLES, "-o", "{tmp}/out.svg"],
+    "render-missing-output": ["render", SAMPLES, "--problem", "squares5"],
+    "format-xml": ["count", SAMPLES, "--format", "xml"],
+    "limit-0": ["enumerate", SAMPLES, "--problem", "squares5", "--limit", "0"],
+    "limit-not-a-number": ["enumerate", SAMPLES, "--problem", "squares5", "--limit", "x"],
+    "cell-size-0": ["render", SAMPLES, "--problem", "squares5", "--cell-size", "0",
+                    "-o", "{tmp}/out.svg"],
+    "nonexistent-spec-file": ["count", "{tmp}/definitely-not-here.ccspec"],
+    "directory-as-spec-file": ["verify", "{tmp}"],
+}
+
+# Each command's options, and the argument every command takes.
+_HELP = {
+    "count": ["SPEC_FILE", "--problem", "--format"],
+    "enumerate": ["SPEC_FILE", "--problem", "--format", "--limit"],
+    "verify": ["SPEC_FILE", "--problem", "--format"],
+    "explain": ["SPEC_FILE", "--problem", "--format"],
+    "render": ["SPEC_FILE", "--problem", "--highlight", "--cell-size", "-o", "--output"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_usage_errors_exit_2_with_nothing_on_stdout(runner, tmp_path, case):
+    args = [str(a).replace("{tmp}", str(tmp_path)) for a in _USAGE_ERRORS[case]]
+    result = invoke(runner, *args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_help_names_every_command(runner):
+    result = invoke(runner, "--help")
+    assert result.exit_code == 0
+    for command in _HELP:
+        assert command in result.stdout
+
+
+@pytest.mark.parametrize("command", sorted(_HELP))
+def test_command_help_names_its_options(runner, command):
+    result = invoke(runner, command, "--help")
+    assert result.exit_code == 0
+    for option in _HELP[command]:
+        assert option in result.stdout
+
+
 def test_validation_error_exits_2(runner, tmp_path):
     spec = tmp_path / "bad.ccspec"
     spec.write_text("problem bad { kind: squares cols: 5 }")
