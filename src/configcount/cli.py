@@ -5,10 +5,11 @@ which closed form and which enumerator a problem uses is read off its family
 in ``verify``.  Exit codes: 0 on success (and on verify when every problem
 PASSes), 1 when verification finds a discrepancy, 2 on usage, parse, or
 budget errors, on running out of memory and on a failed write to stdout or
-stderr, click's own help and usage text included; a budget error names the
-problem that overran, and outranks a FAIL.  All output is deterministic for
-fixed inputs and flags; counts appear in JSON as decimal strings so consumers
-never round them through a fixed-width type.
+stderr, help and usage text included; a budget error names the problem that
+overran, and outranks a FAIL.  A usage error prints argparse's usage line and
+one error line.  All output is deterministic for fixed inputs and flags;
+counts appear in JSON as decimal strings so consumers never round them
+through a fixed-width type.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, with one flush at the end: a write holds at most 256 listing
@@ -21,10 +22,16 @@ per square key, and joins a reading from strings made once per column and
 once per row.  The bytes are still the documented text, and ``json.dumps`` of
 the documented form.  ``render`` writes its figure to the file piece by piece,
 opening it only once the first piece is drawn.
+
+The front end is one ``argparse`` parser, built when ``main`` runs.  ``main``
+is called as a click command is: ``main()``, or ``main.main(args=...,
+prog_name=..., standalone_mode=...)``, so click's ``CliRunner`` drives it in
+the tests; the program itself imports no click.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import os
 import re
@@ -32,8 +39,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice, starmap
 from pathlib import Path
-
-import click
 
 from .budget import OracleBudgetError
 from .render import render_pieces
@@ -55,10 +60,11 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
-def _error(message: str) -> None:
-    """One error line on stderr."""
+def _error(message: str, usage: str = "") -> None:
+    """One error line on stderr, after ``usage`` (a usage error's usage line)."""
     try:
-        click.echo(f"error: {message}", err=True)
+        sys.stderr.write(f"{usage}error: {message}\n")
+        sys.stderr.flush()
     except OSError as exc:
         _write_failed("stderr", exc)
 
@@ -121,53 +127,6 @@ def _naming(spec: ProblemSpec, errors=(OracleBudgetError,)):
         _fail(_refusal(spec, exc))
 
 
-class _HelpWrites:
-    """click writes ``--help`` text to stdout while it makes a context."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except OSError as exc:
-            _write_failed("stdout", exc)
-
-
-class _Command(_HelpWrites, click.Command):
-    pass
-
-
-class _Group(_HelpWrites, click.Group):
-    """The command group: a failed write exits 2 wherever click makes it.
-
-    click writes a usage error to stderr as ``main`` ends, and would turn a
-    closed pipe into exit 1 itself.
-    """
-
-    command_class = _Command
-
-    def main(self, *args, **kwargs):
-        try:
-            return super().main(*args, **kwargs)
-        except OSError as exc:
-            _write_failed("stderr", exc)
-
-
-@click.group(cls=_Group)
-def main():
-    """Exact counting workbench for lattice squares and grid word readings."""
-    for stream in (sys.stdout, sys.stderr):
-        if hasattr(stream, "reconfigure"):
-            stream.reconfigure(encoding="utf-8")
-
-
-_SPEC_FILE = click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-_PROBLEM = click.option("--problem", "problem_name", default=None, metavar="NAME",
-                        help="Only this problem (default: every problem in the file).")
-_PROBLEM_REQUIRED = click.option("--problem", "problem_name", required=True, metavar="NAME",
-                                 help="The problem to operate on.")
-_FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                       default="text", help="Output format.")
-
-
 # Pieces of output joined into one write, and items of a JSON list (or terms of
 # step iv's sum) joined into one piece: a write holds at most 256 listing lines,
 # or 16,384 JSON items or terms.
@@ -178,8 +137,8 @@ _ITEMS = 64
 def _write(pieces: Iterable[str]) -> None:
     """Write the pieces to stdout a chunk at a time, then flush once.
 
-    ``click.echo`` flushes on every call, which is slower than building the
-    whole output; chunks keep both the calls and the memory small.
+    A flush per piece is slower than building the whole output; chunks keep
+    both the calls and the memory small.
     """
     pieces = iter(pieces)
     while chunk := list(islice(pieces, _CHUNK)):
@@ -295,10 +254,6 @@ def _count_json(spec: ProblemSpec, classes) -> Iterator[str]:
     })
 
 
-@main.command()
-@_SPEC_FILE
-@_PROBLEM
-@_FORMAT
 def count(spec_file, problem_name, fmt):
     """Print the total and class breakdown for each problem.
 
@@ -335,12 +290,6 @@ def _witness_form(spec: ProblemSpec, fmt: str):
     return lambda *cells: start + separator.join([xs[x] + ys[y] for x, y in cells]) + end
 
 
-@main.command("enumerate")
-@_SPEC_FILE
-@_PROBLEM_REQUIRED
-@_FORMAT
-@click.option("--limit", type=click.IntRange(min=1), default=None,
-              help="Print at most this many witnesses.")
 def enumerate_cmd(spec_file, problem_name, fmt, limit):
     """List every witness of a problem in canonical order.
 
@@ -351,7 +300,9 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     with _naming(spec):
         witnesses, classes = counted_witnesses(spec)
     omitted = 0 if limit is None else max(class_total(spec, classes) - limit, 0)
-    shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit))
+    # A limit at or past the total draws every witness: islice refuses a limit
+    # past sys.maxsize.
+    shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit if omitted else None))
     if fmt == "json":
         _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind, "witnesses": shown,
                                    "omitted": str(omitted)}), ("\n",)))
@@ -399,10 +350,6 @@ def _verify_json(report: VerifyReport) -> str:
     })
 
 
-@main.command()
-@_SPEC_FILE
-@_PROBLEM
-@_FORMAT
 def verify(spec_file, problem_name, fmt):
     """Cross-check closed forms against enumeration; exit 1 on any FAIL.
 
@@ -454,10 +401,6 @@ def _explain_json(trace) -> Iterator[str]:
     yield "\n"
 
 
-@main.command()
-@_SPEC_FILE
-@_PROBLEM_REQUIRED
-@_FORMAT
 def explain(spec_file, problem_name, fmt):
     """Walk through a problem in four steps: objects, constraints, classes, total."""
     spec = _select(_load_specs(spec_file), problem_name)[0]
@@ -475,16 +418,6 @@ def _parse_highlight(text: str):
     _fail(f"invalid highlight: {text!r} (use an index or k=SIZE)")
 
 
-@main.command()
-@_SPEC_FILE
-@_PROBLEM_REQUIRED
-@click.option("--highlight", default=None, metavar="SPEC",
-              help="Witness index, or k=SIZE for one square size class.")
-@click.option("--cell-size", type=click.IntRange(min=1), default=40,
-              help="Pixels per lattice unit.")
-@click.option("-o", "--output", "output_path", required=True,
-              type=click.Path(dir_okay=False, writable=True),
-              help="Where to write the SVG.")
 def render(spec_file, problem_name, highlight, cell_size, output_path):
     """Draw a problem (and optionally one witness or size class) as an SVG."""
     spec = _select(_load_specs(spec_file), problem_name)[0]
@@ -501,6 +434,97 @@ def render(spec_file, problem_name, highlight, cell_size, output_path):
         except OSError as exc:
             _fail(f"{output_path}: {exc.strerror}")
 
+
+
+def _positive(text: str) -> int:
+    """``--limit`` and ``--cell-size``: an integer of at least 1."""
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+
+
+# Each option a command takes: add_argument's flags and keywords.
+_PROBLEM = ("--problem",), {"dest": "problem_name", "metavar": "NAME",
+                            "help": "Only this problem (default: every problem in the file)."}
+_PROBLEM_REQUIRED = ("--problem",), {"dest": "problem_name", "metavar": "NAME", "required": True,
+                                     "help": "The problem to operate on."}
+_FORMAT = ("--format",), {"dest": "fmt", "choices": ("text", "json"), "default": "text",
+                          "help": "Output format."}
+_LIMIT = ("--limit",), {"type": _positive, "metavar": "N",
+                        "help": "Print at most this many witnesses."}
+_HIGHLIGHT = ("--highlight",), {"metavar": "SPEC",
+                                "help": "Witness index, or k=SIZE for one square size class."}
+_CELL_SIZE = ("--cell-size",), {"type": _positive, "default": 40, "metavar": "PIXELS",
+                                "help": "Pixels per lattice unit."}
+_OUTPUT = ("-o", "--output"), {"dest": "output_path", "required": True, "metavar": "FILE",
+                               "help": "Where to write the SVG."}
+
+# Each command: the function it runs, which takes SPEC_FILE and its options.
+_COMMANDS = {
+    "count": (count, _PROBLEM, _FORMAT),
+    "enumerate": (enumerate_cmd, _PROBLEM_REQUIRED, _FORMAT, _LIMIT),
+    "verify": (verify, _PROBLEM, _FORMAT),
+    "explain": (explain, _PROBLEM_REQUIRED, _FORMAT),
+    "render": (render, _PROBLEM_REQUIRED, _HIGHLIGHT, _CELL_SIZE, _OUTPUT),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, writing help through ``_write`` and a usage error through
+    ``_error``, so a failed write of either exits 2.  Only ``--help`` asks for
+    help, and no option is abbreviated: ``-h`` and ``--form`` are usage errors."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def print_help(self, file=None):
+        _write((self.format_help(),))
+
+    def error(self, message):
+        _error(message, self.format_usage())
+        sys.exit(2)
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(prog=prog, description="Exact counting workbench for lattice squares "
+                                            "and grid word readings.")
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
+                                     required=True)
+    for name, (run, *options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=run.__doc__.partition("\n")[0],
+                                      description=run.__doc__)
+        command.set_defaults(run=run)
+        command.add_argument("spec_file", metavar="SPEC_FILE")
+        for flags, settings in options:
+            command.add_argument(*flags, **settings)
+    return parser
+
+
+class _Main:
+    """The ``configcount`` command, called as a click command is: ``main()``
+    from ``__main__`` and the console script, ``main.main(args=...,
+    prog_name=..., standalone_mode=...)`` from click's ``CliRunner`` and from
+    in-process runs, ``main(args, ...)`` alike.  It exits 0 on success, or
+    returns when ``standalone_mode`` is false."""
+
+    name = "configcount"
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        for stream in (sys.stdout, sys.stderr):
+            if hasattr(stream, "reconfigure"):
+                stream.reconfigure(encoding="utf-8")
+        options = vars(_parser(prog_name or self.name).parse_args(args))
+        del options["command"]
+        options.pop("run")(**options)
+        if standalone_mode:
+            sys.exit(0)
+
+    __call__ = main
+
+
+main = _Main()
 
 if __name__ == "__main__":
     main()

@@ -33,7 +33,8 @@ are 1-based, and a tab or a carriage return counts as one column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .record import Record, set_field
 
 
 class SpecError(ValueError):
@@ -58,20 +59,34 @@ class ValidationError(SpecError):
     """A well-formed but semantically invalid problem description."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """One parsed counting problem."""
 
     name: str
     kind: str
-    cols: int | None = None
-    rows: int | None = None
-    variant: str | None = None
-    word: str | None = None
-    layout: str | None = None
-    rows_data: tuple[str, ...] | None = None
-    adjacency: str | None = None
-    distinct_cells: bool = False
+    cols: int | None
+    rows: int | None
+    variant: str | None
+    word: str | None
+    layout: str | None
+    rows_data: tuple[str, ...] | None
+    adjacency: str | None
+    distinct_cells: bool
+
+    def __init__(self, name: str, kind: str, cols: int | None = None, rows: int | None = None,
+                 variant: str | None = None, word: str | None = None, layout: str | None = None,
+                 rows_data: tuple[str, ...] | None = None, adjacency: str | None = None,
+                 distinct_cells: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)
+        set_field(self, "cols", cols)
+        set_field(self, "rows", rows)
+        set_field(self, "variant", variant)
+        set_field(self, "word", word)
+        set_field(self, "layout", layout)
+        set_field(self, "rows_data", rows_data)
+        set_field(self, "adjacency", adjacency)
+        set_field(self, "distinct_cells", distinct_cells)
 
 
 _IDENTIFIER = ("ident", None, "an identifier", "identifier")

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside pytest's own report.
 """
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -198,7 +197,7 @@ def _problem_specs(draw):
 def _spec_files(draw):
     bodies = draw(st.lists(_problem_specs(), min_size=1, max_size=3))
     names = draw(st.lists(_names, min_size=len(bodies), max_size=len(bodies), unique=True))
-    return [dataclasses.replace(body, name=name) for body, name in zip(bodies, names)]
+    return [ProblemSpec(**dict(vars(body), name=name)) for body, name in zip(bodies, names)]
 
 
 @settings(max_examples=200, deadline=None)

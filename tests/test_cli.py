@@ -1,6 +1,5 @@
 """Command-line behavior: formats, exit codes, determinism, error messages."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -95,6 +94,15 @@ def test_enumerate_first_square(runner):
     result = invoke(runner, "enumerate", SAMPLES, "--problem", "squares5", "--limit", "1")
     assert result.exit_code == 0
     assert result.output == "(0,0) k=1 a=0\n(omitted 29 more)\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_limit_past_sys_maxsize_prints_every_witness(runner, fmt):
+    whole = invoke(runner, "enumerate", SAMPLES, "--problem", "squares5", "--format", fmt)
+    limited = invoke(runner, "enumerate", SAMPLES, "--problem", "squares5", "--format", fmt,
+                     "--limit", 10**20)
+    assert (limited.exit_code, limited.stdout) == (0, whole.stdout)
+    assert whole.stdout.count("k=" if fmt == "text" else '"k"') == 30
 
 
 def test_enumerate_all_witnesses_of_open_reading(runner):
@@ -1190,9 +1198,11 @@ def test_render_failing_after_the_first_piece_exits_2_naming_the_problem(runner,
 def test_importing_the_cli_skips_network_and_xml_modules():
     # Every command imports cli; xml.sax.saxutils pulled in urllib.request,
     # http.client and email at start-up.  json loads only for --format json,
-    # and html only to draw a letter table's glyphs.
-    code = ("import sys, configcount.cli; "
-            "print(sorted({'urllib.request', 'xml.sax', 'json', 'html'} & set(sys.modules)))")
+    # and html only to draw a letter table's glyphs.  The front end is
+    # argparse, not click, and no record is a dataclass, which would load
+    # inspect (and with it ast, dis and tokenize).
+    modules = {"urllib.request", "xml.sax", "json", "html", "click", "dataclasses", "inspect"}
+    code = f"import sys, configcount.cli; print(sorted({modules!r} & set(sys.modules)))"
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
@@ -1219,9 +1229,16 @@ def test_a_full_stdout_exits_2_with_one_error_line():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_help_to_a_full_stdout_exits_2_with_one_error_line():
-    # click writes the help text itself, not through the commands' writes.
     with open("/dev/full", "wb") as full:
         child = _child(["--help"], REPO_ROOT, full)
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (2, b"error: stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_command_help_to_a_full_stdout_exits_2_with_one_error_line():
+    with open("/dev/full", "wb") as full:
+        child = _child(["count", "--help"], REPO_ROOT, full)
         _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (2, b"error: stdout: No space left on device\n")
 
@@ -1234,6 +1251,15 @@ def test_an_error_line_to_a_full_stderr_still_exits_2(tmp_path):
         "problem big { kind: squares cols: 4000 rows: 4000 variant: all }")
     with open("/dev/full", "wb") as full:
         child = _child(["verify", "big.ccspec"], tmp_path, subprocess.PIPE, full)
+        out, _ = child.communicate(timeout=60)
+    assert (child.returncode, out) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_usage_error_to_a_full_stderr_still_exits_2():
+    with open("/dev/full", "wb") as full:
+        child = _child(["count", str(SAMPLES), "--format", "xml"], REPO_ROOT, subprocess.PIPE,
+                       full)
         out, _ = child.communicate(timeout=60)
     assert (child.returncode, out) == (2, b"")
 
@@ -1278,7 +1304,7 @@ def _cli_cases(draw):
                                                                 rows=rows, variant=variant),
                         side, side, st.sampled_from(["axis", "all"]))
     printed = st.one_of(squares, _rings_specs, _explicit_specs).map(
-        lambda spec: print_spec([dataclasses.replace(spec, name="p")]))
+        lambda spec: print_spec([ProblemSpec(**dict(vars(spec), name="p"))]))
     soup = st.lists(st.sampled_from(_SPEC_TOKENS), max_size=16).map("".join)
     return command, draw(st.one_of(soup, printed))
 

@@ -56,6 +56,12 @@ RECORDS = [
      "StepTrace(problem='p', step_i='i', step_ii=('ii',), label='k=%d', note='%d', "
      "fields=<class 'tuple'>, split=1, step_iv_rule='addition', step_iv_total=4, "
      "classes={1: 4})", False),
+    (ProblemSpec, {"name": "w", "kind": "word-paths", "cols": None, "rows": None,
+                   "variant": None, "word": "aba", "layout": "explicit",
+                   "rows_data": ("ab", "ba"), "adjacency": "side", "distinct_cells": True},
+     "ProblemSpec(name='w', kind='word-paths', cols=None, rows=None, variant=None, "
+     "word='aba', layout='explicit', rows_data=('ab', 'ba'), adjacency='side', "
+     "distinct_cells=True)", True),
 ]
 
 IDS = [cls.__name__ for cls, *_ in RECORDS]
@@ -112,6 +118,16 @@ def test_records_differing_in_one_field_are_unequal():
     assert Square(LatticePoint(0, 0), 2, 0) != Square(LatticePoint(0, 0), 2, 1)
 
 
+def test_a_problem_spec_defaults_every_field_past_its_kind():
+    assert ProblemSpec("p", "squares") == ProblemSpec("p", "squares", None, None, None, None,
+                                                      None, None, None, False)
+    assert repr(SPEC) == ("ProblemSpec(name='p', kind='squares', cols=3, rows=3, variant='axis', "
+                          "word=None, layout=None, rows_data=None, adjacency=None, "
+                          "distinct_cells=False)")
+    assert hash(SPEC) == hash(ProblemSpec("p", "squares", cols=3, rows=3, variant="axis"))
+    assert SPEC != ProblemSpec("p", "squares", cols=3, rows=3, variant="all")
+
+
 def test_lattice_points_order_by_x_then_y_and_only_among_themselves():
     points = [LatticePoint(2, 1), LatticePoint(1, 2), LatticePoint(1, 1), LatticePoint(0, 5)]
     assert sorted(points) == [LatticePoint(0, 5), LatticePoint(1, 1), LatticePoint(1, 2),
@@ -131,6 +147,8 @@ def test_other_records_have_no_order():
         PartitionRow("k=1", 4, 4) <= PartitionRow("k=2", 4, 4)
     with pytest.raises(TypeError):
         LatticeGrid(1, 1) > LatticeGrid(2, 2)
+    with pytest.raises(TypeError):
+        SPEC < SPEC
 
 
 def test_small_records_keep_no_instance_dict():

@@ -1,6 +1,5 @@
 """Parsing, validation, canonical printing, and error positioning."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -187,7 +186,7 @@ def spec_sequences(draw):
     bodies = draw(st.lists(st.one_of(_squares_specs, _rings_specs, _explicit_specs),
                            max_size=3))
     names = draw(st.lists(_names, min_size=len(bodies), max_size=len(bodies), unique=True))
-    return [dataclasses.replace(body, name=name) for body, name in zip(bodies, names)]
+    return [ProblemSpec(**dict(vars(body), name=name)) for body, name in zip(bodies, names)]
 
 
 @settings(max_examples=100, deadline=None)

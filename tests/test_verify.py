@@ -1,6 +1,5 @@
 """The verify harness: totals, class counts, distinctness, traces, fault injection."""
 
-import dataclasses
 import random
 from collections import Counter
 from functools import cached_property
@@ -439,7 +438,7 @@ def test_count_and_explain_build_no_reading(monkeypatch):
     monkeypatch.setattr(wordgrid, "PathWitness", SpyWitness)
     table = ProblemSpec("t", "word-paths", word="aba", layout="explicit",
                         rows_data=("ab", "ba"), adjacency="side")
-    avoiding = dataclasses.replace(table, name="d", distinct_cells=True)
+    avoiding = ProblemSpec(**dict(vars(table), name="d", distinct_cells=True))
     rings = ProblemSpec("r", "word-paths", word="abcba", layout="manhattan-rings",
                         adjacency="king", distinct_cells=True)
     specs = (OPEN_FREE, table, avoiding, rings)
