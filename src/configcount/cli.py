@@ -490,8 +490,7 @@ class _Parser(argparse.ArgumentParser):
 def _parser(prog: str) -> _Parser:
     parser = _Parser(prog=prog, description="Exact counting workbench for lattice squares "
                                             "and grid word readings.")
-    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
-                                     required=True)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
     for name, (run, *options) in _COMMANDS.items():
         command = commands.add_parser(name, help=run.__doc__.partition("\n")[0],
                                       description=run.__doc__)
@@ -516,7 +515,6 @@ class _Main:
             if hasattr(stream, "reconfigure"):
                 stream.reconfigure(encoding="utf-8")
         options = vars(_parser(prog_name or self.name).parse_args(args))
-        del options["command"]
         options.pop("run")(**options)
         if standalone_mode:
             sys.exit(0)
