@@ -9,7 +9,7 @@ stderr, help and usage text included; a budget error names the problem that
 overran, and outranks a FAIL.  A usage error prints argparse's usage line and
 one error line.  All output is deterministic for fixed inputs and flags;
 counts appear in JSON as decimal strings so consumers never round them
-through a fixed-width type.
+through a fixed-width type, and print in full at any length.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, with one flush at the end: a write holds at most 256 listing
@@ -24,9 +24,9 @@ the documented form.  ``render`` writes its figure to the file piece by piece,
 opening it only once the first piece is drawn.
 
 The front end is one ``argparse`` parser, built when ``main`` runs.  ``main``
-is called as a click command is: ``main()``, or ``main.main(args=...,
-prog_name=..., standalone_mode=...)``, so click's ``CliRunner`` drives it in
-the tests; the program itself imports no click.
+is called as ``main()``, or as ``main.main(args=..., prog_name=...,
+standalone_mode=...)``, the way ``perfbench/spans.invoke`` runs a command
+in-process; the tests' runner calls it that way too.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ from pathlib import Path
 
 from .budget import OracleBudgetError
 from .render import render_pieces
-from .speclang import ProblemSpec, SpecError, parse_spec
+from .speclang import MAX_DIGITS, ProblemSpec, SpecError, parse_spec
 from .verify import (
     VerifyReport,
     build_step_trace,
     class_counts,
-    class_total,
     counted_witnesses,
     family_of,
     table_size,
@@ -299,7 +298,7 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
         witnesses, classes = counted_witnesses(spec)
-    omitted = 0 if limit is None else max(class_total(spec, classes) - limit, 0)
+    omitted = 0 if limit is None else max(family_of(spec).total(classes) - limit, 0)
     # A limit at or past the total draws every witness: islice refuses a limit
     # past sys.maxsize.
     shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit if omitted else None))
@@ -409,12 +408,15 @@ def explain(spec_file, problem_name, fmt):
     _write(_explain_json(trace) if fmt == "json" else _explain_text(trace))
 
 
+# An integer option takes what a .ccspec integer takes: decimal digits, at
+# most MAX_DIGITS of them, with no sign, underscore or whitespace.
+_INTEGER = re.compile(rf"\d{{1,{MAX_DIGITS}}}")
+
+
 def _parse_highlight(text: str):
-    # The digits a .ccspec integer takes: no sign, underscore or whitespace.
-    match = re.fullmatch(r"(k=)?(\d+)", text)
-    if match:
-        with contextlib.suppress(ValueError):  # longer than sys.get_int_max_str_digits()
-            return "class" if match[1] else "witness", int(match[2])
+    digits = text.removeprefix("k=")
+    if _INTEGER.fullmatch(digits):
+        return "class" if digits != text else "witness", int(digits)
     _fail(f"invalid highlight: {text!r} (use an index or k=SIZE)")
 
 
@@ -435,12 +437,10 @@ def render(spec_file, problem_name, highlight, cell_size, output_path):
             _fail(f"{output_path}: {exc.strerror}")
 
 
-
 def _positive(text: str) -> int:
     """``--limit`` and ``--cell-size``: an integer of at least 1."""
-    with contextlib.suppress(ValueError):
-        if (value := int(text)) >= 1:
-            return value
+    if _INTEGER.fullmatch(text) and (value := int(text)) >= 1:
+        return value
     raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
 
 
@@ -502,15 +502,20 @@ def _parser(prog: str) -> _Parser:
 
 
 class _Main:
-    """The ``configcount`` command, called as a click command is: ``main()``
-    from ``__main__`` and the console script, ``main.main(args=...,
-    prog_name=..., standalone_mode=...)`` from click's ``CliRunner`` and from
-    in-process runs, ``main(args, ...)`` alike.  It exits 0 on success, or
-    returns when ``standalone_mode`` is false."""
+    """The ``configcount`` command: ``main()`` from ``__main__`` and the
+    console script, ``main.main(args=..., prog_name=..., standalone_mode=...)``
+    from ``perfbench/spans.invoke`` and the tests' runner, which run it
+    in-process, ``main(args, ...)`` alike.  It exits 0 on success, or returns
+    when ``standalone_mode`` is false.
+
+    A count is printed in full at any length: Python's limit on the digits
+    ``str`` of an int may have is lifted for the process."""
 
     name = "configcount"
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
+        if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+            sys.set_int_max_str_digits(0)
         for stream in (sys.stdout, sys.stderr):
             if hasattr(stream, "reconfigure"):
                 stream.reconfigure(encoding="utf-8")

@@ -20,7 +20,7 @@ from itertools import islice, product
 
 from .budget import DEFAULT_ORACLE_BUDGET
 from .speclang import ProblemSpec
-from .verify import class_total, counted_witnesses, letter_grid, table_size
+from .verify import counted_witnesses, family_of, letter_grid, table_size
 
 Highlight = tuple[str, int]  # ("class", k) or ("witness", index)
 
@@ -69,7 +69,7 @@ def _refuse_large_figure(elements: int) -> None:
 def _squares_figure(spec: ProblemSpec, cell_size: int,
                     highlight: Highlight | None) -> Iterator[str]:
     keys, classes = counted_witnesses(spec)
-    count = class_total(spec, classes)
+    count = family_of(spec).total(classes)
     # A one-row grid has no squares to refuse, but it still draws every point.
     _refuse_large_figure(count + spec.cols * spec.rows)
 
@@ -123,7 +123,7 @@ def _word_figure(spec: ProblemSpec, cell_size: int,
             raise ValueError("size-class highlight only applies to squares problems")
         # Counted in the table drawn; no reading is drawn for an index out of range.
         readings, classes = counted_witnesses(spec, table=grid)
-        have = class_total(spec, classes)
+        have = family_of(spec).total(classes)
         if 0 <= value < have:
             witness = next(islice(readings, value, None), None)
         if witness is None:

@@ -128,6 +128,10 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 _ESCAPE = re.compile(r"\\(.)")
 
+# The most digits an integer may have: Python's default int() limit, checked
+# here, since the command line lifts that limit to print counts of any length.
+MAX_DIGITS = 4300
+
 
 def _error(source: str, offset: int, message: str, expected: str | None = None) -> ParseError:
     """The ParseError for ``message`` at ``offset``, with its 1-based line and column."""
@@ -153,11 +157,9 @@ def _tokens(source: str):
         if kind == "ident" and not value[0].isalpha():
             raise _error(source, start, f"unexpected character {value[0]!r}")
         if kind == "int":
-            try:
-                value = int(value)
-            except ValueError:  # longer than sys.get_int_max_str_digits()
-                raise _error(source, start,
-                             f"integer literal too long ({len(value)} digits)") from None
+            if len(value) > MAX_DIGITS:
+                raise _error(source, start, f"integer literal too long ({len(value)} digits)")
+            value = int(value)
         elif kind == "string":
             end = source[pos:pos + 1]
             if end == "\\" and pos + 1 < len(source):

@@ -110,36 +110,16 @@ class VerifyReport(Record):
         set_field(self, "notes", notes)
 
 
-class Rows:
-    """One row per class of ``classes``, built by ``rows()`` each time the rows are read.
-
-    Rows compare equal to a tuple of the same rows.
-    """
-
-    def __init__(self, classes: Mapping, rows: Callable[[], Iterator[tuple]]):
-        self._classes, self._rows = classes, rows
-
-    def __iter__(self) -> Iterator[tuple]:
-        return self._rows()
-
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, Rows)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-
 class StepTrace(Record):
     """The four-step decomposition of one counting problem, as data.
 
     ``classes`` is the problem's ``class_counts``.  A class's text fills two
     ``%`` templates, the kind's ``label`` and the family's step iii ``note``,
     with ints: ``fields()`` gives their columns in class order, the label's
-    ``split`` columns first.  An int needs no JSON escaping.  Step iii's
-    ``(label, note)`` rows and step iv's ``(label, count)`` rows are filled
-    each time they are read.
+    ``split`` columns first.  An int needs no JSON escaping.  A class's row
+    of ``class_fields()`` fills step iii's text, ``label % row[:split]`` and
+    ``note % row[split:]``; step iv's counts are ``classes.values()``, in the
+    same order.  No row is held: each reader fills its own.
     """
 
     problem: str
@@ -170,17 +150,6 @@ class StepTrace(Record):
     def class_fields(self) -> Iterator[tuple[int, ...]]:
         """Each class's label fields, then its note's: ``label + note`` fills one."""
         return zip(*self.fields())
-
-    @property
-    def step_iii(self) -> Rows:
-        label, note, split = self.label, self.note, self.split
-        return Rows(self.classes, lambda: (
-            (label % row[:split], note % row[split:]) for row in self.class_fields()))
-
-    @property
-    def step_iv_classes(self) -> Rows:
-        return Rows(self.classes, lambda: zip(
-            map(self.label.__mod__, zip(*self.fields()[:self.split])), self.classes.values()))
 
 
 def family_of(spec: ProblemSpec) -> Squares | Words:
@@ -243,11 +212,6 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
     return enumerate_witnesses(spec, None, table), classes
 
 
-def class_label(key) -> str:
-    """How a class key prints: ``k=3`` or ``(x,y)``."""
-    return (Squares.label if isinstance(key, int) else Words.label) % key
-
-
 def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:
     """Witnesses per class, the field ``at`` of each (a square key's k, a
     reading's end cell), in key order, and whether each witness is greater than
@@ -274,11 +238,6 @@ def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
     the counter refuses one itself, as each class costs a visit.
     """
     return family_of(spec).classes(spec, budget, table)
-
-
-def class_total(spec: ProblemSpec, classes: Mapping) -> int:
-    """The sum of the problem's ``classes``; for squares, the power sums in closed form."""
-    return family_of(spec).total(classes)
 
 
 def verify_problem(

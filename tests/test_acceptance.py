@@ -11,7 +11,6 @@ import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +32,7 @@ from configcount.wordgrid import (
     generate_manhattan_rings,
 )
 
-from conftest import ERROR_CORPUS, SAMPLES
+from conftest import ERROR_CORPUS, SAMPLES, Runner
 
 DISTINCT_WORDS = {1: "a", 3: "abc", 5: "abcde", 7: "abcdefg"}
 
@@ -43,7 +42,7 @@ def _report(number: int, label: str) -> None:
 
 
 def _invoke(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
+    return Runner().invoke(main, [str(a) for a in args])
 
 
 def test_criterion_1_squares5_reproduction():
@@ -51,7 +50,7 @@ def test_criterion_1_squares5_reproduction():
     result = _invoke("count", SAMPLES, "--problem", "squares5", "--format", "json")
     elapsed = time.perf_counter() - started
     assert result.exit_code == 0
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["total"] == "30"
     assert doc["classes"] == [
         {"label": "k=1", "count": "16"},
@@ -76,7 +75,7 @@ def test_criterion_3_open_reading_reproduction():
     result = _invoke("count", SAMPLES, "--problem", "open-side", "--format", "json")
     elapsed = time.perf_counter() - started
     assert result.exit_code == 0
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["total"] == "24"
     assert [c["count"] for c in doc["classes"]] == ["6", "6", "6", "6"]
     assert elapsed < 1.0
@@ -145,14 +144,14 @@ def test_criterion_7_harness_sensitivity(tmp_path, monkeypatch):
     sweep.write_text(_sweep_spec_text(), encoding="utf-8")
 
     clean = _invoke("verify", sweep)
-    assert clean.exit_code == 0, clean.output
+    assert clean.exit_code == 0, clean.stdout
 
     for family in CRITERION_7_FAMILIES:
         for delta in (1, -1):
             monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {family: delta})
             perturbed = _invoke("verify", sweep)
             assert perturbed.exit_code == 1, (family, delta)
-            assert "FAIL" in perturbed.output
+            assert "FAIL" in perturbed.stdout
     monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {})
     _report(7, "sweep verifies clean; every +-1 closed-form fault trips exit 1")
 

@@ -4,11 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +22,9 @@ from configcount.geometry import LatticeGrid
 from configcount.speclang import ProblemSpec, print_spec
 from configcount.squares import _square_totals, enumerate_all_squares, enumerate_axis_squares
 
-from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES
+from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES, Runner
 from test_speclang import _SPEC_TOKENS, _explicit_specs, _names, _rings_specs
+from test_verify import _step_iii
 
 
 def invoke(runner, *args):
@@ -37,7 +38,7 @@ def invoke(runner, *args):
 def test_count_text_squares5(runner):
     result = invoke(runner, "count", SAMPLES, "--problem", "squares5")
     assert result.exit_code == 0
-    assert result.output == (
+    assert result.stdout == (
         "problem squares5: squares axis 5x5\n"
         "k=1: 16\nk=2: 9\nk=3: 4\nk=4: 1\n"
         "total 30\n"
@@ -47,16 +48,16 @@ def test_count_text_squares5(runner):
 def test_count_text_all_problems(runner):
     result = invoke(runner, "count", SAMPLES)
     assert result.exit_code == 0
-    assert "total 30" in result.output
-    assert "total 50" in result.output
-    assert "total 24" in result.output
-    assert "total 1024" in result.output
+    assert "total 30" in result.stdout
+    assert "total 50" in result.stdout
+    assert "total 24" in result.stdout
+    assert "total 1024" in result.stdout
 
 
 def test_count_json_serializes_counts_as_strings(runner):
     result = invoke(runner, "count", SAMPLES, "--problem", "open-side", "--format", "json")
     assert result.exit_code == 0
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc == {
         "problem": "open-side",
         "kind": "word-paths",
@@ -72,7 +73,7 @@ def test_count_json_serializes_counts_as_strings(runner):
 
 def test_count_json_all_problems_one_object_per_line(runner):
     result = invoke(runner, "count", SAMPLES, "--format", "json")
-    lines = result.output.strip().split("\n")
+    lines = result.stdout.strip().split("\n")
     assert len(lines) == 5
     names = [json.loads(line)["problem"] for line in lines]
     assert names == ["squares5", "squares5-all", "open-side", "open-free", "open-king"]
@@ -83,7 +84,7 @@ def test_count_huge_grid_uses_exact_integers(runner, tmp_path):
     spec.write_text("problem big { kind: squares cols: 1000000 rows: 2 variant: axis }")
     result = invoke(runner, "count", spec)
     assert result.exit_code == 0
-    assert "total 999999" in result.output
+    assert "total 999999" in result.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_count_huge_grid_uses_exact_integers(runner, tmp_path):
 def test_enumerate_first_square(runner):
     result = invoke(runner, "enumerate", SAMPLES, "--problem", "squares5", "--limit", "1")
     assert result.exit_code == 0
-    assert result.output == "(0,0) k=1 a=0\n(omitted 29 more)\n"
+    assert result.stdout == "(0,0) k=1 a=0\n(omitted 29 more)\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -108,7 +109,7 @@ def test_enumerate_limit_past_sys_maxsize_prints_every_witness(runner, fmt):
 def test_enumerate_all_witnesses_of_open_reading(runner):
     result = invoke(runner, "enumerate", SAMPLES, "--problem", "open-side")
     assert result.exit_code == 0
-    lines = result.output.strip().split("\n")
+    lines = result.stdout.strip().split("\n")
     assert len(lines) == 24
     assert lines[0] == "(2,2) (1,2) (0,2) (0,1) (0,0)"
 
@@ -116,7 +117,7 @@ def test_enumerate_all_witnesses_of_open_reading(runner):
 def test_enumerate_json(runner):
     result = invoke(runner, "enumerate", SAMPLES, "--problem", "squares5",
                     "--limit", "2", "--format", "json")
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["witnesses"] == [
         {"anchor": [0, 0], "k": 1, "a": 0},
         {"anchor": [1, 0], "k": 1, "a": 0},
@@ -179,20 +180,20 @@ def test_enumerate_unknown_problem_exits_2(runner):
 def test_verify_samples_exits_0(runner):
     result = invoke(runner, "verify", SAMPLES)
     assert result.exit_code == 0
-    assert result.output.count("PASS") == 5
-    assert "FAIL" not in result.output
+    assert result.stdout.count("PASS") == 5
+    assert "FAIL" not in result.stdout
 
 
 def test_verify_shows_per_class_rows(runner):
     result = invoke(runner, "verify", SAMPLES, "--problem", "squares5")
-    assert "closed form 30, oracle 30" in result.output
-    assert "k=2: expected 9, observed 9" in result.output
-    assert "duplicates: 0" in result.output
+    assert "closed form 30, oracle 30" in result.stdout
+    assert "k=2: expected 9, observed 9" in result.stdout
+    assert "duplicates: 0" in result.stdout
 
 
 def test_verify_json(runner):
     result = invoke(runner, "verify", SAMPLES, "--problem", "open-free", "--format", "json")
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["verdict"] == "PASS"
     assert doc["closed_form_total"] is None
     assert doc["oracle_total"] == "1024"
@@ -203,8 +204,8 @@ def test_verify_fault_injection_exits_1(runner, monkeypatch):
     monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {"squares-axis": -1})
     result = invoke(runner, "verify", SAMPLES)
     assert result.exit_code == 1
-    assert "FAIL" in result.output
-    assert "closed-form total 29 != oracle total 30" in result.output
+    assert "FAIL" in result.stdout
+    assert "closed-form total 29 != oracle total 30" in result.stdout
 
 
 # The closed form of each of samples.ccspec's closed-form problems.
@@ -231,7 +232,7 @@ def test_commands_call_each_closed_form_where_verify_looks_it_up(runner, monkeyp
     for problem, name in _SAMPLE_CLOSED_FORMS.items():
         calls.clear()
         result = invoke(runner, command, SAMPLES, "--problem", problem, "--format", fmt)
-        assert result.exit_code == 0, (problem, result.output)
+        assert result.exit_code == 0, (problem, result.stdout)
         assert calls == [name], problem
 
 
@@ -332,8 +333,8 @@ def test_deep_word_exits_0(runner, tmp_path, command):
     spec.write_text('problem deep { kind: word-paths word: "' + "a" * 1500 + '" '
                     'layout: explicit rows-data: ["a"] adjacency: none }')
     result = invoke(runner, command, spec, "--problem", "deep", "--format", "json")
-    assert result.exit_code == 0, result.output
-    doc = json.loads(result.output)
+    assert result.exit_code == 0, result.stdout
+    doc = json.loads(result.stdout)
     assert doc.get("total", doc.get("oracle_total")) == "1"
 
 
@@ -344,20 +345,20 @@ def test_deep_word_exits_0(runner, tmp_path, command):
 def test_explain_squares5_shows_addition(runner):
     result = invoke(runner, "explain", SAMPLES, "--problem", "squares5")
     assert result.exit_code == 0
-    assert "Step i)" in result.output
-    assert "16 + 9 + 4 + 1 = 30" in result.output
+    assert "Step i)" in result.stdout
+    assert "16 + 9 + 4 + 1 = 30" in result.stdout
 
 
 def test_explain_open_reading_shows_product(runner):
     result = invoke(runner, "explain", SAMPLES, "--problem", "open-side")
     assert result.exit_code == 0
-    assert "4 × 6 = 24" in result.output
+    assert "4 × 6 = 24" in result.stdout
 
 
 def test_explain_oracle_only_is_marked(runner):
     result = invoke(runner, "explain", SAMPLES, "--problem", "open-free")
     assert result.exit_code == 0
-    assert "enumeration only, no closed form; total 1024" in result.output
+    assert "enumeration only, no closed form; total 1024" in result.stdout
 
 
 def test_explain_grid_with_no_squares(runner, tmp_path):
@@ -365,12 +366,12 @@ def test_explain_grid_with_no_squares(runner, tmp_path):
     spec.write_text("problem tiny { kind: squares cols: 1 rows: 1 variant: axis }")
     result = invoke(runner, "explain", spec, "--problem", "tiny")
     assert result.exit_code == 0
-    assert "total 0" in result.output
+    assert "total 0" in result.stdout
 
 
 def test_explain_json_mirrors_trace(runner):
     result = invoke(runner, "explain", SAMPLES, "--problem", "squares5", "--format", "json")
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["step_iv"]["rule"] == "addition"
     assert doc["step_iv"]["total"] == "30"
     assert doc["step_iv"]["classes"][0] == {"label": "k=1", "count": "16"}
@@ -386,8 +387,9 @@ def test_explain_json_mirrors_trace(runner):
 # one json.dumps call, with the total summed from the classes.  The streamed
 # output of count and explain must be the same bytes.
 def _whole_count_text(spec, classes):
+    label = verify_mod.family_of(spec).label
     lines = [f"problem {spec.name}: {cli_mod._describe(spec)}"]
-    lines += [f"{verify_mod.class_label(key)}: {n}" for key, n in classes.items()]
+    lines += [f"{label % key}: {n}" for key, n in classes.items()]
     lines.append(f"total {sum(classes.values())}")
     return "\n".join(lines)
 
@@ -397,32 +399,34 @@ def _whole_count_json(spec, classes):
         "problem": spec.name,
         "kind": spec.kind,
         "total": str(sum(classes.values())),
-        "classes": [{"label": verify_mod.class_label(key), "count": str(n)}
+        "classes": [{"label": verify_mod.family_of(spec).label % key, "count": str(n)}
                     for key, n in classes.items()],
     })
 
 
 def _whole_explain_json(trace):
+    rows = list(_step_iii(trace))
+    sizes = list(trace.classes.values())
     return json.dumps({
         "problem": trace.problem,
         "step_i": trace.step_i,
         "step_ii": list(trace.step_ii),
-        "step_iii": [{"label": label, "note": note} for label, note in trace.step_iii],
+        "step_iii": [{"label": label, "note": note} for label, note in rows],
         "step_iv": {
-            "classes": [{"label": label, "count": str(n)} for label, n in trace.step_iv_classes],
+            "classes": [{"label": label, "count": str(n)} for (label, _), n in zip(rows, sizes)],
             "rule": trace.step_iv_rule,
-            "total": str(sum(n for _, n in trace.step_iv_classes)),
+            "total": str(sum(sizes)),
         },
     })
 
 
 def _whole_explain_text(trace):
-    sizes = [n for _, n in trace.step_iv_classes]
+    sizes = list(trace.classes.values())
     total = sum(sizes)
     lines = [f"problem {trace.problem}", f"Step i) {trace.step_i}", "Step ii) constraints:"]
     lines += [f"  - {item}" for item in trace.step_ii]
     lines.append("Step iii) classes:")
-    lines += [f"  - {label}: {note}" for label, note in trace.step_iii]
+    lines += [f"  - {label}: {note}" for label, note in _step_iii(trace)]
     if trace.step_iv_rule == "enumeration-only":
         step_iv = f"enumeration only, no closed form; total {total}"
     elif trace.step_iv_rule == "product":
@@ -622,7 +626,7 @@ def _assert_enumerate_bytes(runner, tmp_path, spec, limit):
         for extra in ((), ("--limit", limit)):
             result = invoke(runner, "enumerate", path, "--problem", spec.name,
                             "--format", fmt, *extra)
-            assert result.exit_code == 0, result.output
+            assert result.exit_code == 0, result.stdout
             expected = _documented_enumerate(spec, fmt, limit if extra else None)
             if result.stdout != expected:
                 # Name the first differing byte: a diff of long outputs takes minutes.
@@ -663,11 +667,11 @@ def test_enumerate_writes_the_documented_bytes(tmp_path_factory, spec, limit):
     # through json.dumps; the bytes must be json.dumps of the documented form,
     # with coordinates of one and two digits.
     try:
-        total = verify_mod.class_total(spec, verify_mod.class_counts(spec))
+        total = verify_mod.family_of(spec).total(verify_mod.class_counts(spec))
     except verify_mod.OracleBudgetError:
         total = None
     assume(total is not None and total <= 3000)
-    _assert_enumerate_bytes(CliRunner(), tmp_path_factory.mktemp("e"), spec, limit)
+    _assert_enumerate_bytes(Runner(), tmp_path_factory.mktemp("e"), spec, limit)
 
 
 @pytest.mark.parametrize("spec, fmt, stdout", [
@@ -800,6 +804,57 @@ def test_oversize_listing_is_refused_before_writing(runner, tmp_path, command):
     assert result.stdout == ""
     assert result.stderr == ("error: problem huge: oracle budget exceeded: "
                              "listing of 99999999 classes > 10000000\n")
+
+
+# 10^4298 columns: every count of this problem has more than 4,300 digits,
+# Python's default limit for str() of an int, which the CLI lifts.
+_WIDE_COLS = 10**4298
+_WIDE = f"problem wide {{ kind: squares cols: {_WIDE_COLS} rows: 100 variant: axis }}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_counts_past_4300_digits_print_in_full(runner, tmp_path, fmt):
+    spec = tmp_path / "wide.ccspec"
+    spec.write_text(_WIDE)
+    count = invoke(runner, "count", spec, "--format", fmt)
+    explain = invoke(runner, "explain", spec, "--problem", "wide", "--format", fmt)
+    assert (count.exit_code, count.stderr, explain.exit_code, explain.stderr) == (0, "", 0, "")
+    total = sum((_WIDE_COLS - k) * (100 - k) for k in range(1, 100))
+    assert len(str(total)) == 4302
+    if fmt == "json":
+        doc = json.loads(count.stdout)
+        assert (doc["total"], len(doc["classes"])) == (str(total), 99)
+        assert json.loads(explain.stdout)["step_iv"]["total"] == str(total)
+    else:
+        assert count.stdout.endswith(f"\ntotal {total}\n")
+        assert explain.stdout.endswith(f" = {total} (addition principle)\n")
+
+
+@pytest.mark.parametrize("args", [["verify"], ["verify", "--format", "json"],
+                                  ["enumerate", "--problem", "wide", "--limit", "1"],
+                                  ["render", "--problem", "wide", "-o", "out.svg"]],
+                         ids=["verify", "verify-json", "enumerate", "render"])
+def test_audits_past_4300_digits_exit_2_naming_the_budget(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    Path("wide.ccspec").write_text(_WIDE)
+    result = invoke(runner, args[0], "wide.ccspec", *args[1:])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: problem wide: oracle budget exceeded: ")
+    assert result.stderr.count("\n") == 1
+    assert not Path("out.svg").exists()
+
+
+@pytest.mark.parametrize("args", [["count"], ["verify"], ["explain", "--problem", "p"],
+                                  ["enumerate", "--problem", "p"],
+                                  ["render", "--problem", "p", "-o", "out.svg"]],
+                         ids=["count", "verify", "explain", "enumerate", "render"])
+def test_an_integer_literal_past_4300_digits_exits_2_in_every_command(runner, args):
+    path = ERROR_CORPUS / "e15_long_integer.ccspec"
+    # The CLI lifts Python's limit on int digits; the parser keeps its own.
+    assert invoke(runner, "--help").exit_code == 0
+    result = invoke(runner, args[0], path, *args[1:])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        2, "", f"error: {path}: 1:33: integer literal too long (5000 digits)\n")
 
 
 def _run_capped(args, cwd, limit_mb):
@@ -1002,8 +1057,12 @@ _USAGE_ERRORS = {
     "format-xml": ["count", SAMPLES, "--format", "xml"],
     "limit-0": ["enumerate", SAMPLES, "--problem", "squares5", "--limit", "0"],
     "limit-not-a-number": ["enumerate", SAMPLES, "--problem", "squares5", "--limit", "x"],
+    "limit-plus": ["enumerate", SAMPLES, "--problem", "squares5", "--limit", "+2"],
+    "limit-underscore": ["enumerate", SAMPLES, "--problem", "squares5", "--limit", "1_0"],
     "cell-size-0": ["render", SAMPLES, "--problem", "squares5", "--cell-size", "0",
                     "-o", "{tmp}/out.svg"],
+    "cell-size-space": ["render", SAMPLES, "--problem", "squares5", "--cell-size", " 2",
+                        "-o", "{tmp}/out.svg"],
     "nonexistent-spec-file": ["count", "{tmp}/definitely-not-here.ccspec"],
     "directory-as-spec-file": ["verify", "{tmp}"],
 }
@@ -1025,6 +1084,51 @@ def test_usage_errors_exit_2_with_nothing_on_stdout(runner, tmp_path, case):
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr and "Traceback" not in result.stderr
     assert not (tmp_path / "out.svg").exists()
+
+
+# Each integer option, as the arguments after SPEC_FILE up to its value.
+_INTEGER_OPTIONS = {
+    "limit": ["enumerate", "--problem", "squares5", "--limit"],
+    "cell-size": ["render", "--problem", "squares5", "-o", "{tmp}/out.svg", "--cell-size"],
+    "highlight": ["render", "--problem", "squares5", "-o", "{tmp}/out.svg", "--highlight"],
+    "highlight-class": ["render", "--problem", "squares5", "-o", "{tmp}/out.svg",
+                        "--highlight", "k="],
+}
+
+
+@pytest.mark.parametrize("value", ["+2", "1_0", " 2", "2 ", "-2", "0x2", "2.0", "", "9" * 4301],
+                         ids=["plus", "underscore", "leading-space", "trailing-space", "minus",
+                              "hex", "decimal-point", "empty", "4301-digits"])
+@pytest.mark.parametrize("option", sorted(_INTEGER_OPTIONS))
+def test_integer_options_take_only_what_a_ccspec_integer_takes(runner, tmp_path, option, value):
+    *args, flag = (a.replace("{tmp}", str(tmp_path)) for a in _INTEGER_OPTIONS[option])
+    # The CLI lifts Python's limit on int digits; the options keep their own.
+    assert invoke(runner, "--help").exit_code == 0
+    if flag == "k=":
+        flag, value = args.pop(), flag + value
+    result = invoke(runner, args[0], SAMPLES, *args[1:], flag, value)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.endswith(
+        f"error: invalid highlight: {value!r} (use an index or k=SIZE)\n" if flag == "--highlight"
+        else f"error: argument {flag}: {value!r} is not a positive integer\n")
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_integer_options_take_any_decimal_digits_up_to_4300(runner, tmp_path):
+    # Digits of any script, as in a .ccspec file: "\u0663" is 3.
+    limited = invoke(runner, "enumerate", SAMPLES, "--problem", "squares5", "--limit", "\u0663")
+    assert (limited.exit_code, limited.stdout.splitlines()[-1]) == (0, "(omitted 27 more)")
+    whole = invoke(runner, "enumerate", SAMPLES, "--problem", "squares5", "--limit", "9" * 4300)
+    assert (whole.exit_code, whole.stdout.count("\n")) == (0, 30)
+    out = tmp_path / "out.svg"
+    for option, value in (("--cell-size", "0" * 4299 + "7"), ("--highlight", "k=\u0663")):
+        result = invoke(runner, "render", SAMPLES, "--problem", "squares5", option, value,
+                        "-o", out)
+        assert result.exit_code == 0, (option, result.stderr)
+    far = invoke(runner, "render", SAMPLES, "--problem", "squares5", "--highlight", "9" * 4300,
+                 "-o", out)
+    assert (far.exit_code, far.stderr) == (
+        2, f"error: problem squares5: witness index {'9' * 4300} out of range (have 30)\n")
 
 
 def test_help_names_every_command(runner):
@@ -1061,7 +1165,7 @@ def test_every_command_is_deterministic_in_process(runner, tmp_path):
     for command in commands:
         first = invoke(runner, *command)
         second = invoke(runner, *command)
-        assert first.output == second.output
+        assert first.stdout == second.stdout
         assert first.exit_code == second.exit_code == 0
 
 
@@ -1318,10 +1422,10 @@ def test_cli_exits_0_1_or_2_without_a_traceback(case):
         args += ["--problem", "p"]
     if command == "render":
         args += ["-o", "out.svg"]
-    runner = CliRunner()
-    with pytest.MonkeyPatch.context() as mp, runner.isolated_filesystem():
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.chdir(tmp)
         _small_budget_everywhere(mp)
         Path("spec.ccspec").write_text(text, encoding="utf-8")
-        result = runner.invoke(main, args)
-    assert result.exit_code in (0, 1, 2), result.output
+        result = Runner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.stdout
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

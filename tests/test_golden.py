@@ -15,10 +15,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from configcount.cli import main
 from configcount.speclang import parse_spec
+
+from conftest import Runner
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -76,14 +77,14 @@ def _render_cases() -> list[tuple[str, list[str]]]:
 
 
 def _stdout(args: list[str]) -> bytes:
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
+    result = Runner().invoke(main, args)
+    assert result.exit_code == 0, result.stdout
     return result.stdout_bytes
 
 
 def _svg(args: list[str], out: Path) -> bytes:
-    result = CliRunner().invoke(main, [*args, "-o", str(out)])
-    assert result.exit_code == 0, result.output
+    result = Runner().invoke(main, [*args, "-o", str(out)])
+    assert result.exit_code == 0, result.stdout
     return out.read_bytes()
 
 

@@ -18,7 +18,6 @@ from configcount.verify import (
     VerifyReport,
     build_step_trace,
     class_counts,
-    class_label,
     enumerate_witnesses,
     family_of,
     has_registered_closed_form,
@@ -348,10 +347,11 @@ def test_only_a_stream_out_of_order_is_enumerated_twice(monkeypatch, spec, fault
     assert report.verdict == ("PASS" if fault is None else "FAIL")
 
 
-def _list_reference(witnesses):
+def _list_reference(spec, witnesses):
     # Class sizes and duplicates of a listed enumeration, the way verify read
     # squares before it streamed their keys.
-    classes = {class_label(k): n for k, n in Counter(key[0] for key in witnesses).items()}
+    label = family_of(spec).label
+    classes = {label % k: n for k, n in Counter(key[0] for key in witnesses).items()}
     return classes, len(witnesses) - len(set(witnesses))
 
 
@@ -366,7 +366,8 @@ def test_streamed_squares_match_a_list_reference(variant):
             spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
             witnesses = list(enumerate_witnesses(spec))
             report = verify_problem(spec)
-            assert (_observed(report), report.duplicate_witnesses) == _list_reference(witnesses)
+            assert ((_observed(report), report.duplicate_witnesses)
+                    == _list_reference(spec, witnesses))
             assert report.oracle_total == len(witnesses)
             assert report.verdict == "PASS", spec
 
@@ -393,7 +394,7 @@ def test_duplicates_anywhere_in_the_stream_are_counted_exactly(monkeypatch, spec
     _with_faulty_enumeration(monkeypatch, insert_copies)
     report = verify_problem(spec)
     sizes = Counter(key[0] for key in faulted)
-    assert _observed(report) == {class_label(k): n for k, n in sizes.items()}
+    assert _observed(report) == {family_of(spec).label % k: n for k, n in sizes.items()}
     assert report.duplicate_witnesses == len(faulted) - len(set(faulted)) > 0
     assert report.oracle_total == len(faulted)
     assert report.verdict == "FAIL"
@@ -494,48 +495,57 @@ def test_class_listing_over_budget_is_refused():
 # step traces
 
 
+def _step_iii(trace):
+    """Step iii's (label, note) rows, filled from the trace's templates."""
+    split = trace.split
+    return ((trace.label % row[:split], trace.note % row[split:]) for row in trace.class_fields())
+
+
+def _step_iv_classes(trace):
+    """Step iv's (label, count) rows: step iii's labels and the counts in ``classes``."""
+    return zip((label for label, _ in _step_iii(trace)), trace.classes.values())
+
+
 def test_axis_squares_trace():
     trace = build_step_trace(AXIS5)
-    assert trace.step_iv_classes == (("k=1", 16), ("k=2", 9), ("k=3", 4), ("k=4", 1))
+    assert tuple(_step_iv_classes(trace)) == (("k=1", 16), ("k=2", 9), ("k=3", 4), ("k=4", 1))
     assert trace.step_iv_rule == "addition"
     assert trace.step_iv_total == 30
-    assert len(trace.step_iii) == 4
+    assert len(trace.classes) == 4
 
 
 def test_trace_rows_are_read_off_the_classes():
     side = 10**6
     trace = build_step_trace(ProblemSpec("g", "squares", cols=side, rows=side + 1, variant="all"))
     assert trace.step_iv_total == _square_totals(side, side + 1)[1]
-    assert len(trace.step_iii) == len(trace.step_iv_classes) == side - 1
-    assert list(islice(trace.step_iii, 2)) == [
+    assert len(trace.classes) == side - 1
+    assert list(islice(_step_iii(trace), 2)) == [
         ("k=1", f"1 tilt offsets per box, {(side - 1) * side} box positions"),
         ("k=2", f"2 tilt offsets per box, {(side - 2) * (side - 1)} box positions"),
     ]
-    # Rows are built afresh on every read.
-    assert list(islice(trace.step_iv_classes, 1)) == list(islice(trace.step_iv_classes, 1)) == [
-        ("k=1", (side - 1) * side)]
+    assert list(islice(_step_iv_classes(trace), 1)) == [("k=1", (side - 1) * side)]
     # Nothing is listed or sized up front: with no budget, a grid with more
     # classes than an index can hold still yields its first rows.
     huge = 10**40
     trace = build_step_trace(ProblemSpec("h", "squares", cols=huge, rows=huge + 1, variant="axis"),
                              oracle_budget=None)
-    assert next(iter(trace.step_iii)) == (
+    assert next(_step_iii(trace)) == (
         "k=1", f"{huge} rail pairs at distance 1, {huge - 1} squares per pair")
-    assert next(iter(trace.step_iv_classes)) == ("k=1", huge * (huge - 1))
+    assert next(_step_iv_classes(trace)) == ("k=1", huge * (huge - 1))
 
 
 def test_open_reading_trace():
     trace = build_step_trace(OPEN_SIDE)
     assert trace.step_iv_rule == "product"
     assert trace.step_iv_total == 24
-    assert [n for _, n in trace.step_iv_classes] == [6, 6, 6, 6]
+    assert list(trace.classes.values()) == [6, 6, 6, 6]
 
 
 def test_degenerate_single_letter_trace():
     spec = ProblemSpec("x", "word-paths", word="X", layout="manhattan-rings",
                        adjacency="side")
     trace = build_step_trace(spec)
-    assert trace.step_iv_classes == (("(0,0)", 1),)
+    assert tuple(_step_iv_classes(trace)) == (("(0,0)", 1),)
     assert trace.step_iv_total == 1
 
 
@@ -546,7 +556,7 @@ def test_oracle_only_trace_is_marked():
 
 
 def _recombine(trace):
-    sizes = [n for _, n in trace.step_iv_classes]
+    sizes = list(trace.classes.values())
     if trace.step_iv_rule == "product":
         assert len(set(sizes)) == 1
         return len(sizes) * sizes[0]
