@@ -75,7 +75,12 @@ def _write_failed(stream: str, exc: OSError) -> None:
     # Python flushes the stream again at exit, and a failed flush there would
     # change the exit code: what is left goes to the null device.
     with contextlib.suppress(OSError):  # no file descriptor under a test runner
-        os.dup2(os.open(os.devnull, os.O_WRONLY), getattr(sys, stream).fileno())
+        fd = getattr(sys, stream).fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, fd)
+        finally:
+            os.close(null)
     if stream == "stdout":
         _fail(f"stdout: {exc.strerror}")
     sys.exit(2)

@@ -24,7 +24,7 @@ is that it can disagree with the enumerators above.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Iterator, Mapping, ValuesView
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
@@ -62,9 +62,6 @@ class SizeClasses(Mapping):
     def values(self) -> ValuesView:
         return _SizeValues(self)
 
-    def items(self) -> ItemsView:
-        return _SizeItems(self)
-
     def margins(self) -> tuple[range, range]:
         """cols-k and rows-k for k = 1..size, in class order."""
         n, cols, rows = self.size, self.cols, self.rows
@@ -79,11 +76,6 @@ class SizeClasses(Mapping):
 class _SizeValues(ValuesView):
     def __iter__(self):
         return self._mapping._values()
-
-
-class _SizeItems(ItemsView):
-    def __iter__(self):
-        return zip(range(1, self._mapping.size + 1), self._mapping._values())
 
 
 class SizeClassBreakdown(Record):

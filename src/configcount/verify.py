@@ -29,13 +29,14 @@ the search's only budget check.
 ``word-counter`` (every other word).  A kind's class (``Squares``, ``Words``)
 holds what its families share: the class label and its columns, the witness
 stream, ``_tally``'s field and the total.  A family's subclass holds its
-``_FAULT_OFFSETS`` key, whether a closed form is registered, explain's steps
-and step iv's rule, and a word family its class counts.  ``family_of`` is the
-only code that reads a spec's kind, variant, adjacency or symbols to choose
-one, and every command reads the family it returns.  A family's methods call
-the counters and enumerators by their names here when they run, never through
-a reference taken at import: a counter replaced in this module (a test's spy,
-a benchmark's span) is the one called.
+name, whether a closed form is registered, explain's steps and step iv's rule,
+and a word family its class counts.  ``family_of`` is the only code that reads
+a spec's kind, variant, adjacency or symbols to choose one, and every command
+reads the family it returns; a test injects a closed-form fault into the
+family object there.  A family's methods call the counters and enumerators by
+their names here when they run, never through a reference taken at import: a
+counter replaced in this module (a test's spy, a benchmark's span) is the one
+called.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -68,13 +69,6 @@ from .wordgrid import (
     readings_per_end_cell,
     word_readings,
 )
-
-# Test-only hook: additive offsets on registered closed-form totals, keyed by
-# the name of a closed-form family in ``FAMILIES``.  There is deliberately no
-# command-line surface for this; tests monkeypatch it to exercise the FAIL path
-# and the harness's sensitivity.
-_FAULT_OFFSETS: dict[str, int] = {}
-
 
 class PartitionRow(Record):
     """Expected (closed-form) versus observed (enumerated) size of one class."""
@@ -214,8 +208,8 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
 
 def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:
     """Witnesses per class, the field ``at`` of each (a square key's k, a
-    reading's end cell), in key order, and whether each witness is greater than
-    the one before (then none is a duplicate), in one pass."""
+    reading's end cell), in order of first sight, and whether each witness is
+    greater than the one before (then none is a duplicate), in one pass."""
     sizes: dict = {}
     get = sizes.get
     last, ordered = (), True
@@ -224,7 +218,7 @@ def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:
         last = witness
         key = witness[at]
         sizes[key] = get(key, 0) + 1
-    return dict(sorted(sizes.items())), ordered
+    return sizes, ordered
 
 
 def class_counts(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
@@ -270,7 +264,7 @@ def verify_problem(
             notes.append(f"class {label}: {source} {expected} != oracle {seen}")
     closed_total = None
     if closed:
-        closed_total = family.total(counted) + _FAULT_OFFSETS.get(family.name, 0)
+        closed_total = family.total(counted)
         if closed_total != oracle_total:
             notes.append(f"closed-form total {closed_total} != oracle total {oracle_total}")
 

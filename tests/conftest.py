@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
+
+from configcount.verify import FAMILIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = REPO_ROOT / "samples.ccspec"
@@ -42,6 +45,42 @@ class Runner:
             stream.flush()
         return Result(out.buffer.getvalue(), err.buffer.getvalue().decode("utf-8"),
                       exit_code, exception)
+
+
+def perturb_total(monkeypatch, name: str, delta: int) -> None:
+    """Make family ``name`` of ``verify.FAMILIES``, which every command
+    dispatches through, give its closed-form total ``delta`` more."""
+    family = FAMILIES[name]
+    total = type(family).total  # the class's own, so faults never stack or cancel
+    monkeypatch.setitem(vars(family), "total", lambda classes: total(family, classes) + delta)
+
+
+class _FirstClassShifted(Mapping):
+    """``classes`` with its first class ``delta`` more.  Other attributes
+    (``cols``, ``rows``, ``tilted``, ``margins``) read through to ``classes``."""
+
+    def __init__(self, classes: Mapping, delta: int):
+        self._classes, self._first, self._delta = classes, next(iter(classes), None), delta
+
+    def __getitem__(self, key):
+        return self._classes[key] + (self._delta if key == self._first else 0)
+
+    def __iter__(self):
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+    def __getattr__(self, name: str):
+        return getattr(self._classes, name)
+
+
+def perturb_first_class(monkeypatch, name: str, delta: int) -> None:
+    """Make family ``name`` of ``verify.FAMILIES`` count its first class ``delta`` more."""
+    family = FAMILIES[name]
+    classes = type(family).classes
+    monkeypatch.setitem(vars(family), "classes", lambda spec, budget, table: _FirstClassShifted(
+        classes(family, spec, budget, table), delta))
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, error messages."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -22,7 +24,7 @@ from configcount.geometry import LatticeGrid
 from configcount.speclang import ProblemSpec, print_spec
 from configcount.squares import _square_totals, enumerate_all_squares, enumerate_axis_squares
 
-from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES, Runner
+from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES, Runner, perturb_total
 from test_speclang import _SPEC_TOKENS, _explicit_specs, _names, _rings_specs
 from test_verify import _step_iii
 
@@ -201,7 +203,7 @@ def test_verify_json(runner):
 
 
 def test_verify_fault_injection_exits_1(runner, monkeypatch):
-    monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {"squares-axis": -1})
+    perturb_total(monkeypatch, "squares-axis", -1)
     result = invoke(runner, "verify", SAMPLES)
     assert result.exit_code == 1
     assert "FAIL" in result.stdout
@@ -247,7 +249,7 @@ def test_verify_budget_exceeded_exits_2(runner, tmp_path):
 
 
 def test_verify_reports_every_problem_around_overruns(runner, tmp_path, monkeypatch):
-    monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {"squares-axis": 1})
+    perturb_total(monkeypatch, "squares-axis", 1)
     spec = tmp_path / "mixed.ccspec"
     spec.write_text("problem big1 { kind: squares cols: 4000 rows: 4000 variant: all }\n"
                     "problem small { kind: squares cols: 3 rows: 3 variant: all }\n"
@@ -1325,10 +1327,48 @@ def _child(args, cwd, stdout, stderr=subprocess.PIPE):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_full_stdout_exits_2_with_one_error_line():
     # Exit 1 means "verification failed": a failed write must not read as one.
-    with open("/dev/full", "wb") as full:
-        child = _child(["verify", str(SAMPLES)], REPO_ROOT, full)
-        _, err = child.communicate(timeout=60)
-    assert (child.returncode, err) == (2, b"error: stdout: No space left on device\n")
+    for args in (["verify"], ["explain", "--problem", "open-side"],
+                 ["enumerate", "--problem", "squares5"]):
+        for fmt in ("text", "json"):
+            with open("/dev/full", "wb") as full:
+                child = _child([args[0], str(SAMPLES), *args[1:], "--format", fmt],
+                               REPO_ROOT, full)
+                _, err = child.communicate(timeout=60)
+            assert (child.returncode, err) == (2, b"error: stdout: No space left on device\n"), (
+                args, fmt)
+
+
+class _FullStream:
+    """A stdout with no file descriptor whose writes fail as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("kind", ["no-descriptor", "dev-full"])
+def test_failed_writes_leave_no_descriptor_open(monkeypatch, kind):
+    if kind == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        stdout = _FullStream() if kind == "no-descriptor" else open("/dev/full", "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(SystemExit) as exit_:
+            main.main(args=["count", str(SAMPLES)], prog_name="configcount",
+                      standalone_mode=False)
+        assert exit_.value.code == 2
+        if kind == "dev-full":
+            stdout.close()  # its descriptor now writes to the null device
+    assert sys.stderr.getvalue() == "error: stdout: No space left on device\n" * 5
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

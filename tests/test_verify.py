@@ -14,6 +14,7 @@ from configcount.render import render_problem
 from configcount.speclang import ProblemSpec, parse_spec
 from configcount.squares import _square_totals
 from configcount.verify import (
+    FAMILIES,
     PartitionRow,
     VerifyReport,
     build_step_trace,
@@ -24,7 +25,7 @@ from configcount.verify import (
     verify_problem,
 )
 
-from conftest import REPO_ROOT, SAMPLES
+from conftest import REPO_ROOT, SAMPLES, perturb_first_class, perturb_total
 
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden"
 
@@ -129,7 +130,7 @@ def test_each_problem_resolves_to_its_family():
 
 
 def test_injected_fault_fails_with_discrepancy_note(monkeypatch):
-    monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {"squares-axis": -1})
+    perturb_total(monkeypatch, "squares-axis", -1)
     report = verify_problem(AXIS5)
     assert report.verdict == "FAIL"
     assert report.closed_form_total == 29
@@ -138,16 +139,32 @@ def test_injected_fault_fails_with_discrepancy_note(monkeypatch):
     assert all(r.expected == r.observed for r in report.partition_rows)
 
 
+@pytest.mark.parametrize(("spec", "notes"), [
+    (AXIS5, ("class k=1: closed form 17 != oracle 16",)),
+    (ALL5, ("class k=1: closed form 17 != oracle 16",)),
+    # a word total is the sum of its classes; a square total comes from power sums
+    (ProblemSpec("abcde", "word-paths", word="abcde", layout="manhattan-rings",
+                 adjacency="side"),
+     ("class (0,0): closed form 7 != oracle 6", "closed-form total 25 != oracle total 24")),
+], ids=["squares-axis", "squares-all", "word-side"])
+def test_injected_class_fault_fails_with_class_note(monkeypatch, spec, notes):
+    perturb_first_class(monkeypatch, family_of(spec).name, 1)
+    report = verify_problem(spec)
+    assert (report.verdict, report.notes) == ("FAIL", notes)
+
+
 def test_desk_scale_sweep_all_pass():
     for spec in _sweep_specs():
         assert verify_problem(spec).verdict == "PASS", spec.name
 
 
-@pytest.mark.parametrize("family", ["squares-axis", "squares-all", "word-side"])
+@pytest.mark.parametrize("family", [f.name for f in FAMILIES.values() if f.closed])
 @pytest.mark.parametrize("delta", [1, -1])
 def test_any_fault_flips_some_sweep_instance(monkeypatch, family, delta):
-    monkeypatch.setattr(verify_mod, "_FAULT_OFFSETS", {family: delta})
-    assert any(verify_problem(spec).verdict == "FAIL" for spec in _sweep_specs())
+    for perturb in (perturb_total, perturb_first_class):
+        with monkeypatch.context() as patched:
+            perturb(patched, family, delta)
+            assert any(verify_problem(spec).verdict == "FAIL" for spec in _sweep_specs()), perturb.__name__
 
 
 def test_budget_exceeded_is_an_error_not_a_pass():
