@@ -14,7 +14,9 @@ through a fixed-width type, and print in full at any length.
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, with one flush at the end: a write holds at most 256 listing
 lines, or 16,384 JSON list items or step iv terms.  A JSON document's pieces
-join to ``json.dumps`` of the whole document.  Listings are written from
+join to ``json.dumps`` of the whole document: a string is encoded by the
+function ``json.dumps`` encodes it with, and a list item's template is
+encoded once per process, not once per problem.  Listings are written from
 templates, with no function call per item: ``count`` and ``explain`` fill one
 ``%`` template per listing, made from the class label and step iii note that
 ``verify`` keeps, from columns of ints; ``enumerate`` fills one format string
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import functools
 import os
 import re
 import sys
@@ -144,6 +148,8 @@ def _write(pieces: Iterable[str]) -> None:
     A flush per piece is slower than building the whole output; chunks keep
     both the calls and the memory small.
     """
+    if sys.stdout is None:  # Python was started with stdout closed
+        _fail(f"stdout: {os.strerror(errno.EBADF)}")
     pieces = iter(pieces)
     while chunk := list(islice(pieces, _CHUNK)):
         _to_stdout(sys.stdout.write, "".join(chunk))
@@ -165,29 +171,40 @@ def _dumps(value) -> str:
     return json.dumps(value)
 
 
+@functools.cache
+def _quoted():
+    """The function ``json.dumps`` encodes a string with, loaded once."""
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii
+
+
 def _json_pieces(doc: dict) -> Iterator[str]:
     """``json.dumps(doc)`` in pieces.
 
-    An iterator value, at any depth, is a list of already-encoded items,
-    written ``_ITEMS`` items per piece.
+    A value is a string, a list of strings, a dict, or an iterator: a list of
+    already-encoded items, written ``_ITEMS`` items per piece.
     """
-    separator, plain = "{", {}
+    quoted = _quoted()
+    parts, separator = ["{"], ""
     for key, value in doc.items():
-        if not isinstance(value, (dict, Iterator)):
-            plain[key] = value
-            continue
-        if plain:
-            yield separator + _dumps(plain)[1:-1]
-            separator, plain = ", ", {}
-        yield f"{separator}{_dumps(key)}: "
+        parts += separator, quoted(key), ": "
         separator = ", "
-        if isinstance(value, dict):
+        if isinstance(value, str):
+            parts.append(quoted(value))
+        elif isinstance(value, list):
+            parts += "[", ", ".join(map(quoted, value)), "]"
+        elif isinstance(value, dict):
+            yield "".join(parts)
             yield from _json_pieces(value)
-            continue
-        yield "["
-        yield from _joined(value)
-        yield "]"
-    yield separator + _dumps(plain)[1:] if plain or separator == "{" else "}"
+            parts = []
+        else:
+            parts.append("[")
+            yield "".join(parts)
+            yield from _joined(value)
+            parts = ["]"]
+    parts.append("}")
+    yield "".join(parts)
 
 
 def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
@@ -202,7 +219,14 @@ def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
 def _filled(template: dict, rows: Iterable[tuple]) -> Iterator[str]:
     """One JSON item per row: ``template``, a dict of ``%`` templates, encoded
     once and filled with each row.  Its fields are ints, which need no escaping."""
-    return map(_dumps(template).__mod__, rows)
+    return map(_encoded(*template.items()).__mod__, rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _encoded(*fields: tuple[str, str]) -> str:
+    """The JSON object of ``fields``, each a key and a string: a template
+    ``_filled`` fills is encoded once per process, not once per problem."""
+    return "".join(_json_pieces(dict(fields)))
 
 
 def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:

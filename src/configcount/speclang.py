@@ -24,10 +24,16 @@ Two problem kinds exist:
 
 The manhattan-rings layout additionally requires an odd word length.
 
-The tokenizer yields ``(kind, value, offset)`` tuples as the parser asks for
-them, and no line or column is kept while parsing: ``_error`` works a position
-out from the offset only when a ``ParseError`` is raised.  Lines and columns
-are 1-based, and a tab or a carriage return counts as one column.
+The parser reads one item per regex match: a block head ``problem NAME {``,
+a ``key: value`` field (a list value whole), or a closing ``}``.  Where that
+regex does not match well-formed text, the same parser reads that one item a
+token at a time, and only this token path raises syntax errors, so every
+message, position and precedence is the tokenizer's.  Both paths give a
+field to the same checks (known key, no duplicate, the value's kind and
+enum) and a block to the same ``_validate``.  No line or column is kept while
+parsing: ``_error`` works a position out from the offset only when a
+``ParseError`` is raised.  Lines and columns are 1-based, and a tab or a
+carriage return counts as one column.
 """
 
 from __future__ import annotations
@@ -132,6 +138,29 @@ _ESCAPE = re.compile(r"\\(.)")
 # here, since the command line lifts that limit to print counts of any length.
 MAX_DIGITS = 4300
 
+# Whitespace and comments, then one well-formed item: a block head, a field, a
+# closing brace or the end of the source.  A comment runs to its line's end, so
+# a match never starts an item inside one.  A key or an identifier value starts
+# with an ASCII letter (a name's first character is checked with isalpha()),
+# and a value may not run into a letter, digit, "_" or "-"; an integer has at
+# most MAX_DIGITS digits, and a list holds no comment, so _LISTED reads its
+# strings.  What the regex does not match is read a token at a time.
+_SPACE = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_STRING = r'"[^"\\\x00-\x1f\x7f]*(?:\\["\\][^"\\\x00-\x1f\x7f]*)*"'
+_ITEM = re.compile(rf"""
+    {_SPACE}
+    (?:(?P<head>problem(?![\w-]){_SPACE}(?P<name>[^\W\d_][\w-]*){_SPACE}\{{)
+      |(?P<key>[A-Za-z][\w-]*){_SPACE}:{_SPACE}
+       (?:(?P<int>\d{{1,{MAX_DIGITS}}})
+         |(?P<ident>[A-Za-z][\w-]*)
+         |(?P<string>{_STRING})
+         |(?P<list>\[[ \t\r\n]*(?:{_STRING}(?:[ \t\r\n]*,[ \t\r\n]*{_STRING})*[ \t\r\n]*)?\]))
+       (?![\w-])
+      |(?P<close>\}})
+      |(?P<eof>\Z))
+""", re.VERBOSE)
+_LISTED = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
+
 
 def _error(source: str, offset: int, message: str, expected: str | None = None) -> ParseError:
     """The ParseError for ``message`` at ``offset``, with its 1-based line and column."""
@@ -140,45 +169,54 @@ def _error(source: str, offset: int, message: str, expected: str | None = None) 
                       message, expected)
 
 
-def _tokens(source: str):
-    """Yield the ``(kind, value, offset)`` tokens of ``source``, ending with eof."""
-    pos = 0
-    while True:
-        match = _TOKEN.match(source, pos)
-        kind = match.lastgroup
-        pos = match.end()
-        if kind is None:
-            if pos == len(source):
-                yield "eof", None, pos
-                return
-            raise _error(source, pos, f"unexpected character {source[pos]!r}")
-        start = match.start(kind)
-        value = match.group(kind)
-        if kind == "ident" and not value[0].isalpha():
-            raise _error(source, start, f"unexpected character {value[0]!r}")
-        if kind == "int":
-            if len(value) > MAX_DIGITS:
-                raise _error(source, start, f"integer literal too long ({len(value)} digits)")
-            value = int(value)
-        elif kind == "string":
-            end = source[pos:pos + 1]
-            if end == "\\" and pos + 1 < len(source):
-                raise _error(source, pos + 1, f"invalid escape \\{source[pos + 1]}")
-            if end != '"':
-                raise _error(source, start, "unterminated string" if end in ("", "\\", "\n")
-                             else "control character in string")
-            pos += 1
-            value = _ESCAPE.sub(r"\1", value[1:])
-        yield kind, value, start
+def _unescape(body: str) -> str:
+    """A quoted string's value, from the text between its quotes."""
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
+
+def _token(source: str, pos: int) -> tuple:
+    """The ``(kind, value, offset, end)`` of the token after ``pos``: eof at the end."""
+    match = _TOKEN.match(source, pos)
+    kind = match.lastgroup
+    pos = match.end()
+    if kind is None:
+        if pos == len(source):
+            return "eof", None, pos, pos
+        raise _error(source, pos, f"unexpected character {source[pos]!r}")
+    start = match.start(kind)
+    value = match.group(kind)
+    if kind == "ident" and not value[0].isalpha():
+        raise _error(source, start, f"unexpected character {value[0]!r}")
+    if kind == "int":
+        if len(value) > MAX_DIGITS:
+            raise _error(source, start, f"integer literal too long ({len(value)} digits)")
+        value = int(value)
+    elif kind == "string":
+        end = source[pos:pos + 1]
+        if end == "\\" and pos + 1 < len(source):
+            raise _error(source, pos + 1, f"invalid escape \\{source[pos + 1]}")
+        if end != '"':
+            raise _error(source, start, "unterminated string" if end in ("", "\\", "\n")
+                         else "control character in string")
+        pos += 1
+        value = _unescape(value[1:])
+    return kind, value, start, pos
 
 
 class _Parser:
-    # Pulls one token at a time and never reads ahead; tokens are made only
-    # when asked for, so an early parse error is reported before a tokenizer
-    # error further down the file.
+    # Reads one item per _ITEM match where it can, and otherwise that one item
+    # a token at a time, never reading ahead of it.  Tokens are made only when
+    # asked for, and a matched item holds none that could fail, so an early
+    # parse error is reported before a tokenizer error further down the file.
+    # Both routes give an item's key and value to the same checks.
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _tokens(source)
+        self.pos = 0
+
+    def _next(self) -> tuple:
+        """The next ``(kind, value, offset)`` token."""
+        kind, value, start, self.pos = _token(self.source, self.pos)
+        return kind, value, start
 
     def _expect(self, tok: tuple, kind: str, value: str | None, what: str,
                 message: str | None = None):
@@ -190,57 +228,96 @@ class _Parser:
     def parse_file(self) -> list[ProblemSpec]:
         specs = []
         names = set()
-        for tok in self.tokens:
-            if tok[0] == "eof":
+        while True:
+            item = _ITEM.match(self.source, self.pos)
+            kind = item.lastgroup if item else None
+            if kind == "eof":
                 break
-            spec = self._parse_block(tok)
+            if kind == "head" and item["name"][0].isalpha():
+                self.pos = item.end()
+                name = item["name"]
+            else:
+                tok = self._next()
+                if tok[0] == "eof":
+                    break
+                name = self._parse_head(tok)
+            spec = self._parse_block(name)
             if spec.name in names:
                 raise ValidationError(f"duplicate problem name: {spec.name}")
             names.add(spec.name)
             specs.append(spec)
         return specs
 
-    def _parse_block(self, keyword: tuple) -> ProblemSpec:
+    def _parse_head(self, keyword: tuple) -> str:
         self._expect(keyword, "ident", "problem", "'problem'")
-        name = self._expect(next(self.tokens), "ident", None, "problem name")
-        self._expect(next(self.tokens), "punct", "{", "'{'")
+        name = self._expect(self._next(), "ident", None, "problem name")
+        self._expect(self._next(), "punct", "{", "'{'")
+        return name
+
+    def _parse_block(self, name: str) -> ProblemSpec:
         fields: dict[str, object] = {}
-        for tok in self.tokens:
+        while True:
+            item = _ITEM.match(self.source, self.pos)
+            kind = item.lastgroup if item else None
+            if kind == "close":
+                self.pos = item.end()
+                break
+            if kind in ("int", "ident", "string", "list"):
+                key = item["key"]
+                self._check_key(fields, key, item.start("key"))
+                self.pos = item.end()
+                value, offset = item[kind], item.start(kind)
+                if kind == "int":
+                    value = int(value)
+                elif kind == "string":
+                    value = _unescape(value[1:-1])
+                elif kind == "list":
+                    self._check_value(key, ("punct", "[", offset))
+                    fields[key] = tuple(map(_unescape, _LISTED.findall(value)))
+                    continue
+                fields[key] = self._check_value(key, (kind, value, offset))
+                continue
+            tok = self._next()
             kind, key, offset = tok
             if kind == "punct" and key == "}":
                 break
             if kind == "eof":
                 raise _error(self.source, offset, "unterminated problem block", expected="'}'")
             self._expect(tok, "ident", None, "field name")
-            if key not in _FIELDS:
-                raise _error(self.source, offset, f"unknown field: {key}")
-            if key in fields:
-                raise _error(self.source, offset, f"duplicate field: {key}")
-            self._expect(next(self.tokens), "punct", ":", "':'")
+            self._check_key(fields, key, offset)
+            self._expect(self._next(), "punct", ":", "':'")
             fields[key] = self._parse_value(key)
         return _validate(name, fields)
 
-    def _parse_value(self, key: str):
+    def _check_key(self, fields: dict, key: str, offset: int) -> None:
+        if key not in _FIELDS:
+            raise _error(self.source, offset, f"unknown field: {key}")
+        if key in fields:
+            raise _error(self.source, offset, f"duplicate field: {key}")
+
+    def _check_value(self, key: str, tok: tuple):
+        """The value of ``tok``, the token a field's value starts with."""
         kind, value, takes, what = _FIELDS[key]
-        tok = next(self.tokens)
         found = self._expect(tok, kind, value, what, f"field {key} takes {takes}")
-        if key == "rows-data":
-            return self._parse_string_list()
         if key in _ENUM_VALUES and found not in _ENUM_VALUES[key]:
             allowed = ", ".join(_ENUM_VALUES[key])
             raise _error(self.source, tok[2], f"field {key} must be one of {allowed}")
         return found
 
+    def _parse_value(self, key: str):
+        found = self._check_value(key, self._next())
+        return self._parse_string_list() if key == "rows-data" else found
+
     def _parse_string_list(self) -> tuple[str, ...]:
         items: list[str] = []
-        tok = next(self.tokens)
+        tok = self._next()
         while tok[:2] != ("punct", "]"):
             if items:
                 self._expect(tok, "punct", ",", "',' or ']'")
-                tok = next(self.tokens)
+                tok = self._next()
             items.append(self._expect(tok, "string", None, "quoted string",
                                       "expected a quoted string"))
-            tok = next(self.tokens)
+            tok = self._next()
         return tuple(items)
 
 

@@ -461,8 +461,12 @@ def _rings(name, word, adjacency, distinct=False):
     (ProblemSpec("table", "word-paths", word="ab", layout="explicit",
                  rows_data=("abababababab", "babababababa", "abababababab"), adjacency="king"),
      18),
+    # JSON escapes a name or a word past ASCII, a quote and a backslash.
+    (ProblemSpec("é", "squares", cols=3, rows=3, variant="all"), 2),
+    (_rings("x²", "abcde", "side"), 4),
+    (_rings("quoted", 'a"\\éb', "side"), 4),
 ], ids=["axis", "all", "20000x20000-all", "rings-closed", "rings-single", "rings-king",
-        "rings-none", "table-12-cols"])
+        "rings-none", "table-12-cols", "name-e-acute", "name-x-squared", "rings-escaped-word"])
 def test_streamed_listings_match_whole_documents(runner, tmp_path, spec, listed):
     path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
@@ -1369,6 +1373,16 @@ def test_failed_writes_leave_no_descriptor_open(monkeypatch, kind):
             stdout.close()  # its descriptor now writes to the null device
     assert sys.stderr.getvalue() == "error: stdout: No space left on device\n" * 5
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("args", [["count", str(SAMPLES)], ["--help"]], ids=["count", "help"])
+def test_a_closed_stdout_exits_2_with_one_error_line(args):
+    # Python sets sys.stdout to None when descriptor 1 is closed (`>&-`).
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "configcount", *args], cwd=REPO_ROOT,
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (done.returncode, done.stderr) == (2, b"error: stdout: Bad file descriptor\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -1,11 +1,13 @@
 """Parsing, validation, canonical printing, and error positioning."""
 
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import configcount.speclang as speclang
 from configcount.speclang import (
     ParseError,
     ProblemSpec,
@@ -15,7 +17,7 @@ from configcount.speclang import (
     print_spec,
 )
 
-from conftest import ERROR_CORPUS
+from conftest import ERROR_CORPUS, REPO_ROOT
 
 SAMPLE1_TEXT = "problem s1 { kind: squares cols: 5 rows: 5 variant: axis }"
 SAMPLE2_TEXT = (
@@ -345,3 +347,125 @@ def _assert_positioned(source, err):
         assert source[offset - 1:offset] == "\\"
     elif err.message in ("unterminated string", "control character in string"):
         assert source[offset:offset + 1] == '"'
+
+
+
+# ---------------------------------------------------------------------------
+# items read whole and items read a token at a time
+
+def _outcome(source):
+    """What ``parse_spec(source)`` gives: its problems, or its error's type and text."""
+    try:
+        return parse_spec(source)
+    except SpecError as err:
+        return type(err).__name__, str(err)
+
+
+def _token_by_token(source):
+    """``_outcome(source)`` with every item read a token at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(speclang, "_ITEM", re.compile(r"(?!)"))
+        return _outcome(source)
+
+
+_PRINTED_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}:,\[\]]|[^\s{}:,\[\]"]+')
+# What goes between two tokens: whitespace, CRLF, and comments that hold a
+# quote, a brace or a block head.
+_GAPS = (" ", "\n", "\r\n", "\t", "  \t", "# c\n", '# "x"\n', "# }\n", "# problem p {\n",
+         ' # problem q { kind: squares cols: "\r\n', "\n#\n\t")
+
+
+@st.composite
+def _spaced_specs(draw):
+    """``print_spec`` output with a drawn gap at every token gap, list items
+    included; the last gap may be a comment with no line end."""
+    tokens = _PRINTED_TOKEN.findall(print_spec(draw(spec_sequences())))
+    gaps = st.sampled_from(_GAPS)
+    pieces = [draw(gaps) + token for token in tokens]
+    return "".join(pieces) + draw(st.sampled_from(_GAPS + ("", "# end")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _spaced_specs(),
+    st.lists(st.one_of(st.sampled_from(_SPEC_TOKENS), st.text(max_size=3)),
+             max_size=16).map("".join),
+))
+def test_items_read_whole_parse_as_read_token_by_token(source):
+    assert _outcome(source) == _token_by_token(source)
+
+
+_EXPLICIT = 'problem e { kind: word-paths word: "ab" layout: explicit '
+_SQUARE = "problem a { kind: squares cols: "
+
+
+@pytest.mark.parametrize("source, expected", [
+    pytest.param(_EXPLICIT + 'rows-data: ["ab", # "x"\n "ba"] adjacency: side }',
+                 [ProblemSpec("e", "word-paths", word="ab", layout="explicit",
+                              rows_data=("ab", "ba"), adjacency="side")],
+                 id="comment-in-list"),
+    pytest.param("# problem p {\nproblem q { kind: squares cols: 2 rows: 2 variant: axis }",
+                 [ProblemSpec("q", "squares", cols=2, rows=2, variant="axis")],
+                 id="comment-holding-a-head"),
+    pytest.param("problemp { kind: squares cols: 2 rows: 2 variant: axis }",
+                 ("ParseError", "1:1: expected 'problem' (expected 'problem')"),
+                 id="glued-keyword"),
+    pytest.param(_SQUARE + "3x rows: 2 variant: axis }",
+                 ("ParseError", "1:34: unknown field: x"), id="glued-int"),
+    pytest.param('problem e { kind: word-paths word: "ab"layout: explicit rows-data: ["ab"] '
+                 "adjacency: side }",
+                 [ProblemSpec("e", "word-paths", word="ab", layout="explicit",
+                              rows_data=("ab",), adjacency="side")],
+                 id="glued-string"),
+    pytest.param(_SQUARE + "9" * 4301 + " rows: 2 variant: axis }",
+                 ("ParseError", "1:33: integer literal too long (4301 digits)"),
+                 id="4301-digits"),
+    pytest.param(_SQUARE + "٣ rows: ١٢ variant: axis }",
+                 [ProblemSpec("a", "squares", cols=3, rows=12, variant="axis")],
+                 id="arabic-indic-digits"),
+])
+def test_items_that_the_item_regex_could_misread(source, expected):
+    assert _outcome(source) == expected
+    assert _token_by_token(source) == expected
+
+
+def _many_problems(count):
+    """``count`` problems of every shape, printed, with quotes and backslashes in
+    the words."""
+    specs = []
+    for i in range(count):
+        if i % 3 == 0:
+            spec = ProblemSpec("x", "squares", cols=i % 7 + 1, rows=i % 5 + 1,
+                               variant=("axis", "all")[i % 2])
+        elif i % 3 == 1:
+            spec = ProblemSpec("x", "word-paths", word=('a"\\', "é", "abcde")[i // 3 % 3],
+                               layout="manhattan-rings", adjacency="king")
+        else:
+            spec = ProblemSpec("x", "word-paths", word="ab", layout="explicit",
+                               rows_data=("ab", '"\\'), adjacency="none",
+                               distinct_cells=bool(i % 4))
+        specs.append(ProblemSpec(**dict(vars(spec), name=f"p{i:04d}")))
+    return specs
+
+
+@pytest.mark.parametrize("name", ["samples", "branches", "1000-problems"])
+def test_real_files_read_no_item_token_by_token(monkeypatch, name):
+    if name == "1000-problems":
+        source = print_spec(_many_problems(1000))
+    else:
+        path = {"samples": REPO_ROOT / "samples.ccspec",
+                "branches": REPO_ROOT / "tests" / "data" / "golden" / "branches.ccspec"}[name]
+        source = path.read_text(encoding="utf-8")
+    read = []
+    real = speclang._token
+
+    def spy(source, pos):
+        token = real(source, pos)
+        read.append(token)
+        return token
+
+    monkeypatch.setattr(speclang, "_token", spy)
+    specs = parse_spec(source)
+    assert read == []
+    assert len(specs) == {"samples": 5, "branches": 8, "1000-problems": 1000}[name]
+    assert specs == _token_by_token(source)
