@@ -17,12 +17,15 @@ lines, or 16,384 JSON list items or step iv terms.  A JSON document's pieces
 join to ``json.dumps`` of the whole document: a string is encoded by the
 function ``json.dumps`` encodes it with, and a list item's template is
 encoded once per process, not once per problem.  Listings are written from
-templates, with no function call per item: ``count`` and ``explain`` fill one
-``%`` template per listing, made from the class label and step iii note that
-``verify`` keeps, from columns of ints; ``enumerate`` fills one format string
-per square key, and joins a reading from strings made once per column and
-once per row.  The bytes are still the documented text, and ``json.dumps`` of
-the documented form.  ``render`` writes its figure to the file piece by piece,
+templates, with no function call per item.  ``count`` and ``explain`` fill a
+block of 64 classes per ``%`` call (``_rows``): a class's template, made from
+the class label and step iii note that ``verify`` keeps, repeated once per
+class, is filled with one tuple of the block's ints, copied in from columns
+a column at a time.  A block of text lines counts as one piece per line
+toward a write's bound.  ``enumerate`` fills one format string per square
+key, and joins a reading from strings made once per column and once per row.
+The bytes are still the documented text, and ``json.dumps`` of the
+documented form.  ``render`` writes its figure to the file piece by piece,
 opening it only once the first piece is drawn.
 
 The front end is one ``argparse`` parser, built when ``main`` runs.  ``main``
@@ -135,11 +138,16 @@ def _naming(spec: ProblemSpec, errors=(OracleBudgetError,)):
         _fail(_refusal(spec, exc))
 
 
-# Pieces of output joined into one write, and items of a JSON list (or terms of
-# step iv's sum) joined into one piece: a write holds at most 256 listing lines,
-# or 16,384 JSON items or terms.
-_CHUNK = 256
+# Items of a JSON list (or terms of step iv's sum) joined into one piece, and
+# rows of a listing filled by one `%`.
 _ITEMS = 64
+# Pieces of output joined into one write.  A block of text rows is one piece
+# followed by an empty piece for each row after its first, so its rows count as
+# pieces; a block whose empty pieces spill into the next write adds at most
+# _ITEMS - 1 lines to its own.  So a write holds at most 256 listing lines, or
+# 16,384 JSON items or step iv terms.
+_CHUNK = 256 - (_ITEMS - 1)
+_PADDING = ("",) * (_ITEMS - 1)
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -182,8 +190,8 @@ def _quoted():
 def _json_pieces(doc: dict) -> Iterator[str]:
     """``json.dumps(doc)`` in pieces.
 
-    A value is a string, a list of strings, a dict, or an iterator: a list of
-    already-encoded items, written ``_ITEMS`` items per piece.
+    A value is a string, a list of strings, a dict, or an iterator: a list's
+    items, already encoded and joined, in pieces.
     """
     quoted = _quoted()
     parts, separator = ["{"], ""
@@ -201,7 +209,7 @@ def _json_pieces(doc: dict) -> Iterator[str]:
         else:
             parts.append("[")
             yield "".join(parts)
-            yield from _joined(value)
+            yield from value
             parts = ["]"]
     parts.append("}")
     yield "".join(parts)
@@ -209,23 +217,58 @@ def _json_pieces(doc: dict) -> Iterator[str]:
 
 def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
     """``separator.join(items)`` in pieces of ``_ITEMS`` items: a JSON list's
-    encoded items without its brackets, or the terms of step iv's sum."""
+    encoded items without its brackets."""
     lead = ""
     while chunk := list(islice(items, _ITEMS)):
         yield lead + separator.join(chunk)
         lead = separator
 
 
-def _filled(template: dict, rows: Iterable[tuple]) -> Iterator[str]:
-    """One JSON item per row: ``template``, a dict of ``%`` templates, encoded
-    once and filled with each row.  Its fields are ints, which need no escaping."""
-    return map(_encoded(*template.items()).__mod__, rows)
+def _rows(template: str, columns: tuple, separator: str = "") -> Iterator[str]:
+    """``separator.join(template % row for row in zip(*columns))`` in pieces.
+
+    ``template``'s directives are positional, and ``columns`` are iterables of
+    equal length, one per directive.  Each block of ``_ITEMS`` rows is filled
+    by one ``%``: the template repeated once per row, made once per template
+    and row count, fills from one tuple, into which each column's values are
+    copied by slice assignment.  With no separator the rows are lines, and a
+    block is followed by an empty piece for each row after its first; with
+    one (a JSON list's items, step iv's terms), a block is one piece.
+    """
+    return chain.from_iterable(_blocks(template, columns, separator))
+
+
+def _blocks(template: str, columns: tuple, separator: str) -> Iterator[tuple[str, ...]]:
+    """``_rows``'s pieces, a tuple per block: the block, then its padding."""
+    first, *rest = map(iter, columns)
+    width = len(columns)
+    padding = () if separator else _PADDING
+    lead, template = template, separator + template
+    rows = _ITEMS
+    while rows == _ITEMS:
+        head = list(islice(first, _ITEMS))
+        if not (rows := len(head)):
+            return
+        # The block's fields, row by row: each column fills every width-th slot.
+        values = [None] * (rows * width)
+        values[::width] = head
+        for at, column in enumerate(rest, 1):
+            values[at::width] = islice(column, rows)
+        yield (_repeated(lead, template, rows) % tuple(values),) + padding[:rows - 1]
+        lead = template
+
+
+@functools.lru_cache(maxsize=256)
+def _repeated(first: str, template: str, rows: int) -> str:
+    """``first``, then ``template`` for each row after the first."""
+    return first + template * (rows - 1)
 
 
 @functools.lru_cache(maxsize=64)
 def _encoded(*fields: tuple[str, str]) -> str:
-    """The JSON object of ``fields``, each a key and a string: a template
-    ``_filled`` fills is encoded once per process, not once per problem."""
+    """The JSON object of ``fields``, each a key and a string: a list item's
+    template is encoded once per process, not once per problem.  Its values
+    are filled with ints, which need no escaping."""
     return "".join(_json_pieces(dict(fields)))
 
 
@@ -266,8 +309,7 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
 def _count_text(spec: ProblemSpec, classes) -> Iterator[str]:
     family = family_of(spec)
     return chain((f"problem {spec.name}: {_describe(spec)}",),
-                 map(f"\n{family.label}: %d".__mod__,
-                     zip(*family.columns(classes), classes.values())),
+                 _rows(f"\n{family.label}: %d", (*family.columns(classes), classes.values())),
                  (f"\ntotal {family.total(classes)}",))
 
 
@@ -277,8 +319,8 @@ def _count_json(spec: ProblemSpec, classes) -> Iterator[str]:
         "problem": spec.name,
         "kind": spec.kind,
         "total": str(family.total(classes)),
-        "classes": _filled({"label": family.label, "count": "%d"},
-                           zip(*family.columns(classes), classes.values())),
+        "classes": _rows(_encoded(("label", family.label), ("count", "%d")),
+                         (*family.columns(classes), classes.values()), ", "),
     })
 
 
@@ -332,8 +374,9 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     # past sys.maxsize.
     shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit if omitted else None))
     if fmt == "json":
-        _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind, "witnesses": shown,
-                                   "omitted": str(omitted)}), ("\n",)))
+        _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind,
+                                   "witnesses": _joined(shown), "omitted": str(omitted)}),
+                     ("\n",)))
         return
     omission = (f"(omitted {omitted} more)\n",) if omitted else ()
     _write(chain(shown, omission))
@@ -401,7 +444,7 @@ def _step_iv_text(trace) -> Iterator[str]:
     elif not trace.classes:
         yield f"total {trace.step_iv_total} (no classes fit)"
     else:
-        yield from _joined(map(str, trace.classes.values()), " + ")
+        yield from _rows("%d", (trace.classes.values(),), " + ")
         yield f" = {trace.step_iv_total} (addition principle)"
 
 
@@ -409,7 +452,7 @@ def _explain_text(trace) -> Iterator[str]:
     return chain((f"problem {trace.problem}\nStep i) {trace.step_i}\nStep ii) constraints:\n",),
                  (f"  - {item}\n" for item in trace.step_ii),
                  ("Step iii) classes:\n",),
-                 map(f"  - {trace.label}: {trace.note}\n".__mod__, trace.class_fields()),
+                 _rows(f"  - {trace.label}: {trace.note}\n", trace.fields()),
                  ("Step iv) ",), _step_iv_text(trace), ("\n",))
 
 
@@ -418,10 +461,11 @@ def _explain_json(trace) -> Iterator[str]:
         "problem": trace.problem,
         "step_i": trace.step_i,
         "step_ii": list(trace.step_ii),
-        "step_iii": _filled({"label": trace.label, "note": trace.note}, trace.class_fields()),
+        "step_iii": _rows(_encoded(("label", trace.label), ("note", trace.note)),
+                          trace.fields(), ", "),
         "step_iv": {
-            "classes": _filled({"label": trace.label, "count": "%d"},
-                               zip(*trace.fields()[:trace.split], trace.classes.values())),
+            "classes": _rows(_encoded(("label", trace.label), ("count", "%d")),
+                             (*trace.fields()[:trace.split], trace.classes.values()), ", "),
             "rule": trace.step_iv_rule,
             "total": str(trace.step_iv_total),
         },

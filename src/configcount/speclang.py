@@ -38,6 +38,7 @@ carriage return counts as one column.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .record import Record, set_field
@@ -120,19 +121,32 @@ _ENUM_VALUES = {
 }
 
 
-# Whitespace and comments, then at most one token.  \d is str.isdecimal, the
-# digits int() accepts, and [\w-] is isalnum() or "_-"; [^\W\d_] also admits
-# non-decimal digits such as "²", so an identifier's first character is
-# checked with isalpha() as well.  A string group stops before the first
-# character that cannot continue it; that character decides the outcome.
-_TOKEN = re.compile(r"""
-    (?:[ \t\r\n]|\#[^\n]*)*
-    (?:(?P<punct>[{}:,\[\]])
-      |(?P<string>"(?:[^"\\\x00-\x1f\x7f]|\\["\\])*)
-      |(?P<int>\d+)
-      |(?P<ident>[^\W\d_][\w-]*))?
-""", re.VERBOSE)
-_ESCAPE = re.compile(r"\\(.)")
+@functools.cache
+def _token_regex() -> re.Pattern:
+    """Whitespace and comments, then at most one token.
+
+    \\d is str.isdecimal, the digits int() accepts, and [\\w-] is isalnum() or
+    "_-"; [^\\W\\d_] also admits non-decimal digits such as "²", so an
+    identifier's first character is checked with isalpha() as well.  A string
+    group stops before the first character that cannot continue it; that
+    character decides the outcome.  Compiled on first use: a well-formed file
+    never reads a token.
+    """
+    return re.compile(r"""
+        (?:[ \t\r\n]|\#[^\n]*)*
+        (?:(?P<punct>[{}:,\[\]])
+          |(?P<string>"(?:[^"\\\x00-\x1f\x7f]|\\["\\])*)
+          |(?P<int>\d+)
+          |(?P<ident>[^\W\d_][\w-]*))?
+    """, re.VERBOSE)
+
+
+@functools.cache
+def _escape_regex() -> re.Pattern:
+    """An escape in a string's body; compiled on first use, as only a string
+    holding a backslash has one."""
+    return re.compile(r"\\(.)")
+
 
 # The most digits an integer may have: Python's default int() limit, checked
 # here, since the command line lifts that limit to print counts of any length.
@@ -171,12 +185,12 @@ def _error(source: str, offset: int, message: str, expected: str | None = None) 
 
 def _unescape(body: str) -> str:
     """A quoted string's value, from the text between its quotes."""
-    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+    return _escape_regex().sub(r"\1", body) if "\\" in body else body
 
 
 def _token(source: str, pos: int) -> tuple:
     """The ``(kind, value, offset, end)`` of the token after ``pos``: eof at the end."""
-    match = _TOKEN.match(source, pos)
+    match = _token_regex().match(source, pos)
     kind = match.lastgroup
     pos = match.end()
     if kind is None:

@@ -48,7 +48,7 @@ written without a function call per class.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from operator import itemgetter, mul
 
 from .budget import DEFAULT_ORACLE_BUDGET, OracleBudgetError
@@ -111,9 +111,9 @@ class StepTrace(Record):
     ``%`` templates, the kind's ``label`` and the family's step iii ``note``,
     with ints: ``fields()`` gives their columns in class order, the label's
     ``split`` columns first.  An int needs no JSON escaping.  A class's row
-    of ``class_fields()`` fills step iii's text, ``label % row[:split]`` and
+    of ``zip(*fields())`` fills step iii's text, ``label % row[:split]`` and
     ``note % row[split:]``; step iv's counts are ``classes.values()``, in the
-    same order.  No row is held: each reader fills its own.
+    same order.  No row is held: a reader fills its text from the columns.
     """
 
     problem: str
@@ -140,10 +140,6 @@ class StepTrace(Record):
         set_field(self, "step_iv_rule", step_iv_rule)
         set_field(self, "step_iv_total", step_iv_total)
         set_field(self, "classes", classes)
-
-    def class_fields(self) -> Iterator[tuple[int, ...]]:
-        """Each class's label fields, then its note's: ``label + note`` fills one."""
-        return zip(*self.fields())
 
 
 def family_of(spec: ProblemSpec) -> Squares | Words:

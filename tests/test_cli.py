@@ -452,6 +452,9 @@ def _rings(name, word, adjacency, distinct=False):
     (ProblemSpec("wide", "squares", cols=2000, rows=1500, variant="all"), 1499),
     # The listing spans several writes.
     (ProblemSpec("giant", "squares", cols=20000, rows=20000, variant="all"), 19999),
+    # 2,998 classes: whole blocks of rows, then a part block.
+    (ProblemSpec("odd", "squares", cols=3001, rows=2999, variant="axis"), 2998),
+    (ProblemSpec("odd", "squares", cols=3001, rows=2999, variant="all"), 2998),
     (_rings("closed", "abcdefghi", "side"), 4),
     (_rings("single", "x", "side"), 1),
     # Distinct symbols keep the counters cheap (see enumerate's byte test).
@@ -465,8 +468,9 @@ def _rings(name, word, adjacency, distinct=False):
     (ProblemSpec("é", "squares", cols=3, rows=3, variant="all"), 2),
     (_rings("x²", "abcde", "side"), 4),
     (_rings("quoted", 'a"\\éb', "side"), 4),
-], ids=["axis", "all", "20000x20000-all", "rings-closed", "rings-single", "rings-king",
-        "rings-none", "table-12-cols", "name-e-acute", "name-x-squared", "rings-escaped-word"])
+], ids=["axis", "all", "20000x20000-all", "3001x2999-axis", "3001x2999-all", "rings-closed",
+        "rings-single", "rings-king", "rings-none", "table-12-cols", "name-e-acute",
+        "name-x-squared", "rings-escaped-word"])
 def test_streamed_listings_match_whole_documents(runner, tmp_path, spec, listed):
     path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
@@ -768,6 +772,51 @@ def test_listing_write_holds_a_bounded_number_of_classes(tmp_path, monkeypatch, 
     assert sum(terms) == (19998 if command == "explain" else 0)
     assert max(lines) <= 256
     assert max(terms) <= 16384
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_listing_writes_stay_bounded_over_many_listings(tmp_path, monkeypatch, fmt):
+    # 300 listings of 100 classes each: the bound holds across listings, not
+    # only within one.
+    spec = "problem p { kind: squares cols: 101 rows: 101 variant: axis }\n"
+    path = tmp_path / "p.ccspec"
+    path.write_text("".join(spec.replace(" p ", f" p{i} ") for i in range(300)))
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    main(["count", str(path), "--format", fmt], standalone_mode=False)
+    monkeypatch.undo()
+    marker = '"label"' if fmt == "json" else "k="
+    per_write = [w.count(marker) for w in recorder.writes]
+    assert sum(per_write) == 300 * 100
+    assert max(per_write) <= (16384 if fmt == "json" else 256)
+
+
+_FIELDS = st.integers(min_value=-2**70, max_value=2**70)
+
+
+@st.composite
+def _listings(draw):
+    """A row template of 1-4 ``%d`` fields among literal text and ``%%``, and
+    equal-length columns for it: none, one, or about a block of rows."""
+    width = draw(st.integers(1, 4))
+    text = st.sampled_from(["", "k=", ": ", "%%", " (%%d) ", "\n", "é"])
+    template = "".join(draw(text) + "%d" for _ in range(width)) + draw(text)
+    block = cli_mod._ITEMS
+    rows = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 5]))
+    columns = tuple(draw(st.lists(_FIELDS, min_size=rows, max_size=rows))
+                    for _ in range(width))
+    return template, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_listings(), st.sampled_from(["", ", ", " + "]))
+def test_filled_blocks_equal_their_rows(listing, separator):
+    template, columns = listing
+    assert ("".join(cli_mod._rows(template, columns, separator))
+            == separator.join(template % row for row in zip(*columns)))
+    # Iterators are read once, as the families' map columns are.
+    assert ("".join(cli_mod._rows(template, tuple(map(iter, columns)), separator))
+            == separator.join(template % row for row in zip(*columns)))
 
 
 def test_no_command_builds_a_square(runner, tmp_path, monkeypatch):

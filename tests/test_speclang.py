@@ -469,3 +469,19 @@ def test_real_files_read_no_item_token_by_token(monkeypatch, name):
     assert read == []
     assert len(specs) == {"samples": 5, "branches": 8, "1000-problems": 1000}[name]
     assert specs == _token_by_token(source)
+
+
+def test_token_and_escape_regexes_compile_only_when_used():
+    # Every command imports speclang; a well-formed file needs neither regex.
+    speclang._token_regex.cache_clear()
+    speclang._escape_regex.cache_clear()
+    parse_spec((REPO_ROOT / "samples.ccspec").read_text(encoding="utf-8"))
+    assert speclang._token_regex.cache_info().currsize == 0
+    assert speclang._escape_regex.cache_info().currsize == 0
+    escaped = 'problem p { kind: word-paths word: "a\\\\b" layout: manhattan-rings adjacency: side }'
+    assert parse_spec(escaped)[0].word == "a\\b"
+    assert speclang._escape_regex.cache_info().currsize == 1
+    assert speclang._token_regex.cache_info().currsize == 0
+    with pytest.raises(ParseError):
+        parse_spec("problem p { kind: squares cols: 3x }")
+    assert speclang._token_regex.cache_info().currsize == 1

@@ -515,7 +515,7 @@ def test_class_listing_over_budget_is_refused():
 def _step_iii(trace):
     """Step iii's (label, note) rows, filled from the trace's templates."""
     split = trace.split
-    return ((trace.label % row[:split], trace.note % row[split:]) for row in trace.class_fields())
+    return ((trace.label % row[:split], trace.note % row[split:]) for row in zip(*trace.fields()))
 
 
 def _step_iv_classes(trace):
