@@ -28,15 +28,18 @@ The bytes are still the documented text, and ``json.dumps`` of the
 documented form.  ``render`` writes its figure to the file piece by piece,
 opening it only once the first piece is drawn.
 
-The front end is one ``argparse`` parser, built when ``main`` runs.  ``main``
-is called as ``main()``, or as ``main.main(args=..., prog_name=...,
-standalone_mode=...)``, the way ``perfbench/spans.invoke`` runs a command
-in-process; the tests' runner calls it that way too.
+The front end reads a well-formed command line itself (``_read``), off the
+options in ``_COMMANDS``, and loads ``argparse`` only for what it leaves:
+``--help`` and usage errors, whose text argparse writes, and the few valid
+spellings it does not read (``--flag=value``, a repeated option, a value or
+SPEC_FILE that starts with ``-``).  Either way the command gets the same
+options.  ``main`` is called as ``main()``, or as ``main.main(args=...,
+prog_name=..., standalone_mode=...)``, the way ``perfbench/spans.invoke`` runs
+a command in-process; the tests' runner calls it that way too.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import functools
@@ -45,7 +48,6 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice, starmap
-from pathlib import Path
 
 from .budget import OracleBudgetError
 from .render import render_pieces
@@ -95,7 +97,8 @@ def _write_failed(stream: str, exc: OSError) -> None:
 
 def _load_specs(spec_file: str) -> list[ProblemSpec]:
     try:
-        source = Path(spec_file).read_text(encoding="utf-8")
+        with open(spec_file, encoding="utf-8") as fh:
+            source = fh.read()
     except UnicodeDecodeError:
         _fail(f"{spec_file}: not valid UTF-8")
     except OSError as exc:
@@ -510,26 +513,36 @@ def render(spec_file, problem_name, highlight, cell_size, output_path):
             _fail(f"{output_path}: {exc.strerror}")
 
 
-def _positive(text: str) -> int:
-    """``--limit`` and ``--cell-size``: an integer of at least 1."""
+def _whole(text: str) -> int | None:
+    """An integer option's value: an integer of at least 1, or None."""
     if _INTEGER.fullmatch(text) and (value := int(text)) >= 1:
         return value
-    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return None
 
 
-# Each option a command takes: add_argument's flags and keywords.
+def _positive(text: str) -> int:
+    """``--limit`` and ``--cell-size`` as argparse reads them: an integer of at least 1."""
+    if (value := _whole(text)) is None:
+        import argparse  # loaded already: only argparse calls this
+
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+# Each option a command takes: add_argument's flags and keywords.  Each names
+# its dest, which _read reads.
 _PROBLEM = ("--problem",), {"dest": "problem_name", "metavar": "NAME",
                             "help": "Only this problem (default: every problem in the file)."}
 _PROBLEM_REQUIRED = ("--problem",), {"dest": "problem_name", "metavar": "NAME", "required": True,
                                      "help": "The problem to operate on."}
 _FORMAT = ("--format",), {"dest": "fmt", "choices": ("text", "json"), "default": "text",
                           "help": "Output format."}
-_LIMIT = ("--limit",), {"type": _positive, "metavar": "N",
+_LIMIT = ("--limit",), {"dest": "limit", "type": _positive, "metavar": "N",
                         "help": "Print at most this many witnesses."}
-_HIGHLIGHT = ("--highlight",), {"metavar": "SPEC",
+_HIGHLIGHT = ("--highlight",), {"dest": "highlight", "metavar": "SPEC",
                                 "help": "Witness index, or k=SIZE for one square size class."}
-_CELL_SIZE = ("--cell-size",), {"type": _positive, "default": 40, "metavar": "PIXELS",
-                                "help": "Pixels per lattice unit."}
+_CELL_SIZE = ("--cell-size",), {"dest": "cell_size", "type": _positive, "default": 40,
+                                "metavar": "PIXELS", "help": "Pixels per lattice unit."}
 _OUTPUT = ("-o", "--output"), {"dest": "output_path", "required": True, "metavar": "FILE",
                                "help": "Where to write the SVG."}
 
@@ -543,24 +556,67 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, writing help through ``_write`` and a usage error through
-    ``_error``, so a failed write of either exits 2.  Only ``--help`` asks for
-    help, and no option is abbreviated: ``-h`` and ``--form`` are usage errors."""
+def _read(argv: list[str]) -> dict | None:
+    """``vars(_parser(prog).parse_args(argv))`` for ``COMMAND SPEC_FILE`` with
+    each of the command's options at most once, as ``--flag value``, in any
+    order; None for any other command line, which argparse reads.
 
-    def __init__(self, **kwargs):
-        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
+    So None for another word that starts with ``-`` (``--help``, ``--``,
+    ``--flag=value``, a SPEC_FILE such as ``-1``), a value that starts with
+    ``-``, a repeated option, a second SPEC_FILE, a missing SPEC_FILE or
+    required option, and a value argparse refuses: one outside an option's
+    ``choices``, or an integer option's (the one ``type`` is ``_positive``)
+    that is not an integer of at least 1.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    run, *options = _COMMANDS[argv[0]]
+    by_flag = {flag: settings for flags, settings in options for flag in flags}
+    read = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if "spec_file" in read:
+                return None
+            read["spec_file"] = word
+            continue
+        settings, value = by_flag.get(word), next(words, None)
+        if settings is None or value is None or value.startswith("-") or settings["dest"] in read:
+            return None
+        if "type" in settings and (value := _whole(value)) is None:
+            return None
+        if "choices" in settings and value not in settings["choices"]:
+            return None
+        read[settings["dest"]] = value
+    if "spec_file" not in read or any(settings.get("required") and settings["dest"] not in read
+                                      for _, settings in options):
+        return None
+    defaults = {settings["dest"]: settings.get("default") for _, settings in options}
+    return {"run": run, **defaults, **read}
 
-    def print_help(self, file=None):
-        _write((self.format_help(),))
 
-    def error(self, message):
-        _error(message, self.format_usage())
-        sys.exit(2)
+def _parser(prog: str):
+    """The argparse parser of every command line, which writes help and usage
+    errors.  argparse is loaded only here: a well-formed command is ``_read``."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        """argparse, writing help through ``_write`` and a usage error through
+        ``_error``, so a failed write of either exits 2.  Only ``--help`` asks
+        for help, and no option is abbreviated: ``-h`` and ``--form`` are usage
+        errors."""
 
-def _parser(prog: str) -> _Parser:
+        def __init__(self, **kwargs):
+            super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+            self.add_argument("--help", action="help", help="Show this message and exit.")
+
+        def print_help(self, file=None):
+            _write((self.format_help(),))
+
+        def error(self, message):
+            _error(message, self.format_usage())
+            sys.exit(2)
+
     parser = _Parser(prog=prog, description="Exact counting workbench for lattice squares "
                                             "and grid word readings.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
@@ -592,7 +648,8 @@ class _Main:
         for stream in (sys.stdout, sys.stderr):
             if hasattr(stream, "reconfigure"):
                 stream.reconfigure(encoding="utf-8")
-        options = vars(_parser(prog_name or self.name).parse_args(args))
+        argv = sys.argv[1:] if args is None else list(args)
+        options = _read(argv) or vars(_parser(prog_name or self.name).parse_args(argv))
         options.pop("run")(**options)
         if standalone_mode:
             sys.exit(0)

@@ -40,15 +40,14 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import cached_property
 from math import inf, prod
-from typing import Literal
 
 from .budget import OracleBudgetError
 from .counting import MoveWord, count_move_words
 from .record import Record, set_field
 
-AdjacencyRule = Literal["side", "king", "none"]
-
 ADJACENCY_RULES = ("side", "king", "none")
+# An adjacency rule: one of ADJACENCY_RULES.
+AdjacencyRule = str
 
 _SIDE_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _KING_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, error messages."""
 
+import contextlib
 import errno
 import io
 import json
@@ -1122,6 +1123,18 @@ _USAGE_ERRORS = {
     "directory-as-spec-file": ["verify", "{tmp}"],
 }
 
+
+@pytest.mark.parametrize("spec_file, reason", [("", "No such file or directory"),
+                                               (f"{SAMPLES}/", "Not a directory")],
+                         ids=["empty", "trailing-slash"])
+def test_a_spec_file_is_opened_as_named(runner, spec_file, reason):
+    # The name is not normalized: "" is not the current directory, and a
+    # file's name followed by "/" names no directory.
+    result = invoke(runner, "count", spec_file)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: {spec_file}: {reason}\n"
+
+
 # Each command's options, and the argument every command takes.
 _HELP = {
     "count": ["SPEC_FILE", "--problem", "--format"],
@@ -1139,6 +1152,78 @@ def test_usage_errors_exit_2_with_nothing_on_stdout(runner, tmp_path, case):
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr and "Traceback" not in result.stderr
     assert not (tmp_path / "out.svg").exists()
+    # argparse writes every usage line: the reader leaves each such line to it.
+    assert (cli_mod._read(args) is None) == result.stderr.startswith("usage: ")
+
+
+def _argparse_reads(argv):
+    """``vars(parse_args(argv))`` of the argparse parser, or None where it
+    writes help or a usage error and exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli_mod._parser("configcount").parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Words that argparse reads its own way, or refuses: the reader leaves each of
+# them to it, as a word or as an option's value.
+_ODD_WORDS = ["-1", "-2", "-", "--", "---", "--problem=squares5", "--format=json", "--help",
+              "-h", "--form", "-osquares.svg", "-1 x"]
+# Spec file names, and values an option takes or refuses.
+_VALUES = ["samples.ccspec", "squares5", "count", "out.svg", "k=3", "x y", ""]
+_INTEGERS = ["1", "3", "007", "\u0663", "9" * 4300]
+_NOT_INTEGERS = ["0", "00", "+2", "1_0", " 2", "2 ", "0x2", "2.0", "9" * 4301]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command's spec file and options, each mostly once but sometimes absent
+    or twice, in any order, with values mostly taken, sometimes odd words
+    among them, and now and then a wrong command."""
+    command = draw(st.sampled_from(sorted(cli_mod._COMMANDS)))
+    _, *options = cli_mod._COMMANDS[command]
+    times = st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2])
+    anything = st.sampled_from(_VALUES + _INTEGERS + _NOT_INTEGERS + _ODD_WORDS + ["xml"])
+    pieces = [[draw(anything)] for _ in range(draw(times))]
+    for flags, keywords in options:
+        choices = keywords.get("choices")
+        taken, refused = ((choices, ["xml", "TEXT", "json "]) if choices
+                          else (_INTEGERS, _NOT_INTEGERS) if "type" in keywords
+                          else (_VALUES, _ODD_WORDS))
+        values = [st.sampled_from(taken)] * 4 + [st.sampled_from(refused), anything]
+        pieces += [[draw(st.sampled_from(flags)), draw(values[draw(st.integers(0, 5))])]
+                   for _ in range(draw(times))]
+    if draw(st.integers(0, 9)) == 9:
+        pieces.append([draw(st.sampled_from(_ODD_WORDS))])
+    words = [word for piece in draw(st.permutations(pieces)) for word in piece]
+    if draw(st.integers(0, 9)) == 9:
+        command = draw(st.sampled_from(["", "tally", "--help", "Count", "coun"]))
+    return [command, *words]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_command_lines())
+def test_the_reader_reads_a_command_line_as_argparse_does(argv):
+    read = cli_mod._read(argv)
+    assert read is None or read == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "samples.ccspec"],
+    ["verify", "--format", "json", "samples.ccspec", "--problem", "squares5"],
+    ["explain", "--problem", "open-side", "samples.ccspec"],
+    ["enumerate", "samples.ccspec", "--limit", "\u0663", "--format", "json", "--problem", "p"],
+    ["enumerate", "samples.ccspec", "--problem", "p", "--limit", "9" * 4300],
+    ["render", "-o", "f.svg", "samples.ccspec", "--problem", "p", "--highlight", "k=3",
+     "--cell-size", "007"],
+    ["render", "samples.ccspec", "--output", "", "--problem", "", "--highlight", "x y"],
+    ["count", "x y", "--problem", "count"],
+    ["count", ""],
+])
+def test_the_reader_reads_each_well_formed_command_line(argv):
+    read = cli_mod._read(argv)
+    assert read is not None and read == _argparse_reads(argv)
 
 
 # Each integer option, as the arguments after SPEC_FILE up to its value.
@@ -1357,15 +1442,25 @@ def test_render_failing_after_the_first_piece_exits_2_naming_the_problem(runner,
 def test_importing_the_cli_skips_network_and_xml_modules():
     # Every command imports cli; xml.sax.saxutils pulled in urllib.request,
     # http.client and email at start-up.  json loads only for --format json,
-    # and html only to draw a letter table's glyphs.  The front end is
-    # argparse, not click, and no record is a dataclass, which would load
-    # inspect (and with it ast, dis and tokenize).
+    # and html only to draw a letter table's glyphs.  There is no click, and
+    # no record is a dataclass, which would load inspect (and with it ast, dis
+    # and tokenize).  A well-formed command of each verb then runs without
+    # argparse, and so without gettext and locale, which argparse loads.
     modules = {"urllib.request", "xml.sax", "json", "html", "click", "dataclasses", "inspect"}
-    code = f"import sys, configcount.cli; print(sorted({modules!r} & set(sys.modules)))"
+    commands = [["count", "samples.ccspec"], ["verify", "samples.ccspec"],
+                ["explain", "samples.ccspec", "--problem", "squares5"],
+                ["enumerate", "samples.ccspec", "--problem", "squares5", "--limit", "3"],
+                ["render", "samples.ccspec", "--problem", "squares5", "-o", os.devnull]]
+    code = (f"import contextlib, io, sys, configcount.cli as cli\n"
+            f"print(sorted({modules!r} & set(sys.modules)))\n"
+            f"for args in {commands!r}:\n"
+            f"    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        cli.main.main(args=args, standalone_mode=False)\n"
+            f"print(sorted({{'argparse', 'gettext', 'locale'}} & set(sys.modules)))")
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": path})
-    assert done.stdout == "[]\n"
+                          check=True, cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "[]\n[]\n"
 
 
 def _child(args, cwd, stdout, stderr=subprocess.PIPE):
