@@ -36,6 +36,14 @@ SPEC_FILE that starts with ``-``).  Either way the command gets the same
 options.  ``main`` is called as ``main()``, or as ``main.main(args=...,
 prog_name=..., standalone_mode=...)``, the way ``perfbench/spans.invoke`` runs
 a command in-process; the tests' runner calls it that way too.
+
+A standalone run freezes the garbage collector (``gc.freeze``) once it has read
+its command line and run its command, on every exit, help and usage errors
+included.  Every object it made then sits in the collector's permanent
+generation, which the collections Python runs at exit skip; the process still
+leaves through Python's normal exit.  An in-process caller
+(``standalone_mode=False``) is never frozen: that would pin its garbage for
+good.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import functools
+import gc
 import os
 import re
 import sys
@@ -176,7 +185,7 @@ def _to_stdout(call, *args) -> None:
 
 
 def _dumps(value) -> str:
-    """``json.dumps(value)``; json is loaded only by a command that writes JSON."""
+    """``json.dumps(value)``; json is loaded only by ``verify --format json``."""
     import json
 
     return json.dumps(value)
@@ -184,9 +193,12 @@ def _dumps(value) -> str:
 
 @functools.cache
 def _quoted():
-    """The function ``json.dumps`` encodes a string with, loaded once."""
-    from json.encoder import encode_basestring_ascii
-
+    """The function ``json.dumps`` encodes a string with, loaded once: the C
+    encoder ``json.encoder`` re-exports, so the ``json`` package stays unloaded."""
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:  # no C accelerator: json.encoder's own
+        from json.encoder import encode_basestring_ascii
     return encode_basestring_ascii
 
 
@@ -635,7 +647,8 @@ class _Main:
     console script, ``main.main(args=..., prog_name=..., standalone_mode=...)``
     from ``perfbench/spans.invoke`` and the tests' runner, which run it
     in-process, ``main(args, ...)`` alike.  It exits 0 on success, or returns
-    when ``standalone_mode`` is false.
+    when ``standalone_mode`` is false.  A standalone run freezes the garbage
+    collector before it exits, however it exits; an in-process call does not.
 
     A count is printed in full at any length: Python's limit on the digits
     ``str`` of an int may have is lifted for the process."""
@@ -649,8 +662,14 @@ class _Main:
             if hasattr(stream, "reconfigure"):
                 stream.reconfigure(encoding="utf-8")
         argv = sys.argv[1:] if args is None else list(args)
-        options = _read(argv) or vars(_parser(prog_name or self.name).parse_args(argv))
-        options.pop("run")(**options)
+        try:
+            options = _read(argv) or vars(_parser(prog_name or self.name).parse_args(argv))
+            options.pop("run")(**options)
+        finally:
+            if standalone_mode:
+                # The process ends next: the collections Python runs at exit
+                # skip what sits in the collector's permanent generation.
+                gc.freeze()
         if standalone_mode:
             sys.exit(0)
 

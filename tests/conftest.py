@@ -26,15 +26,17 @@ class Result:
 class Runner:
     """Runs ``main.main(args=...)`` in-process with stdout and stderr captured
     apart, as UTF-8 bytes with no file descriptor.  ``SystemExit`` becomes the
-    exit code; any other exception is kept, with exit code 1, not raised."""
+    exit code; any other exception is kept, with exit code 1, not raised.
+    ``standalone_mode`` is false unless a test asks for a standalone run."""
 
-    def invoke(self, main, args) -> Result:
+    def invoke(self, main, args, standalone_mode=False) -> Result:
         saved = sys.stdout, sys.stderr
         out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in saved)
         sys.stdout, sys.stderr = out, err
         exit_code, exception = 0, None
         try:
-            main.main(args=list(args), prog_name="configcount", standalone_mode=False)
+            main.main(args=list(args), prog_name="configcount",
+                      standalone_mode=standalone_mode)
         except SystemExit as exc:
             exit_code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
         except Exception as exc:  # kept for the test to read, not raised

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -209,6 +210,27 @@ def test_verify_fault_injection_exits_1(runner, monkeypatch):
     assert result.exit_code == 1
     assert "FAIL" in result.stdout
     assert "closed-form total 29 != oracle total 30" in result.stdout
+
+
+def test_only_a_standalone_run_freezes_the_collector(runner, tmp_path, monkeypatch):
+    # A standalone run freezes the collector once, on every exit, so Python's
+    # exit-time collections skip what the run made.  An in-process caller (the
+    # runner, perfbench's spans) never freezes: that would pin its garbage.
+    # A spy stands in for gc.freeze, which must not run in the test process.
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(None))
+    big = tmp_path / "big.ccspec"
+    big.write_text("problem big { kind: squares cols: 4000 rows: 4000 variant: all }")
+    cases = {"count": (["count", SAMPLES], 0), "FAIL": (["verify", SAMPLES], 1),
+             "refusal": (["verify", big], 2), "usage": (["count", SAMPLES, "--format", "xml"], 2),
+             "help": (["--help"], 0)}
+    perturb_total(monkeypatch, "squares-axis", 1)
+    for standalone_mode, freezes in ((True, 1), (False, 0)):
+        for case, (args, code) in cases.items():
+            calls.clear()
+            result = runner.invoke(main, [str(a) for a in args], standalone_mode=standalone_mode)
+            assert (result.exit_code, result.exception, len(calls)) == (code, None, freezes), (
+                case, standalone_mode)
 
 
 # The closed form of each of samples.ccspec's closed-form problems.
@@ -1441,8 +1463,9 @@ def test_render_failing_after_the_first_piece_exits_2_naming_the_problem(runner,
 
 def test_importing_the_cli_skips_network_and_xml_modules():
     # Every command imports cli; xml.sax.saxutils pulled in urllib.request,
-    # http.client and email at start-up.  json loads only for --format json,
-    # and html only to draw a letter table's glyphs.  There is no click, and
+    # http.client and email at start-up.  json loads only for verify --format
+    # json: the other JSON commands encode strings with _json's C encoder.
+    # html loads only to draw a letter table's glyphs.  There is no click, and
     # no record is a dataclass, which would load inspect (and with it ast, dis
     # and tokenize).  A well-formed command of each verb then runs without
     # argparse, and so without gettext and locale, which argparse loads.
@@ -1450,17 +1473,21 @@ def test_importing_the_cli_skips_network_and_xml_modules():
     commands = [["count", "samples.ccspec"], ["verify", "samples.ccspec"],
                 ["explain", "samples.ccspec", "--problem", "squares5"],
                 ["enumerate", "samples.ccspec", "--problem", "squares5", "--limit", "3"],
-                ["render", "samples.ccspec", "--problem", "squares5", "-o", os.devnull]]
+                ["render", "samples.ccspec", "--problem", "squares5", "-o", os.devnull],
+                ["count", "samples.ccspec", "--format", "json"],
+                ["explain", "samples.ccspec", "--problem", "squares5", "--format", "json"],
+                ["enumerate", "samples.ccspec", "--problem", "squares5", "--format", "json"]]
     code = (f"import contextlib, io, sys, configcount.cli as cli\n"
             f"print(sorted({modules!r} & set(sys.modules)))\n"
             f"for args in {commands!r}:\n"
             f"    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        cli.main.main(args=args, standalone_mode=False)\n"
-            f"print(sorted({{'argparse', 'gettext', 'locale'}} & set(sys.modules)))")
+            f"print(sorted({{'argparse', 'gettext', 'locale'}} & set(sys.modules)))\n"
+            f"print(sorted(name for name in sys.modules if name.startswith('json')))")
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": path})
-    assert done.stdout == "[]\n[]\n"
+    assert done.stdout == "[]\n[]\n[]\n"
 
 
 def _child(args, cwd, stdout, stderr=subprocess.PIPE):

@@ -1,7 +1,9 @@
 """Golden bytes: the full stdout of every command, and ``render``'s SVG file.
 
-Each case runs the CLI in-process and compares its output byte for byte with
-a file under ``tests/data/golden/``.  The cases cover ``samples.ccspec`` and
+Each case runs the CLI in-process, and again as a child process (``python -m
+configcount``), which leaves through a standalone run's exit path, and
+compares its output byte for byte with a file under ``tests/data/golden/``.
+The cases cover ``samples.ccspec`` and
 ``branches.ccspec``, which reaches the dispatch branches the samples leave
 out: explicit layouts, king adjacency, distinct cells, repeated symbols, a
 1x1 grid and a length-1 word.
@@ -12,6 +14,9 @@ After a deliberate output change, re-capture with
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +101,29 @@ def test_stdout_matches_golden(name, args):
 @pytest.mark.parametrize("name,args", _render_cases(), ids=[name for name, _ in _render_cases()])
 def test_svg_matches_golden(name, args, tmp_path):
     assert _svg(args, tmp_path / "figure.svg") == (GOLDEN / name).read_bytes()
+
+
+def _child(args: list[str]) -> bytes:
+    """The stdout of ``python -m configcount <args>`` run as a child process,
+    with stdout block-buffered, as Python sets it for a pipe by default."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-m", "configcount", *args], capture_output=True,
+                          cwd=REPO_ROOT, env={**env, "PYTHONPATH": path}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b""), args
+    return done.stdout
+
+
+@pytest.mark.parametrize("name,args", _cases(), ids=[name for name, _ in _cases()])
+def test_child_stdout_matches_golden(name, args):
+    assert _child(args) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,args", _render_cases(), ids=[name for name, _ in _render_cases()])
+def test_child_svg_matches_golden(name, args, tmp_path):
+    out = tmp_path / "figure.svg"
+    assert _child([*args, "-o", str(out)]) == b""
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def _capture() -> None:
