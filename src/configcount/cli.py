@@ -12,20 +12,21 @@ counts appear in JSON as decimal strings so consumers never round them
 through a fixed-width type, and print in full at any length.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
-is formatted, with one flush at the end: a write holds at most 256 listing
-lines, or 16,384 JSON list items or step iv terms.  A JSON document's pieces
-join to ``json.dumps`` of the whole document: a string is encoded by the
-function ``json.dumps`` encodes it with, and a list item's template is
-encoded once per process, not once per problem.  Listings are written from
-templates, with no function call per item.  ``count`` and ``explain`` fill a
-block of 64 classes per ``%`` call (``_rows``): a class's template, made from
-the class label and step iii note that ``verify`` keeps, repeated once per
-class, is filled with one tuple of the block's ints, copied in from columns
-a column at a time.  A block of text lines counts as one piece per line
-toward a write's bound.  ``enumerate`` fills one format string per square
-key, and joins a reading from strings made once per column and once per row.
-The bytes are still the documented text, and ``json.dumps`` of the
-documented form.  ``render`` writes its figure to the file piece by piece,
+is formatted, with one flush at the end: a write holds at most 65,536
+characters plus one piece, and a piece at most 64 listing rows, JSON list
+items, step iv terms or witnesses.  Running out of memory as a problem is
+written exits 2 naming it, as it does while the problem is computed.  A JSON
+document's pieces join to ``json.dumps`` of the whole document: a string is
+encoded by the function ``json.dumps`` encodes it with, and a list item's
+template is encoded once per process, not once per problem.  Listings are
+written from templates, with no function call per item.  ``count`` and
+``explain`` fill a block of 64 classes per ``%`` call (``_rows``): a class's
+template, made from the class label and step iii note that ``verify`` keeps,
+repeated once per class, is filled with one tuple of the block's ints, copied
+in from columns a column at a time.  ``enumerate`` fills one format string
+per square key, and joins a reading from strings made once per column and
+once per row.  The bytes are still the documented text, and ``json.dumps`` of
+the documented form.  ``render`` writes its figure to the file piece by piece,
 opening it only once the first piece is drawn.
 
 The front end reads a well-formed command line itself (``_read``), off the
@@ -150,16 +151,12 @@ def _naming(spec: ProblemSpec, errors=(OracleBudgetError,)):
         _fail(_refusal(spec, exc))
 
 
-# Items of a JSON list (or terms of step iv's sum) joined into one piece, and
-# rows of a listing filled by one `%`.
+# Items of a JSON list (or terms of step iv's sum, or witnesses) joined into
+# one piece, and rows of a listing filled by one `%`.
 _ITEMS = 64
-# Pieces of output joined into one write.  A block of text rows is one piece
-# followed by an empty piece for each row after its first, so its rows count as
-# pieces; a block whose empty pieces spill into the next write adds at most
-# _ITEMS - 1 lines to its own.  So a write holds at most 256 listing lines, or
-# 16,384 JSON items or step iv terms.
-_CHUNK = 256 - (_ITEMS - 1)
-_PADDING = ("",) * (_ITEMS - 1)
+# Characters of output joined into one write; a write holds fewer than this
+# plus one piece.
+_WRITE_CHARS = 1 << 16
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -170,9 +167,13 @@ def _write(pieces: Iterable[str]) -> None:
     """
     if sys.stdout is None:  # Python was started with stdout closed
         _fail(f"stdout: {os.strerror(errno.EBADF)}")
-    pieces = iter(pieces)
-    while chunk := list(islice(pieces, _CHUNK)):
-        _to_stdout(sys.stdout.write, "".join(chunk))
+    chunk, size = [], 0
+    for piece in pieces:
+        chunk.append(piece)
+        if (size := size + len(piece)) >= _WRITE_CHARS:
+            _to_stdout(sys.stdout.write, "".join(chunk))
+            chunk, size = [], 0
+    _to_stdout(sys.stdout.write, "".join(chunk))
     _to_stdout(sys.stdout.flush)
 
 
@@ -232,7 +233,7 @@ def _json_pieces(doc: dict) -> Iterator[str]:
 
 def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
     """``separator.join(items)`` in pieces of ``_ITEMS`` items: a JSON list's
-    encoded items without its brackets."""
+    encoded items without its brackets, or, with no separator, text lines."""
     lead = ""
     while chunk := list(islice(items, _ITEMS)):
         yield lead + separator.join(chunk)
@@ -240,24 +241,17 @@ def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
 
 
 def _rows(template: str, columns: tuple, separator: str = "") -> Iterator[str]:
-    """``separator.join(template % row for row in zip(*columns))`` in pieces.
+    """``separator.join(template % row for row in zip(*columns))`` in pieces,
+    one per block of ``_ITEMS`` rows.
 
     ``template``'s directives are positional, and ``columns`` are iterables of
-    equal length, one per directive.  Each block of ``_ITEMS`` rows is filled
-    by one ``%``: the template repeated once per row, made once per template
-    and row count, fills from one tuple, into which each column's values are
-    copied by slice assignment.  With no separator the rows are lines, and a
-    block is followed by an empty piece for each row after its first; with
-    one (a JSON list's items, step iv's terms), a block is one piece.
+    equal length, one per directive.  Each block is filled by one ``%``: the
+    template repeated once per row, made once per template and row count,
+    fills from one tuple, into which each column's values are copied by slice
+    assignment.
     """
-    return chain.from_iterable(_blocks(template, columns, separator))
-
-
-def _blocks(template: str, columns: tuple, separator: str) -> Iterator[tuple[str, ...]]:
-    """``_rows``'s pieces, a tuple per block: the block, then its padding."""
     first, *rest = map(iter, columns)
     width = len(columns)
-    padding = () if separator else _PADDING
     lead, template = template, separator + template
     rows = _ITEMS
     while rows == _ITEMS:
@@ -269,7 +263,7 @@ def _blocks(template: str, columns: tuple, separator: str) -> Iterator[tuple[str
         values[::width] = head
         for at, column in enumerate(rest, 1):
             values[at::width] = islice(column, rows)
-        yield (_repeated(lead, template, rows) % tuple(values),) + padding[:rows - 1]
+        yield _repeated(lead, template, rows) % tuple(values)
         lead = template
 
 
@@ -293,12 +287,13 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
     A block is an iterable of text pieces.  A problem that overruns the oracle
     budget, or runs out of memory, gets one error line on stderr, when it is
     reached, and no block; the others are still written, and then the command
-    exits 2.  Stdout stays empty when every problem overran.
+    exits 2.  Stdout stays empty when every problem overran.  One that does
+    either while its block is written ends the command: exit 2, naming it.
     """
-    results, overran = [], False
+    results, overran, spec = [], False, None
 
     def blocks():
-        nonlocal overran
+        nonlocal overran, spec
         for spec in specs:
             try:
                 result = run(spec)
@@ -314,8 +309,11 @@ def _report_each(specs: list[ProblemSpec], run, block, fmt: str) -> list:
             yield ("\n",)
 
     # Blocks are chained, not yielded from, so a piece passes through no
-    # Python frame here; the next problem is run once a block is written.
-    _write(chain.from_iterable(blocks()))
+    # Python frame here; ``spec`` is run once the block before it is written.
+    try:
+        _write(chain.from_iterable(blocks()))
+    except (OracleBudgetError, MemoryError) as exc:
+        _fail(_refusal(spec, exc))
     if overran:
         sys.exit(2)
     return results
@@ -384,17 +382,16 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
         witnesses, classes = counted_witnesses(spec)
-    omitted = 0 if limit is None else max(family_of(spec).total(classes) - limit, 0)
-    # A limit at or past the total draws every witness: islice refuses a limit
-    # past sys.maxsize.
-    shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit if omitted else None))
-    if fmt == "json":
-        _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind,
-                                   "witnesses": _joined(shown), "omitted": str(omitted)}),
-                     ("\n",)))
-        return
-    omission = (f"(omitted {omitted} more)\n",) if omitted else ()
-    _write(chain(shown, omission))
+        omitted = 0 if limit is None else max(family_of(spec).total(classes) - limit, 0)
+        # A limit at or past the total draws every witness: islice refuses a
+        # limit past sys.maxsize.
+        shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit if omitted else None))
+        if fmt == "json":
+            _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind,
+                                       "witnesses": _joined(shown), "omitted": str(omitted)}),
+                         ("\n",)))
+        else:
+            _write(chain(_joined(shown, ""), (f"(omitted {omitted} more)\n",) if omitted else ()))
 
 
 def _verify_text(report: VerifyReport) -> str:
@@ -493,7 +490,7 @@ def explain(spec_file, problem_name, fmt):
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
         trace = build_step_trace(spec)
-    _write(_explain_json(trace) if fmt == "json" else _explain_text(trace))
+        _write(_explain_json(trace) if fmt == "json" else _explain_text(trace))
 
 
 # An integer option takes what a .ccspec integer takes: decimal digits, at

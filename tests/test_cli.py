@@ -6,10 +6,12 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -744,6 +746,15 @@ class _WriteRecorder:
         pass
 
 
+def _assert_writes_bounded(writes, *separators):
+    """The cli docstring's bound: a write holds at most 65,536 characters plus
+    one piece, and a piece at most 64 rows (the output's parts between any of
+    ``separators``), each with its separator."""
+    rows = re.split("|".join(map(re.escape, separators)), "".join(writes))
+    piece = 64 * (max(map(len, rows)) + max(map(len, separators)))
+    assert max(map(len, writes)) <= 65536 + piece
+
+
 _KING_WALK_6 = ProblemSpec("king-walk", "word-paths", word="aaaaaa", layout="explicit",
                            rows_data=("aaaa",) * 4, adjacency="king", distinct_cells=True)
 
@@ -755,7 +766,6 @@ _KING_WALK_6 = ProblemSpec("king-walk", "word-paths", word="aaaaaa", layout="exp
 ], ids=["30x30-all", "king-walk"])
 def test_enumerate_write_holds_a_bounded_number_of_witnesses(tmp_path, monkeypatch,
                                                               spec, total, fmt):
-    # The cli docstring's bound: at most 16,384 JSON items or 256 lines per write.
     path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
     recorder = _WriteRecorder()
@@ -766,7 +776,7 @@ def test_enumerate_write_holds_a_bounded_number_of_witnesses(tmp_path, monkeypat
     marker = '"anchor"' if spec.kind == "squares" else '"cells"'
     per_write = [w.count(marker) if fmt == "json" else w.count("\n") for w in recorder.writes]
     assert sum(per_write) == total
-    assert max(per_write) <= (16384 if fmt == "json" else 256)
+    _assert_writes_bounded(recorder.writes, "}, {" if fmt == "json" else "\n")
     if fmt == "json":
         assert len(json.loads("".join(recorder.writes))["witnesses"]) == total
 
@@ -774,8 +784,7 @@ def test_enumerate_write_holds_a_bounded_number_of_witnesses(tmp_path, monkeypat
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["count", "explain"])
 def test_listing_write_holds_a_bounded_number_of_classes(tmp_path, monkeypatch, command, fmt):
-    # The cli docstring's bound: at most 256 listing lines, or 16,384 step iv
-    # terms or JSON items, per write.  20000x20000 `all` has 19,999 classes.
+    # 20000x20000 `all` has 19,999 classes.
     spec = ProblemSpec("t20000", "squares", cols=20000, rows=20000, variant="all")
     path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
@@ -787,14 +796,13 @@ def test_listing_write_holds_a_bounded_number_of_classes(tmp_path, monkeypatch, 
     if fmt == "json":
         items = [w.count('"label"') for w in recorder.writes]
         assert sum(items) == 19999 * listings
-        assert max(items) <= 16384
+        _assert_writes_bounded(recorder.writes, "}, {")
         return
     lines = [w.count("k=") for w in recorder.writes]  # one per listing line
     terms = [w.count(" + ") for w in recorder.writes]
     assert sum(lines) == 19999
     assert sum(terms) == (19998 if command == "explain" else 0)
-    assert max(lines) <= 256
-    assert max(terms) <= 16384
+    _assert_writes_bounded(recorder.writes, "\n", " + ")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -811,7 +819,7 @@ def test_listing_writes_stay_bounded_over_many_listings(tmp_path, monkeypatch, f
     marker = '"label"' if fmt == "json" else "k="
     per_write = [w.count(marker) for w in recorder.writes]
     assert sum(per_write) == 300 * 100
-    assert max(per_write) <= (16384 if fmt == "json" else 256)
+    _assert_writes_bounded(recorder.writes, "}, {" if fmt == "json" else "\n")
 
 
 _FIELDS = st.integers(min_value=-2**70, max_value=2**70)
@@ -840,6 +848,9 @@ def test_filled_blocks_equal_their_rows(listing, separator):
     # Iterators are read once, as the families' map columns are.
     assert ("".join(cli_mod._rows(template, tuple(map(iter, columns)), separator))
             == separator.join(template % row for row in zip(*columns)))
+    # One piece per block of rows: the "plus one piece" of a write's bound.
+    rows = len(columns[0])
+    assert len(list(cli_mod._rows(template, columns, separator))) == -(-rows // cli_mod._ITEMS)
 
 
 def test_no_command_builds_a_square(runner, tmp_path, monkeypatch):
@@ -971,6 +982,27 @@ def test_listings_stream_in_bounded_memory(tmp_path):
         assert out.endswith(ending), (command, fmt, out[-200:])
         if command == "count" and fmt == "json":
             assert json.loads(out)["total"] == str(total)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("command, fmt, labels", [("count", "json", 3999),
+                                                  ("explain", "text", 3999),
+                                                  ("explain", "json", 7998)])
+def test_long_counts_list_in_bounded_memory(tmp_path, command, fmt, labels):
+    # 3,999 classes of about 4,300 digits each: 17 MB of count JSON, 34 MB of
+    # explain JSON, written under a 64 MB address-space cap.
+    (tmp_path / "long.ccspec").write_text(
+        f"problem long {{ kind: squares cols: 4000 rows: {10**4298} variant: all }}")
+    code, out, err = _run_capped([command, "long.ccspec", "--problem", "long", "--format", fmt],
+                                 tmp_path, 64)
+    assert code == 0, err[-500:]
+    total = str(_square_totals(4000, 10**4298)[1])
+    if fmt == "json":
+        assert out.count('"label"') == labels
+        assert out.count(f'"total": "{total}"') == 1
+    else:
+        assert out.count("\n  - k=") == labels
+        assert out.endswith(f" = {total} (addition principle)\n")
 
 
 _T60 = "problem t60 { kind: squares cols: 60 rows: 60 variant: all }"
@@ -1448,6 +1480,51 @@ def test_refused_render_leaves_the_output_alone(runner, tmp_path, case):
             assert not out.exists()
         else:
             assert out.read_bytes() == before
+
+
+def _out_of_memory_after(items, n):
+    """The first ``n`` of ``items``, then ``MemoryError``."""
+    yield from islice(items, n)
+    raise MemoryError
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_witnesses_running_out_of_memory_as_written_exit_2_naming_the_problem(
+        runner, tmp_path, monkeypatch, fmt):
+    # 67,425 witnesses; the stream gives out after 20,000, several writes in.
+    path = tmp_path / "p.ccspec"
+    path.write_text("problem t30 { kind: squares cols: 30 rows: 30 variant: all }")
+    whole = invoke(runner, "enumerate", path, "--problem", "t30", "--format", fmt).stdout
+
+    def counted(spec):
+        witnesses, classes = verify_mod.counted_witnesses(spec)
+        return _out_of_memory_after(witnesses, 20000), classes
+
+    monkeypatch.setattr(cli_mod, "counted_witnesses", counted)
+    result = invoke(runner, "enumerate", path, "--problem", "t30", "--format", fmt)
+    assert (result.exit_code, result.stderr) == (2, "error: problem t30: out of memory\n")
+    assert result.stdout and whole.startswith(result.stdout)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["count", "explain"])
+def test_listing_running_out_of_memory_as_written_exits_2_naming_the_problem(
+        runner, tmp_path, monkeypatch, command, fmt):
+    # The second problem's column of 19,999 classes gives out after 5,000, once
+    # the first problem and a write of the second are out.
+    path = tmp_path / "p.ccspec"
+    path.write_text("problem small { kind: squares cols: 5 rows: 5 variant: axis }\n"
+                    "problem big { kind: squares cols: 20000 rows: 20000 variant: all }\n")
+    args = [command, path, *(["--problem", "big"] if command == "explain" else []),
+            "--format", fmt]
+    whole = invoke(runner, *args).stdout
+    family = verify_mod.FAMILIES["squares-all"]
+    columns = type(family).columns
+    monkeypatch.setitem(vars(family), "columns", lambda classes: tuple(
+        _out_of_memory_after(iter(column), 5000) for column in columns(family, classes)))
+    result = invoke(runner, *args)
+    assert (result.exit_code, result.stderr) == (2, "error: problem big: out of memory\n")
+    assert len(result.stdout) >= 65536 and whole.startswith(result.stdout)
 
 
 def test_render_failing_after_the_first_piece_exits_2_naming_the_problem(runner, tmp_path,
