@@ -13,21 +13,23 @@ through a fixed-width type, and print in full at any length.
 
 ``count``, ``verify``, ``explain`` and ``enumerate`` write their output as it
 is formatted, with one flush at the end: a write holds at most 65,536
-characters plus one piece, and a piece at most 64 listing rows, JSON list
-items, step iv terms or witnesses.  Running out of memory as a problem is
-written exits 2 naming it, as it does while the problem is computed.  A JSON
-document's pieces join to ``json.dumps`` of the whole document: a string is
-encoded by the function ``json.dumps`` encodes it with, and a list item's
-template is encoded once per process, not once per problem.  Listings are
-written from templates, with no function call per item.  ``count`` and
-``explain`` fill a block of 64 classes per ``%`` call (``_rows``): a class's
-template, made from the class label and step iii note that ``verify`` keeps,
-repeated once per class, is filled with one tuple of the block's ints, copied
-in from columns a column at a time.  ``enumerate`` fills one format string
-per square key, and joins a reading from strings made once per column and
-once per row.  The bytes are still the documented text, and ``json.dumps`` of
-the documented form.  ``render`` writes its figure to the file piece by piece,
-opening it only once the first piece is drawn.
+characters plus one piece, and a piece at most 64 listing rows, report lines,
+JSON list items, step iv terms or witnesses.  Running out of memory as a
+problem is written exits 2 naming it, as it does while the problem is
+computed.  Every JSON document is written through ``_json_pieces``, whose
+pieces join to ``json.dumps`` of the whole document: a string is encoded by
+the function ``json.dumps`` encodes it with, so no command loads ``json``, and
+a list item's template is encoded once per process, not once per problem.
+``count``, ``explain`` and ``enumerate`` write listings from templates, with
+no function call per item.  ``count`` and ``explain`` fill a block of 64
+classes per ``%`` call (``_rows``): a class's template, made from the class
+label and step iii note that ``verify`` keeps, repeated once per class, is
+filled with one tuple of the block's ints, copied in from columns a column at
+a time.  ``enumerate`` fills one format string per square key, and joins a
+reading from strings made once per column and once per row.  The bytes are
+still the documented text, and ``json.dumps`` of the documented form.
+``render`` writes its figure to the file piece by piece, opening it only once
+the first piece is drawn.
 
 The front end reads a well-formed command line itself (``_read``), off the
 options in ``_COMMANDS``, and loads ``argparse`` only for what it leaves:
@@ -185,17 +187,11 @@ def _to_stdout(call, *args) -> None:
         _write_failed("stdout", exc)
 
 
-def _dumps(value) -> str:
-    """``json.dumps(value)``; json is loaded only by ``verify --format json``."""
-    import json
-
-    return json.dumps(value)
-
-
 @functools.cache
 def _quoted():
     """The function ``json.dumps`` encodes a string with, loaded once: the C
-    encoder ``json.encoder`` re-exports, so the ``json`` package stays unloaded."""
+    encoder ``json.encoder`` re-exports.  Every JSON string the commands write
+    is encoded by it, so the ``json`` package is never loaded."""
     try:
         from _json import encode_basestring_ascii
     except ImportError:  # no C accelerator: json.encoder's own
@@ -206,8 +202,8 @@ def _quoted():
 def _json_pieces(doc: dict) -> Iterator[str]:
     """``json.dumps(doc)`` in pieces.
 
-    A value is a string, a list of strings, a dict, or an iterator: a list's
-    items, already encoded and joined, in pieces.
+    A value is a string, None (``null``), a list of strings, a dict, or an
+    iterator: a list's items, already encoded and joined, in pieces.
     """
     quoted = _quoted()
     parts, separator = ["{"], ""
@@ -222,6 +218,8 @@ def _json_pieces(doc: dict) -> Iterator[str]:
             yield "".join(parts)
             yield from _json_pieces(value)
             parts = []
+        elif value is None:
+            parts.append("null")
         else:
             parts.append("[")
             yield "".join(parts)
@@ -233,7 +231,8 @@ def _json_pieces(doc: dict) -> Iterator[str]:
 
 def _joined(items: Iterator[str], separator: str = ", ") -> Iterator[str]:
     """``separator.join(items)`` in pieces of ``_ITEMS`` items: a JSON list's
-    encoded items without its brackets, or, with no separator, text lines."""
+    encoded items without its brackets, or text lines, joined by ``"\n"`` or
+    each ending in one."""
     lead = ""
     while chunk := list(islice(items, _ITEMS)):
         yield lead + separator.join(chunk)
@@ -394,42 +393,36 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
             _write(chain(_joined(shown, ""), (f"(omitted {omitted} more)\n",) if omitted else ()))
 
 
-def _verify_text(report: VerifyReport) -> str:
+def _verify_text(spec: ProblemSpec, report: VerifyReport) -> Iterator[str]:
     if report.closed_form_total is None:
-        head = (f"problem {report.problem.name}: {report.verdict} "
+        head = (f"problem {spec.name}: {report.verdict} "
                 f"(oracle {report.oracle_total}, enumeration only)")
     else:
-        head = (f"problem {report.problem.name}: {report.verdict} "
+        head = (f"problem {spec.name}: {report.verdict} "
                 f"(closed form {report.closed_form_total}, oracle {report.oracle_total})")
-    lines = [head]
-    for row in report.partition_rows:
-        if row.expected is None:
-            lines.append(f"{row.label}: observed {row.observed}")
-        else:
-            lines.append(f"{row.label}: expected {row.expected}, observed {row.observed}")
-    lines.append(f"duplicates: {report.duplicate_witnesses}")
-    lines += [f"note: {note}" for note in report.notes]
-    return "\n".join(lines)
+    rows = (f"{row.label}: observed {row.observed}" if row.expected is None
+            else f"{row.label}: expected {row.expected}, observed {row.observed}"
+            for row in report.partition_rows)
+    return _joined(chain((head,), rows, (f"duplicates: {report.duplicate_witnesses}",),
+                         (f"note: {note}" for note in report.notes)), "\n")
 
 
-def _verify_json(report: VerifyReport) -> str:
-    return _dumps({
-        "problem": report.problem.name,
-        "kind": report.problem.kind,
+def _verify_json(spec: ProblemSpec, report: VerifyReport) -> Iterator[str]:
+    quoted = _quoted()
+    return _json_pieces({
+        "problem": spec.name,
+        "kind": spec.kind,
         "verdict": report.verdict,
         "closed_form_total": None if report.closed_form_total is None
         else str(report.closed_form_total),
         "oracle_total": str(report.oracle_total),
-        "partition": [
-            {
-                "label": row.label,
-                "expected": None if row.expected is None else str(row.expected),
-                "observed": str(row.observed),
-            }
-            for row in report.partition_rows
-        ],
+        "partition": _joined('{"label": %s, "expected": %s, "observed": "%d"}'
+                             % (quoted(row.label),
+                                "null" if row.expected is None else f'"{row.expected}"',
+                                row.observed)
+                             for row in report.partition_rows),
         "duplicates": str(report.duplicate_witnesses),
-        "notes": list(report.notes),
+        "notes": _joined(map(quoted, report.notes)),
     })
 
 
@@ -439,9 +432,8 @@ def verify(spec_file, problem_name, fmt):
     A problem that overruns the oracle budget gets an error line on stderr;
     the others are still reported, and the exit code is 2.
     """
-    as_block = _verify_json if fmt == "json" else _verify_text
     reports = _report_each(_select(_load_specs(spec_file), problem_name), verify_problem,
-                           lambda spec, report: (as_block(report),), fmt)
+                           _verify_json if fmt == "json" else _verify_text, fmt)
     if any(r.verdict != "PASS" for r in reports):
         sys.exit(1)
 
@@ -460,16 +452,16 @@ def _step_iv_text(trace) -> Iterator[str]:
         yield f" = {trace.step_iv_total} (addition principle)"
 
 
-def _explain_text(trace) -> Iterator[str]:
+def _explain_text(spec: ProblemSpec, trace) -> Iterator[str]:
     return chain((f"problem {trace.problem}\nStep i) {trace.step_i}\nStep ii) constraints:\n",),
                  (f"  - {item}\n" for item in trace.step_ii),
                  ("Step iii) classes:\n",),
                  _rows(f"  - {trace.label}: {trace.note}\n", trace.fields()),
-                 ("Step iv) ",), _step_iv_text(trace), ("\n",))
+                 ("Step iv) ",), _step_iv_text(trace))
 
 
-def _explain_json(trace) -> Iterator[str]:
-    yield from _json_pieces({
+def _explain_json(spec: ProblemSpec, trace) -> Iterator[str]:
+    return _json_pieces({
         "problem": trace.problem,
         "step_i": trace.step_i,
         "step_ii": list(trace.step_ii),
@@ -482,15 +474,12 @@ def _explain_json(trace) -> Iterator[str]:
             "total": str(trace.step_iv_total),
         },
     })
-    yield "\n"
 
 
 def explain(spec_file, problem_name, fmt):
     """Walk through a problem in four steps: objects, constraints, classes, total."""
-    spec = _select(_load_specs(spec_file), problem_name)[0]
-    with _naming(spec):
-        trace = build_step_trace(spec)
-        _write(_explain_json(trace) if fmt == "json" else _explain_text(trace))
+    _report_each(_select(_load_specs(spec_file), problem_name), build_step_trace,
+                 _explain_json if fmt == "json" else _explain_text, fmt)
 
 
 # An integer option takes what a .ccspec integer takes: decimal digits, at

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import functools
 import gc
 import io
 import json
@@ -28,9 +29,10 @@ from configcount.geometry import LatticeGrid
 from configcount.speclang import ProblemSpec, print_spec
 from configcount.squares import _square_totals, enumerate_all_squares, enumerate_axis_squares
 
-from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES, Runner, perturb_total
+from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES, Runner, perturb_first_class, perturb_total
 from test_speclang import _SPEC_TOKENS, _explicit_specs, _names, _rings_specs
-from test_verify import _step_iii
+from test_verify import (ALL5, AXIS5, _drop_first, _duplicate_first, _step_iii,
+                         _with_faulty_enumeration)
 
 
 def invoke(runner, *args):
@@ -599,6 +601,83 @@ def test_listing_edge_documents(runner, tmp_path, spec, documents):
         assert (result.exit_code, result.stdout) == (0, stdout), (command, fmt)
 
 
+# Reference formatters for verify, which build a report whole from
+# verify_problem's report, as one list of lines or one json.dumps call.  The
+# streamed output must be the same bytes.
+def _whole_verify_text(report):
+    if report.closed_form_total is None:
+        totals = f"oracle {report.oracle_total}, enumeration only"
+    else:
+        totals = f"closed form {report.closed_form_total}, oracle {report.oracle_total}"
+    lines = [f"problem {report.problem.name}: {report.verdict} ({totals})"]
+    lines += [f"{row.label}: observed {row.observed}" if row.expected is None
+              else f"{row.label}: expected {row.expected}, observed {row.observed}"
+              for row in report.partition_rows]
+    lines.append(f"duplicates: {report.duplicate_witnesses}")
+    lines += [f"note: {note}" for note in report.notes]
+    return "\n".join(lines)
+
+
+def _whole_verify_json(report):
+    return json.dumps({
+        "problem": report.problem.name,
+        "kind": report.problem.kind,
+        "verdict": report.verdict,
+        "closed_form_total": None if report.closed_form_total is None
+        else str(report.closed_form_total),
+        "oracle_total": str(report.oracle_total),
+        "partition": [{"label": row.label,
+                       "expected": None if row.expected is None else str(row.expected),
+                       "observed": str(row.observed)}
+                      for row in report.partition_rows],
+        "duplicates": str(report.duplicate_witnesses),
+        "notes": list(report.notes),
+    })
+
+
+def _drop_first_class(monkeypatch, name):
+    """Make family ``name`` leave its first class out: its expected count reads None."""
+    family = verify_mod.FAMILIES[name]
+    classes = type(family).classes
+    monkeypatch.setitem(vars(family), "classes", lambda spec, budget, table: dict(
+        islice(classes(family, spec, budget, table).items(), 1, None)))
+
+
+_SIDE5 = _rings("side5", "abcde", "side")
+_COUNTED = ProblemSpec("counted", "word-paths", word="aba", layout="explicit",
+                       rows_data=("abab", "baba", "abab"), adjacency="king")
+
+
+@pytest.mark.parametrize("spec, fault, verdict", [
+    *((spec, functools.partial(perturb, name=family, delta=1), "FAIL")
+      for spec, family in ((AXIS5, "squares-axis"), (ALL5, "squares-all"),
+                           (_SIDE5, "word-side"))
+      for perturb in (perturb_total, perturb_first_class)),
+    (_SIDE5, functools.partial(_drop_first_class, name="word-side"), "FAIL"),
+    (_COUNTED, None, "PASS"),
+    (_COUNTED, functools.partial(_with_faulty_enumeration, fault=_duplicate_first), "FAIL"),
+    (AXIS5, functools.partial(_with_faulty_enumeration, fault=_drop_first), "FAIL"),
+    (_THIN, None, "PASS"),
+    (_NO_READING, None, "PASS"),
+    (_rings("x²", "abcde", "side"), None, "PASS"),
+], ids=[*(f"{family}-{fault}" for family in ("squares-axis", "squares-all", "word-side")
+          for fault in ("total", "first-class")),
+        "word-side-first-class-dropped", "oracle-only", "oracle-only-duplicate",
+        "squares-axis-witness-dropped", "no-classes", "no-reading", "escaped-name"])
+def test_streamed_verify_reports_match_whole_documents(runner, tmp_path, monkeypatch, spec,
+                                                       fault, verdict):
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]))
+    if fault is not None:
+        fault(monkeypatch)
+    report = verify_mod.verify_problem(spec)
+    assert report.verdict == verdict
+    for fmt, whole in (("text", _whole_verify_text), ("json", _whole_verify_json)):
+        result = invoke(runner, "verify", path, "--format", fmt)
+        assert (result.exit_code, result.stdout) == (
+            0 if verdict == "PASS" else 1, whole(report) + "\n"), fmt
+
+
 def _whole_enumerate(spec, fmt, limit):
     # enumerate's document built whole from the library's Square list.
     build = enumerate_all_squares if spec.variant == "all" else enumerate_axis_squares
@@ -819,6 +898,22 @@ def test_listing_writes_stay_bounded_over_many_listings(tmp_path, monkeypatch, f
     marker = '"label"' if fmt == "json" else "k="
     per_write = [w.count(marker) for w in recorder.writes]
     assert sum(per_write) == 300 * 100
+    _assert_writes_bounded(recorder.writes, "}, {" if fmt == "json" else "\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_write_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fmt):
+    # One `a` among 19,999 `b`s: "ab" under `none` ends on every `b`, and each
+    # end cell is a partition row.
+    spec = ProblemSpec("t", "word-paths", word="ab", layout="explicit",
+                       rows_data=("a" + "b" * 199,) + ("b" * 200,) * 99, adjacency="none")
+    path = tmp_path / "p.ccspec"
+    path.write_text(print_spec([spec]))
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    main(["verify", str(path), "--format", fmt], standalone_mode=False)
+    monkeypatch.undo()
+    assert sum(w.count("observed") for w in recorder.writes) == 19999
     _assert_writes_bounded(recorder.writes, "}, {" if fmt == "json" else "\n")
 
 
@@ -1540,8 +1635,9 @@ def test_render_failing_after_the_first_piece_exits_2_naming_the_problem(runner,
 
 def test_importing_the_cli_skips_network_and_xml_modules():
     # Every command imports cli; xml.sax.saxutils pulled in urllib.request,
-    # http.client and email at start-up.  json loads only for verify --format
-    # json: the other JSON commands encode strings with _json's C encoder.
+    # http.client and email at start-up.  No command loads json: every JSON
+    # document is written through _json_pieces, which encodes strings with
+    # _json's C encoder.
     # html loads only to draw a letter table's glyphs.  There is no click, and
     # no record is a dataclass, which would load inspect (and with it ast, dis
     # and tokenize).  A well-formed command of each verb then runs without
@@ -1552,6 +1648,7 @@ def test_importing_the_cli_skips_network_and_xml_modules():
                 ["enumerate", "samples.ccspec", "--problem", "squares5", "--limit", "3"],
                 ["render", "samples.ccspec", "--problem", "squares5", "-o", os.devnull],
                 ["count", "samples.ccspec", "--format", "json"],
+                ["verify", "samples.ccspec", "--format", "json"],
                 ["explain", "samples.ccspec", "--problem", "squares5", "--format", "json"],
                 ["enumerate", "samples.ccspec", "--problem", "squares5", "--format", "json"]]
     code = (f"import contextlib, io, sys, configcount.cli as cli\n"
