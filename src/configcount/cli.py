@@ -25,9 +25,11 @@ no function call per item.  ``count`` and ``explain`` fill a block of 64
 classes per ``%`` call (``_rows``): a class's template, made from the class
 label and step iii note that ``verify`` keeps, repeated once per class, is
 filled with one tuple of the block's ints, copied in from columns a column at
-a time.  ``enumerate`` fills one format string per square key, and joins a
-reading from strings made once per column and once per row.  The bytes are
-still the documented text, and ``json.dumps`` of the documented form.
+a time.  ``enumerate`` fills a square problem's keys the same way, a (k, a)
+block at a time: the block's template has k and a written in, and its x and y
+columns repeat the block's anchor ranges; ``--limit`` cuts the last block.  It
+joins a reading from strings made once per column and once per row.  The bytes
+are still the documented text, and ``json.dumps`` of the documented form.
 ``render`` writes its figure to the file piece by piece, opening it only once
 the first piece is drawn.
 
@@ -59,7 +61,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat
 
 from .budget import OracleBudgetError
 from .render import render_pieces
@@ -68,6 +70,7 @@ from .verify import (
     VerifyReport,
     build_step_trace,
     class_counts,
+    counted_blocks,
     counted_witnesses,
     family_of,
     table_size,
@@ -243,8 +246,9 @@ def _rows(template: str, columns: tuple, separator: str = "") -> Iterator[str]:
     """``separator.join(template % row for row in zip(*columns))`` in pieces,
     one per block of ``_ITEMS`` rows.
 
-    ``template``'s directives are positional, and ``columns`` are iterables of
-    equal length, one per directive.  Each block is filled by one ``%``: the
+    ``template``'s directives are positional, and ``columns`` are iterables,
+    one per directive: the first gives the rows, and each other holds at least
+    as many values.  Each block is filled by one ``%``: the
     template repeated once per row, made once per template and row count,
     fills from one tuple, into which each column's values are copied by slice
     assignment.
@@ -346,30 +350,49 @@ def count(spec_file, problem_name, fmt):
                  _count_json if fmt == "json" else _count_text, fmt)
 
 
-# How enumerate writes one witness, per kind and format, from the witness's
-# fields as arguments.  A square key's (k, a, y, x) fill one template.  Each of
-# a reading's cells joins a string for its column and one for its row, made
-# once per command: O(cols + rows) strings, never one per cell.
-_WITNESS_FORMS = {
-    "squares": {"text": "({3},{2}) k={0} a={1}\n",
-                "json": '{{"anchor": [{3}, {2}], "k": {0}, "a": {1}}}'},
-    # start, column, row, separator, end
-    "word-paths": {"text": ("", "({},", "{})", " ", "\n"),
-                   "json": ('{"cells": [', "[{}, ", "{}]", ", ", "]}")},
-}
+# How enumerate writes a square key, per format: a (k, a) block's template,
+# filled with each key's x and y, and the separator between keys.
+_SQUARE_FORMS = {"text": ("(%d,%d) k={k} a={a}\n", ""),
+                 "json": ('{{"anchor": [%d, %d], "k": {k}, "a": {a}}}', ", ")}
+# How enumerate writes a reading, per format: start, column, row, separator,
+# end.  Each of its cells joins a string for its column and one for its row,
+# made once per command: O(cols + rows) strings, never one per cell.
+_READING_FORMS = {"text": ("", "({},", "{})", " ", "\n"),
+                  "json": ('{"cells": [', "[{}, ", "{}]", ", ", "]}")}
 
 
-def _witness_form(spec: ProblemSpec, fmt: str):
-    """How ``enumerate`` writes one of ``spec``'s witnesses, given its fields
-    as arguments, in ``fmt``: a text line, or an encoded JSON item."""
-    form = _WITNESS_FORMS[spec.kind][fmt]
-    if spec.kind == "squares":
-        return form.format
-    start, column, row, separator, end = form
+def _square_witnesses(blocks, fmt: str, shown: int | None) -> Iterator[str]:
+    """The first ``shown`` keys of ``blocks`` (every key if None), written in
+    ``fmt`` and joined by its separator, in pieces.  Each block is filled
+    through ``_rows`` from its template, with k and a written in, and its
+    columns of x and y: x runs along each row of y."""
+    template, separator = _SQUARE_FORMS[fmt]
+    lead = ""
+    for k, a, ys, xs in blocks:
+        width, size = len(xs), len(xs) * len(ys)
+        x_column = chain.from_iterable(repeat(xs, len(ys)))
+        if shown is not None and shown <= size:
+            x_column, size = islice(x_column, shown), shown
+        if lead:
+            yield lead
+        yield from _rows(template.format(k=k, a=a),
+                         (x_column, chain.from_iterable(map(repeat, ys, repeat(width)))),
+                         separator)
+        if shown is not None and not (shown := shown - size):
+            return
+        lead = separator
+
+
+def _reading_witnesses(spec: ProblemSpec, readings, fmt: str,
+                       shown: int | None) -> Iterator[str]:
+    """The first ``shown`` of a word problem's readings (every one if None),
+    written in ``fmt`` and joined by its separator, in pieces."""
+    start, column, row, separator, end = _READING_FORMS[fmt]
     cols, rows = table_size(spec, None)
     xs = list(map(column.format, range(cols)))
     ys = list(map(row.format, range(rows)))
-    return lambda *cells: start + separator.join([xs[x] + ys[y] for x, y in cells]) + end
+    return _joined((start + separator.join([xs[x] + ys[y] for x, y in cells]) + end
+                    for cells in islice(readings, shown)), ", " if fmt == "json" else "")
 
 
 def enumerate_cmd(spec_file, problem_name, fmt, limit):
@@ -380,17 +403,20 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     """
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
-        witnesses, classes = counted_witnesses(spec)
+        squares = spec.kind == "squares"
+        witnesses, classes = (counted_blocks if squares else counted_witnesses)(spec)
         omitted = 0 if limit is None else max(family_of(spec).total(classes) - limit, 0)
         # A limit at or past the total draws every witness: islice refuses a
         # limit past sys.maxsize.
-        shown = starmap(_witness_form(spec, fmt), islice(witnesses, limit if omitted else None))
+        shown = limit if omitted else None
+        listing = (_square_witnesses(witnesses, fmt, shown) if squares
+                   else _reading_witnesses(spec, witnesses, fmt, shown))
         if fmt == "json":
             _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind,
-                                       "witnesses": _joined(shown), "omitted": str(omitted)}),
+                                       "witnesses": listing, "omitted": str(omitted)}),
                          ("\n",)))
         else:
-            _write(chain(_joined(shown, ""), (f"(omitted {omitted} more)\n",) if omitted else ()))
+            _write(chain(listing, (f"(omitted {omitted} more)\n",) if omitted else ()))
 
 
 def _verify_text(spec: ProblemSpec, report: VerifyReport) -> Iterator[str]:

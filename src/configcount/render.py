@@ -9,8 +9,10 @@ the witness is taken from the stream, and no list of witnesses is held.
 
 A figure is written in pieces: the head, runs of at most ``_ELEMENTS``
 elements, then the tail, so its memory does not grow with the figure.  Each
-pixel coordinate is formatted once per column and once per row, and each
-element is one ``str.format`` call on those strings.
+pixel coordinate is formatted once per column and once per row.  The squares
+are read a (k, a) block at a time, and a piece of polygons is one join of a
+list whose slots are filled a row at a time by slice assignment from those
+strings (``_polygons``); every other element is one ``str.format`` call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import islice, product
 
 from .budget import DEFAULT_ORACLE_BUDGET
 from .speclang import ProblemSpec
-from .verify import counted_witnesses, family_of, letter_grid, table_size
+from .verify import counted_blocks, counted_witnesses, family_of, letter_grid, table_size
 
 Highlight = tuple[str, int]  # ("class", k) or ("witness", index)
 
@@ -61,6 +63,56 @@ def _pieces(elements: Iterator[str]) -> Iterator[str]:
         yield piece
 
 
+def _polygons(blocks, xs: list[str], ys: list[str], marked: range) -> Iterator[str]:
+    """A polygon per square of ``blocks``, those at the indices ``marked`` in
+    the ``hl`` class, in pieces of at most ``_ELEMENTS``.
+
+    A piece is one join of nine slots per polygon: its opening, then its
+    vertices in ``geometry.key_vertices`` order, each an x string from ``xs``
+    and a string holding its y string.  The slots are filled a row segment at a
+    time, by slice assignment: the x strings as slices of ``xs``, and the y
+    strings, which stay the same along a row, as repeats.  A row is cut where a
+    piece fills up or the highlighted run starts or ends.
+    """
+    size = _ELEMENTS
+    slots = [None] * (9 * size)
+    # A vertex's y string with the comma before it and what follows it: the
+    # space before the next vertex, or the end of the element.
+    inner = [f",{y} " for y in ys]
+    last = [f',{y}"/>\n' for y in ys]
+    plain, bright = '<polygon class="sq" points="', '<polygon class="sq hl" points="'
+    used = index = 0
+    for k, a, anchor_ys, anchor_xs in blocks:
+        width = len(anchor_xs)
+        for y in anchor_ys:
+            y0, y1, y2, y3 = inner[y], inner[y + a], inner[y + k], last[y + k - a]
+            x = 0
+            while x < width:
+                n = min(width - x, size - used)
+                if index < marked.start:
+                    n, opening = min(n, marked.start - index), plain
+                elif index < marked.stop:
+                    n, opening = min(n, marked.stop - index), bright
+                else:
+                    opening = plain
+                at, end = 9 * used, 9 * (used + n)
+                slots[at:end:9] = [opening] * n
+                slots[at + 1:end:9] = xs[x + a:x + a + n]
+                slots[at + 2:end:9] = [y0] * n
+                slots[at + 3:end:9] = xs[x + k:x + k + n]
+                slots[at + 4:end:9] = [y1] * n
+                slots[at + 5:end:9] = xs[x + k - a:x + k - a + n]
+                slots[at + 6:end:9] = [y2] * n
+                slots[at + 7:end:9] = xs[x:x + n]
+                slots[at + 8:end:9] = [y3] * n
+                x, used, index = x + n, used + n, index + n
+                if used == size:
+                    yield "".join(slots)
+                    used = 0
+    if used:
+        yield "".join(slots[:9 * used])
+
+
 def _refuse_large_figure(elements: int) -> None:
     if elements > DEFAULT_ORACLE_BUDGET:
         raise ValueError(f"figure too large: {elements} elements > {DEFAULT_ORACLE_BUDGET}")
@@ -68,13 +120,13 @@ def _refuse_large_figure(elements: int) -> None:
 
 def _squares_figure(spec: ProblemSpec, cell_size: int,
                     highlight: Highlight | None) -> Iterator[str]:
-    keys, classes = counted_witnesses(spec)
+    blocks, classes = counted_blocks(spec)
     count = family_of(spec).total(classes)
     # A one-row grid has no squares to refuse, but it still draws every point.
     _refuse_large_figure(count + spec.cols * spec.rows)
 
-    # The highlighted squares are one run of the key stream: a witness, or a
-    # size class, since the keys are sorted by k first.
+    # The highlighted squares are one run of the canonical order: a witness,
+    # or a size class, since the squares are sorted by k first.
     mode, value = highlight or (None, None)
     if mode == "class":
         if value not in classes:
@@ -96,14 +148,7 @@ def _squares_figure(spec: ProblemSpec, cell_size: int,
     ys = [str(margin + (spec.rows - 1 - y) * cell_size) for y in range(spec.rows)]
 
     yield _head(width, height, cell_size)
-    for cls, n in (("sq", marked.start), ("sq hl", len(marked)), ("sq", None)):
-        polygon = f'<polygon class="{cls}" points="{{}},{{}} {{}},{{}} {{}},{{}} {{}},{{}}"/>\n'.format
-        # The vertices in geometry.key_vertices order.
-        yield from _pieces(
-            polygon(xs[x + a], ys[y], xs[x + k], ys[y + a], xs[x + k - a], ys[y + k],
-                    xs[x], ys[y + k - a])
-            for k, a, y, x in islice(keys, n)
-        )
+    yield from _polygons(blocks, xs, ys, marked)
     radius = max(cell_size // 10, 2)
     circle = f'<circle class="pt" cx="{{0[0]}}" cy="{{0[1]}}" r="{radius}"/>\n'.format
     yield from _pieces(map(circle, product(xs, ys)))

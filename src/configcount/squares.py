@@ -12,9 +12,13 @@ The class counts (``SizeClasses``) are computed as they are read, and their
 total comes from the power sums of k (on n x n grids, OEIS A000330 for axis
 squares and A002415 for all squares).
 
-``square_keys`` writes the canonical order once, as ``(k, a, y, x)`` keys, and
-every command reads squares there.  The list builders, one ``Square`` per key
-over a shared anchor table, serve only the library API.
+``square_blocks`` writes the canonical order once: the (k, a) blocks in order,
+each a rectangle of anchors, ``range(rows-k) x range(cols-k)``, read y-major.
+Every command reads squares there.  ``square_keys`` flattens the blocks into
+``(k, a, y, x)`` keys, one ``product`` per block, and ``verify`` tallies them;
+``enumerate`` fills a block at a time, and ``render`` a row.  The list
+builders, one ``Square`` per key over a shared anchor table, serve only the
+library API.
 
 ``count_squares_by_point_subsets`` is a deliberately naive cross-check that
 never looks at the (anchor, k, a) encoding: it tests every 4-point subset of
@@ -145,12 +149,15 @@ def _square_totals(cols: int, rows: int) -> tuple[int, int]:
             cols * rows * s1 - (cols + rows) * s2 + s3)
 
 
-def square_keys(grid: LatticeGrid, tilted: bool,
-                max_candidates: int | None = None) -> Iterator[SquareKey]:
-    """Every square on the grid as a key ``(k, a, y, x)``, in that order.
+def square_blocks(grid: LatticeGrid, tilted: bool,
+                  max_candidates: int | None = None) -> Iterator[tuple[int, int, range, range]]:
+    """Every square on the grid as (k, a) blocks ``(k, a, ys, xs)``, in the canonical order.
 
-    ``(x, y)`` is the anchor; axis squares have a = 0 only.  A grid with more
-    squares than ``max_candidates`` is refused here, before the first key.
+    A block holds the squares of one size k and tilt a, one per anchor
+    ``(x, y)`` with y in ``ys`` and x in ``xs``, ``range(rows-k)`` and
+    ``range(cols-k)``; within it the keys run y-major, as ``square_keys``
+    flattens them.  Axis squares have a = 0 only.  A grid with more squares
+    than ``max_candidates`` is refused here, before the first block.
     """
     cols, rows = grid.cols, grid.rows
     count = _square_totals(cols, rows)[tilted]
@@ -158,10 +165,19 @@ def square_keys(grid: LatticeGrid, tilted: bool,
         raise OracleBudgetError(
             f"oracle budget exceeded: {count} candidate squares > {max_candidates}"
         )
-    return chain.from_iterable(
-        product((k,), range(k if tilted else 1), range(rows - k), range(cols - k))
-        for k in range(1, min(cols, rows))
-    )
+    return ((k, a, range(rows - k), range(cols - k))
+            for k in range(1, min(cols, rows)) for a in range(k if tilted else 1))
+
+
+def square_keys(grid: LatticeGrid, tilted: bool,
+                max_candidates: int | None = None) -> Iterator[SquareKey]:
+    """Every square on the grid as a key ``(k, a, y, x)``, in that order.
+
+    ``(x, y)`` is the anchor.  A grid with more squares than ``max_candidates``
+    is refused here, before the first key.
+    """
+    return chain.from_iterable(product((k,), (a,), ys, xs)
+                               for k, a, ys, xs in square_blocks(grid, tilted, max_candidates))
 
 
 def _enumerate_squares(grid: LatticeGrid, tilted: bool, max_candidates: int | None) -> list[Square]:

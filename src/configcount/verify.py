@@ -10,11 +10,12 @@ all of them hold on the actual data:
 Each witness is counted once, in its class (a square key's k, a reading's end
 cell), so the classes cover the enumeration exactly by construction.  Every
 command reads witnesses as one stream and lists none: squares as ``(k, a, y,
-x)`` keys, readings as the search yields them, bare tuples of (x, y) cells (no
-``PathWitness`` is built).  Both streams come in ascending order, so one pass
-(``_tally``) counts the classes and checks the order; only a stream out of
-order can hold a duplicate, and only such a stream is read a second time, into
-a set.
+x)`` keys, which ``enumerate`` and ``render`` read a (k, a) block at a time
+(``key_blocks``), readings as the search yields them, bare tuples of (x, y)
+cells (no ``PathWitness`` is built).  Both streams come in ascending order, so
+one pass (``_tally``) counts the classes and checks the order; only a stream
+out of order can hold a duplicate, and only such a stream is read a second
+time, into a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
@@ -59,6 +60,7 @@ from .squares import (
     _square_totals,
     count_all_squares,
     count_axis_squares,
+    square_blocks,
     square_keys,
 )
 from .wordgrid import (
@@ -200,6 +202,19 @@ def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUD
         table = letter_grid(spec, budget)
     classes = class_counts(spec, budget, table)
     return enumerate_witnesses(spec, None, table), classes
+
+
+def key_blocks(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
+    """A squares problem's keys as ``squares.square_blocks``'s (k, a) blocks,
+    refused before the first block if over the oracle budget: ``enumerate``
+    and ``render`` read them here, through ``counted_blocks``, and fill a
+    block at a time."""
+    return square_blocks(LatticeGrid(spec.cols, spec.rows), family_of(spec).tilted, budget)
+
+
+def counted_blocks(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
+    """``key_blocks(spec, budget)``, refused as it is, and the problem's ``class_counts``."""
+    return key_blocks(spec, budget), class_counts(spec, budget)
 
 
 def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:

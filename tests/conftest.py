@@ -14,6 +14,33 @@ SAMPLES = REPO_ROOT / "samples.ccspec"
 ERROR_CORPUS = Path(__file__).resolve().parent / "data" / "errors"
 
 
+def assert_same_text(got, expected, context):
+    if got != expected:
+        # Name the first differing byte: a diff of long outputs takes minutes.
+        at = next(i for i, (a, b) in enumerate(zip(got + "$", expected + "$")) if a != b)
+        pytest.fail(f"{context}: byte {at}: {got[at - 40:at + 40]!r} "
+                    f"!= {expected[at - 40:at + 40]!r}")
+
+
+# Grids one point wide or high, with one square, with short rows and with rows
+# longer than a listing block or a render piece.
+BLOCK_GRIDS = [(1, 1), (1, 5), (5, 1), (2, 2), (3, 5), (7, 3), (22, 26), (5000, 3)]
+
+
+def block_cuts(keys):
+    """Key indices where the (k, a) blocks of ``keys`` meet: the first key, a
+    key mid-row, the last key of the first block and of a middle block, the
+    first key of the block after each, and the last key."""
+    if not keys:
+        return []
+    ends = [i for i in range(1, len(keys)) if keys[i][:2] != keys[i - 1][:2]]
+    width = sum(1 for key in keys if key[:3] == keys[0][:3])
+    cuts = {0, width // 2, len(keys) - 1}
+    for end in ends[:1] + ends[len(ends) // 2:][:1]:
+        cuts |= {end - 1, end}
+    return sorted(cuts)
+
+
 class Result:
     """What one in-process run of the CLI wrote, and how it ended."""
 

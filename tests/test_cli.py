@@ -29,7 +29,8 @@ from configcount.geometry import LatticeGrid
 from configcount.speclang import ProblemSpec, print_spec
 from configcount.squares import _square_totals, enumerate_all_squares, enumerate_axis_squares
 
-from conftest import ERROR_CORPUS, REPO_ROOT, SAMPLES, Runner, perturb_first_class, perturb_total
+from conftest import (BLOCK_GRIDS, ERROR_CORPUS, REPO_ROOT, SAMPLES, Runner, assert_same_text,
+                      block_cuts, perturb_first_class, perturb_total)
 from test_speclang import _SPEC_TOKENS, _explicit_specs, _names, _rings_specs
 from test_verify import (ALL5, AXIS5, _drop_first, _duplicate_first, _step_iii,
                          _with_faulty_enumeration)
@@ -146,31 +147,39 @@ _LIMITED = (
 def test_enumerate_limit_reads_omitted_off_the_count(runner, tmp_path, monkeypatch, spec):
     # The stream is drawn up to the limit and no further; what it would still
     # have yielded is the problem's count (power sums, transfer matrix,
-    # visited-set DP) less the limit.
+    # visited-set DP) less the limit.  A squares problem's stream is its (k, a)
+    # blocks, from verify.key_blocks: the blocks drawn are exactly those that
+    # hold the keys shown.
     path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
     total = sum(1 for _ in verify_mod.enumerate_witnesses(spec))
     drawn = []
-    real = verify_mod.enumerate_witnesses
+    source = "key_blocks" if spec.kind == "squares" else "enumerate_witnesses"
+    real = getattr(verify_mod, source)
 
     def spy(*args, **kwargs):
         stream = real(*args, **kwargs)
         return (drawn.append(item) or item for item in stream)
 
-    monkeypatch.setattr(verify_mod, "enumerate_witnesses", spy)
+    monkeypatch.setattr(verify_mod, source, spy)
     for limit in (1, 3, total - 1, total, total + 5):
         for fmt in ("text", "json"):
             drawn.clear()
             result = invoke(runner, "enumerate", path, "--problem", spec.name,
                             "--format", fmt, "--limit", limit)
             assert result.exit_code == 0
-            assert len(drawn) == min(limit, total), (limit, fmt)
-            omitted = total - len(drawn)
+            shown = min(limit, total)
+            if spec.kind == "squares":
+                sizes = [len(ys) * len(xs) for _, _, ys, xs in drawn]
+                assert sum(sizes) - sizes[-1] < shown <= sum(sizes), (limit, fmt)
+            else:
+                assert len(drawn) == shown, (limit, fmt)
+            omitted = total - shown
             if fmt == "json":
                 assert json.loads(result.stdout)["omitted"] == str(omitted)
             else:
                 tail = f"(omitted {omitted} more)\n" if omitted else ""
-                assert result.stdout.count("\n") == len(drawn) + bool(omitted)
+                assert result.stdout.count("\n") == shown + bool(omitted)
                 assert result.stdout.endswith(tail)
     assert total > 5
 
@@ -742,12 +751,35 @@ def _assert_enumerate_bytes(runner, tmp_path, spec, limit):
                             "--format", fmt, *extra)
             assert result.exit_code == 0, result.stdout
             expected = _documented_enumerate(spec, fmt, limit if extra else None)
-            if result.stdout != expected:
-                # Name the first differing byte: a diff of long outputs takes minutes.
-                at = next(i for i, (a, b) in enumerate(zip(result.stdout + "$", expected + "$"))
-                          if a != b)
-                pytest.fail(f"{fmt} {extra}: byte {at}: {result.stdout[at - 40:at + 40]!r} "
-                            f"!= {expected[at - 40:at + 40]!r}")
+            assert_same_text(result.stdout, expected, f"{fmt} {extra}")
+
+
+@pytest.mark.parametrize("variant", ["axis", "all"])
+@pytest.mark.parametrize("cols, rows", BLOCK_GRIDS, ids=lambda size: str(size))
+def test_enumerate_writes_blocks_as_the_keys_one_by_one(runner, tmp_path, cols, rows, variant):
+    # enumerate fills a (k, a) block of keys at a time; its bytes are the
+    # documented forms written key by key, cut by --limit anywhere in a block.
+    spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
+    path = tmp_path / "g.ccspec"
+    path.write_text(print_spec([spec]))
+    keys = list(squares_mod.square_keys(LatticeGrid(cols, rows), variant == "all"))
+    limits = [None, *sorted({1, *(i + 1 for i in block_cuts(keys)), len(keys) + 5} - {0})]
+    for limit in limits:
+        shown = keys[:limit]
+        omitted = len(keys) - len(shown)
+        text = "".join(f"({x},{y}) k={k} a={a}\n" for k, a, y, x in shown)
+        json_items = ", ".join(f'{{"anchor": [{x}, {y}], "k": {k}, "a": {a}}}'
+                               for k, a, y, x in shown)
+        documented = {
+            "text": text + (f"(omitted {omitted} more)\n" if omitted else ""),
+            "json": f'{{"problem": "g", "kind": "squares", "witnesses": [{json_items}], '
+                    f'"omitted": "{omitted}"}}\n',
+        }
+        for fmt, expected in documented.items():
+            extra = () if limit is None else ("--limit", limit)
+            result = invoke(runner, "enumerate", path, "--problem", "g", "--format", fmt, *extra)
+            assert result.exit_code == 0
+            assert_same_text(result.stdout, expected, f"{fmt} {extra}")
 
 
 _table_words = st.text(alphabet="ab", min_size=1, max_size=3)
@@ -1591,11 +1623,17 @@ def test_witnesses_running_out_of_memory_as_written_exit_2_naming_the_problem(
     path.write_text("problem t30 { kind: squares cols: 30 rows: 30 variant: all }")
     whole = invoke(runner, "enumerate", path, "--problem", "t30", "--format", fmt).stdout
 
-    def counted(spec):
-        witnesses, classes = verify_mod.counted_witnesses(spec)
-        return _out_of_memory_after(witnesses, 20000), classes
+    real = verify_mod.key_blocks
 
-    monkeypatch.setattr(cli_mod, "counted_witnesses", counted)
+    def blocks(*args):
+        # The (k, a) blocks holding the first 20,000 keys, then MemoryError.
+        stream, drawn = real(*args), 0
+        for block in stream:
+            yield block
+            if (drawn := drawn + len(block[2]) * len(block[3])) >= 20000:
+                raise MemoryError
+
+    monkeypatch.setattr(verify_mod, "key_blocks", blocks)
     result = invoke(runner, "enumerate", path, "--problem", "t30", "--format", fmt)
     assert (result.exit_code, result.stderr) == (2, "error: problem t30: out of memory\n")
     assert result.stdout and whole.startswith(result.stdout)
@@ -1781,13 +1819,18 @@ def test_a_closed_pipe_exits_2_with_one_error_line(tmp_path):
 
 
 def _small_budget_everywhere(monkeypatch, budget=1000):
-    # Enumerate and render reach the enumerator through verify.counted_witnesses;
-    # render also caps a figure's size by the default budget, count and explain
-    # read word classes off the reading counter, class_counts caps their
-    # listings, and verify streams square keys without the enumerator.
+    # Enumerate and render reach a word's enumerator through
+    # verify.counted_witnesses, and a squares problem's blocks through
+    # verify.counted_blocks, which reads verify.key_blocks; render also caps a
+    # figure's size by the default budget, count and explain read word classes
+    # off the reading counter, class_counts caps their listings, and verify
+    # runs under verify_problem's own budget.
     real = verify_mod.enumerate_witnesses
     monkeypatch.setattr(verify_mod, "enumerate_witnesses",
                         lambda spec, _budget=None, table=None: real(spec, budget, table))
+    real_blocks = verify_mod.key_blocks
+    monkeypatch.setattr(verify_mod, "key_blocks",
+                        lambda spec, _budget=None: real_blocks(spec, budget))
     monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
     _small_counter_budget(monkeypatch, budget)
     real_counts = verify_mod.class_counts

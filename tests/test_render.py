@@ -7,7 +7,7 @@ import pytest
 import configcount.render as render_mod
 import configcount.verify as verify_mod
 from configcount.budget import OracleBudgetError
-from configcount.geometry import LatticeGrid
+from configcount.geometry import LatticeGrid, key_vertices
 from configcount.render import render_pieces, render_problem
 from configcount.cli import main
 from configcount.speclang import ProblemSpec, parse_spec
@@ -16,9 +16,10 @@ from configcount.squares import (
     count_axis_squares,
     enumerate_all_squares,
     enumerate_axis_squares,
+    square_keys,
 )
 
-from conftest import SAMPLES
+from conftest import BLOCK_GRIDS, SAMPLES, assert_same_text, block_cuts
 
 AXIS5 = ProblemSpec("axis5", "squares", cols=5, rows=5, variant="axis")
 ALL5 = ProblemSpec("all5", "squares", cols=5, rows=5, variant="all")
@@ -131,6 +132,57 @@ def test_pieces_join_to_the_figure(monkeypatch, spec, highlight):
     assert pieces[0].startswith("<?xml") and pieces[0].endswith("</defs>\n")
     assert pieces[-1] == "</svg>\n"
     assert max(piece.count("\n") for piece in pieces[1:]) <= 3
+
+
+def _figure_key_by_key(spec, keys, cell_size, highlight):
+    """A squares figure's documented bytes, a polygon per key with its
+    vertices from ``key_vertices``, then a circle per point."""
+    def px(x):
+        return cell_size + x * cell_size
+
+    def py(y):
+        return cell_size + (spec.rows - 1 - y) * cell_size
+
+    mode, value = highlight or (None, None)
+    polygons = "".join(
+        '<polygon class="{}" points="{}"/>\n'.format(
+            "sq hl" if (key[0] == value if mode == "class" else i == value) else "sq",
+            " ".join(f"{px(x)},{py(y)}" for x, y in key_vertices(key)))
+        for i, key in enumerate(keys))
+    radius = max(cell_size // 10, 2)
+    circles = "".join(f'<circle class="pt" cx="{px(x)}" cy="{py(y)}" r="{radius}"/>\n'
+                      for x in range(spec.cols) for y in range(spec.rows))
+    head = render_mod._head((spec.cols + 1) * cell_size, (spec.rows + 1) * cell_size, cell_size)
+    return head + polygons + circles + "</svg>\n"
+
+
+@pytest.mark.parametrize("variant", ["axis", "all"])
+@pytest.mark.parametrize("cols, rows", BLOCK_GRIDS, ids=lambda size: str(size))
+def test_squares_figure_matches_one_polygon_per_key(cols, rows, variant):
+    # render fills a piece of polygons a row segment at a time; its bytes are
+    # the figure drawn key by key, with a size class or a witness highlighted
+    # anywhere in a block.
+    spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
+    keys = list(square_keys(LatticeGrid(cols, rows), variant == "all"))
+    sizes = sorted({1, min(cols, rows) - 1} & {k for k, *_ in keys})
+    highlights = [None, *(("class", k) for k in sizes),
+                  *(("witness", i) for i in block_cuts(keys))]
+    for cell_size in (1, 40):
+        for highlight in highlights:
+            assert_same_text(render_problem(spec, cell_size=cell_size, highlight=highlight),
+                             _figure_key_by_key(spec, keys, cell_size, highlight),
+                             f"cell size {cell_size}, highlight {highlight}")
+
+
+@pytest.mark.parametrize("highlight", [None, ("witness", 2500), ("class", 1)])
+def test_pieces_cut_rows_longer_than_a_piece(highlight):
+    # 5000x3 `axis` has rows of 4,999 and 4,998 squares, longer than a piece.
+    spec = ProblemSpec("long", "squares", cols=5000, rows=3, variant="axis")
+    pieces = list(render_pieces(spec, highlight=highlight))
+    keys = list(square_keys(LatticeGrid(spec.cols, spec.rows), False))
+    assert_same_text("".join(pieces), _figure_key_by_key(spec, keys, 40, highlight), "pieces")
+    assert pieces[1].count("<polygon") == render_mod._ELEMENTS < 4999
+    assert max(piece.count("\n") for piece in pieces[1:]) <= render_mod._ELEMENTS
 
 
 @pytest.mark.parametrize("spec,highlight", [
