@@ -70,7 +70,6 @@ from .verify import (
     VerifyReport,
     build_step_trace,
     class_counts,
-    counted_blocks,
     counted_witnesses,
     family_of,
     table_size,
@@ -403,13 +402,12 @@ def enumerate_cmd(spec_file, problem_name, fmt, limit):
     """
     spec = _select(_load_specs(spec_file), problem_name)[0]
     with _naming(spec):
-        squares = spec.kind == "squares"
-        witnesses, classes = (counted_blocks if squares else counted_witnesses)(spec)
+        witnesses, classes = counted_witnesses(spec)
         omitted = 0 if limit is None else max(family_of(spec).total(classes) - limit, 0)
         # A limit at or past the total draws every witness: islice refuses a
         # limit past sys.maxsize.
         shown = limit if omitted else None
-        listing = (_square_witnesses(witnesses, fmt, shown) if squares
+        listing = (_square_witnesses(witnesses, fmt, shown) if spec.kind == "squares"
                    else _reading_witnesses(spec, witnesses, fmt, shown))
         if fmt == "json":
             _write(chain(_json_pieces({"problem": spec.name, "kind": spec.kind,

@@ -2,10 +2,11 @@
 
 Everything is emitted as plain strings with integer coordinates, in a fixed
 element order, so identical inputs produce byte-identical files.  Square
-problems draw the point grid with every square of the key stream as a
-polygon; word problems draw the letter table.  A highlight either marks one
-size class of squares or traces one enumerated witness as an arrowed polyline;
-the witness is taken from the stream, and no list of witnesses is held.
+problems draw the point grid with every square as a polygon; word problems
+draw the letter table.  A highlight either marks one size class of squares or
+traces one enumerated witness as an arrowed polyline.  Both kinds draw their
+witnesses from ``verify.counted_witnesses``, the stream every command reads,
+and no list of witnesses is held.
 
 A figure is written in pieces: the head, runs of at most ``_ELEMENTS``
 elements, then the tail, so its memory does not grow with the figure.  Each
@@ -22,7 +23,7 @@ from itertools import islice, product
 
 from .budget import DEFAULT_ORACLE_BUDGET
 from .speclang import ProblemSpec
-from .verify import counted_blocks, counted_witnesses, family_of, letter_grid, table_size
+from .verify import counted_witnesses, family_of, letter_grid, table_size
 
 Highlight = tuple[str, int]  # ("class", k) or ("witness", index)
 
@@ -120,7 +121,7 @@ def _refuse_large_figure(elements: int) -> None:
 
 def _squares_figure(spec: ProblemSpec, cell_size: int,
                     highlight: Highlight | None) -> Iterator[str]:
-    blocks, classes = counted_blocks(spec)
+    blocks, classes = counted_witnesses(spec)
     count = family_of(spec).total(classes)
     # A one-row grid has no squares to refuse, but it still draws every point.
     _refuse_large_figure(count + spec.cols * spec.rows)

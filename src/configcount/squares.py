@@ -14,11 +14,11 @@ squares and A002415 for all squares).
 
 ``square_blocks`` writes the canonical order once: the (k, a) blocks in order,
 each a rectangle of anchors, ``range(rows-k) x range(cols-k)``, read y-major.
-Every command reads squares there.  ``square_keys`` flattens the blocks into
-``(k, a, y, x)`` keys, one ``product`` per block, and ``verify`` tallies them;
-``enumerate`` fills a block at a time, and ``render`` a row.  The list
-builders, one ``Square`` per key over a shared anchor table, serve only the
-library API.
+Every command reads squares there, through ``verify.counted_witnesses``:
+``enumerate`` fills a block at a time, and ``render`` a row.  ``square_keys``
+is the one flattening of blocks into ``(k, a, y, x)`` keys, one ``product`` per
+block; ``verify`` tallies them.  The list builders, one ``Square`` per key over
+a shared anchor table, serve only the library API.
 
 ``count_squares_by_point_subsets`` is a deliberately naive cross-check that
 never looks at the (anchor, k, a) encoding: it tests every 4-point subset of
@@ -28,7 +28,7 @@ is that it can disagree with the enumerators above.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
@@ -169,21 +169,16 @@ def square_blocks(grid: LatticeGrid, tilted: bool,
             for k in range(1, min(cols, rows)) for a in range(k if tilted else 1))
 
 
-def square_keys(grid: LatticeGrid, tilted: bool,
-                max_candidates: int | None = None) -> Iterator[SquareKey]:
-    """Every square on the grid as a key ``(k, a, y, x)``, in that order.
-
-    ``(x, y)`` is the anchor.  A grid with more squares than ``max_candidates``
-    is refused here, before the first key.
-    """
-    return chain.from_iterable(product((k,), (a,), ys, xs)
-                               for k, a, ys, xs in square_blocks(grid, tilted, max_candidates))
+def square_keys(blocks: Iterable[tuple[int, int, range, range]]) -> Iterator[SquareKey]:
+    """The squares of ``square_blocks``' blocks as keys ``(k, a, y, x)``, in that
+    order; ``(x, y)`` is the anchor."""
+    return chain.from_iterable(product((k,), (a,), ys, xs) for k, a, ys, xs in blocks)
 
 
 def _enumerate_squares(grid: LatticeGrid, tilted: bool, max_candidates: int | None) -> list[Square]:
-    keys = square_keys(grid, tilted, max_candidates)
+    keys = square_keys(square_blocks(grid, tilted, max_candidates))
     # Only x < cols-1 and y < rows-1 anchor a square, so the table is no larger
-    # than the k=1 class, which square_keys has bounded; a grid too thin for a
+    # than the k=1 class, which square_blocks has bounded; a grid too thin for a
     # square builds none.
     cols, rows = grid.cols, grid.rows
     anchors = ([[LatticePoint(x, y) for x in range(cols - 1)] for y in range(rows - 1)]

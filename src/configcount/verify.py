@@ -9,35 +9,38 @@ all of them hold on the actual data:
 
 Each witness is counted once, in its class (a square key's k, a reading's end
 cell), so the classes cover the enumeration exactly by construction.  Every
-command reads witnesses as one stream and lists none: squares as ``(k, a, y,
-x)`` keys, which ``enumerate`` and ``render`` read a (k, a) block at a time
-(``key_blocks``), readings as the search yields them, bare tuples of (x, y)
-cells (no ``PathWitness`` is built).  Both streams come in ascending order, so
-one pass (``_tally``) counts the classes and checks the order; only a stream
-out of order can hold a duplicate, and only such a stream is read a second
-time, into a set.
+command draws witnesses through ``counted_witnesses``, as one stream, and lists
+none.  A family gives its stream in the one shape its writers read: squares as
+(k, a) blocks of anchors (``squares.square_blocks``), which ``enumerate`` and
+``render`` fill a block at a time; readings as the search yields them, bare
+tuples of (x, y) cells (no ``PathWitness`` is built).  ``verify_problem``
+tallies the family's ``keys`` of the stream: the blocks flattened into ``(k,
+a, y, x)`` keys (``squares.square_keys``), or the readings as they are.  Both
+come in ascending order, so one pass (``_tally``) counts the classes and checks
+the order; only a stream out of order can hold a duplicate, and only such a
+stream is drawn a second time, into a set.
 
 Problems without a registered closed form (word readings under king or
 unconstrained adjacency, explicit letter tables, words with repeated symbols)
 are still enumerated and checked for duplicates, and each enumerated class
 size is compared with the reading counter's count for that end cell
 (``readings_per_end_cell``), whose name ``wordgrid.reading_counter`` gives.
-For every word the counter runs once, on the table the search reads, and is
-the search's only budget check.
+For every word the stream runs the counter once, on the table the search
+reads, and it is the search's only budget check.
 
 ``FAMILIES`` holds one instance per problem family: ``squares-axis``,
 ``squares-all``, ``word-side`` (the registered rings form) and
 ``word-counter`` (every other word).  A kind's class (``Squares``, ``Words``)
-holds what its families share: the class label and its columns, the witness
-stream, ``_tally``'s field and the total.  A family's subclass holds its
-name, whether a closed form is registered, explain's steps and step iv's rule,
-and a word family its class counts.  ``family_of`` is the only code that reads
-a spec's kind, variant, adjacency or symbols to choose one, and every command
-reads the family it returns; a test injects a closed-form fault into the
-family object there.  A family's methods call the counters and enumerators by
-their names here when they run, never through a reference taken at import: a
-counter replaced in this module (a test's spy, a benchmark's span) is the one
-called.
+holds what its families share: the class label and its columns, the counted
+stream (``counted``) and its ``keys``, ``_tally``'s field and the total.  A
+family's subclass holds its name, whether a closed form is registered,
+explain's steps and step iv's rule, and a word family its class counts.
+``family_of`` is the only code that reads a spec's kind, variant, adjacency or
+symbols to choose one, and every command reads the family it returns; a test
+injects a closed-form fault into the family object there.  A family's methods
+call the counters and enumerators by their names here when they run, never
+through a reference taken at import: a counter replaced in this module (a
+test's spy, a benchmark's span) is the one called.
 
 ``build_step_trace`` emits the same facts as a four-step decomposition:
 what is being counted, under which constraints, how the witnesses split into
@@ -183,38 +186,16 @@ def letter_grid(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET) -
     return generate_manhattan_rings(spec.word)
 
 
-def enumerate_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
-                        table: LetterGrid | None = None):
-    """Every witness in canonical order, as a stream refused before its first
-    witness if over the oracle budget: square keys, or a word problem's readings
-    in ``table``, its letter table, built here if not given."""
-    return family_of(spec).witnesses(spec, budget, table)
-
-
 def counted_witnesses(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET,
                       table: LetterGrid | None = None):
-    """``enumerate_witnesses(spec, budget, table)``, refused as it is, and the
-    problem's ``class_counts``.  A word without a closed form runs its reading
-    counter once, as the count and as the search's budget check."""
-    if family_of(spec).closed:
-        return enumerate_witnesses(spec, budget, table), class_counts(spec, budget)
-    if table is None:
-        table = letter_grid(spec, budget)
-    classes = class_counts(spec, budget, table)
-    return enumerate_witnesses(spec, None, table), classes
+    """The problem's witnesses in canonical order, as a stream refused before
+    its first witness if over the oracle budget, and its ``class_counts``.
 
-
-def key_blocks(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
-    """A squares problem's keys as ``squares.square_blocks``'s (k, a) blocks,
-    refused before the first block if over the oracle budget: ``enumerate``
-    and ``render`` read them here, through ``counted_blocks``, and fill a
-    block at a time."""
-    return square_blocks(LatticeGrid(spec.cols, spec.rows), family_of(spec).tilted, budget)
-
-
-def counted_blocks(spec: ProblemSpec, budget: int | None = DEFAULT_ORACLE_BUDGET):
-    """``key_blocks(spec, budget)``, refused as it is, and the problem's ``class_counts``."""
-    return key_blocks(spec, budget), class_counts(spec, budget)
+    A squares problem's stream is its (k, a) blocks, a word problem's its
+    readings in ``table``, its letter table, built here if not given; the
+    family's ``keys`` reads either as witnesses.
+    """
+    return family_of(spec).counted(spec, budget, table)
 
 
 def _tally(witnesses: Iterable[tuple], at: int) -> tuple[dict, bool]:
@@ -252,14 +233,14 @@ def verify_problem(
     exists, else with the reading counter."""
     family = family_of(spec)
     # One stream, refused before its first witness if over budget, and the count
-    # per class: the closed form, else the reading counter, which then is also
-    # the search's budget check and the second oracle.
+    # per class: the closed form, else the reading counter, the second oracle.
     witnesses, counted = counted_witnesses(spec, oracle_budget)
     # Both streams are in canonical order; a key's class is its k, a reading's its end cell.
-    observed, ordered = _tally(witnesses, family.at)
+    observed, ordered = _tally(family.keys(witnesses), family.at)
     oracle_total = sum(observed.values())
-    # Only a faulty enumeration breaks the order; it is read again into a set.
-    duplicates = 0 if ordered else oracle_total - len(set(enumerate_witnesses(spec, None)))
+    # Only a faulty enumeration breaks the order; it is drawn again into a set.
+    duplicates = 0 if ordered else oracle_total - len(
+        set(family.keys(counted_witnesses(spec, None)[0])))
 
     # Every failed check adds one note, so the verdict is read off the notes.
     notes = [f"{duplicates} duplicate witnesses in the enumeration"] if duplicates else []
@@ -334,8 +315,12 @@ class Squares:
     def columns(self, classes):
         return (classes,)
 
-    def witnesses(self, spec: ProblemSpec, budget, table):
-        return square_keys(LatticeGrid(spec.cols, spec.rows), self.tilted, budget)
+    def counted(self, spec: ProblemSpec, budget, table):
+        blocks = square_blocks(LatticeGrid(spec.cols, spec.rows), self.tilted, budget)
+        return blocks, class_counts(spec, budget)
+
+    def keys(self, blocks):
+        return square_keys(blocks)
 
     def classes(self, spec: ProblemSpec, budget, table):
         count = count_all_squares if self.tilted else count_axis_squares
@@ -354,11 +339,18 @@ class Words:
     def columns(self, classes):
         return map(itemgetter(0), classes), map(itemgetter(1), classes)
 
-    def witnesses(self, spec: ProblemSpec, budget, table):
+    def counted(self, spec: ProblemSpec, budget, table):
         if table is None:
             table = letter_grid(spec, budget)
-        return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells,
-                             max_visits=budget)
+        # The reading counter's one run under the budget is the search's budget
+        # check, and a counter family's classes.
+        counts = readings_per_end_cell(table, spec.word, spec.adjacency,
+                                       distinct_cells=spec.distinct_cells, max_visits=budget)
+        classes = class_counts(spec, budget) if self.closed else counts
+        return word_readings(table, spec.word, spec.adjacency, spec.distinct_cells), classes
+
+    def keys(self, readings):
+        return readings
 
     def total(self, classes):
         return sum(classes.values())

@@ -148,20 +148,19 @@ def test_enumerate_limit_reads_omitted_off_the_count(runner, tmp_path, monkeypat
     # The stream is drawn up to the limit and no further; what it would still
     # have yielded is the problem's count (power sums, transfer matrix,
     # visited-set DP) less the limit.  A squares problem's stream is its (k, a)
-    # blocks, from verify.key_blocks: the blocks drawn are exactly those that
-    # hold the keys shown.
+    # blocks, from verify.counted_witnesses: the blocks drawn are exactly those
+    # that hold the keys shown.
     path = tmp_path / "p.ccspec"
     path.write_text(print_spec([spec]))
-    total = sum(1 for _ in verify_mod.enumerate_witnesses(spec))
+    total = sum(1 for _ in _keys(spec))
     drawn = []
-    source = "key_blocks" if spec.kind == "squares" else "enumerate_witnesses"
-    real = getattr(verify_mod, source)
+    real = cli_mod.counted_witnesses
 
     def spy(*args, **kwargs):
-        stream = real(*args, **kwargs)
-        return (drawn.append(item) or item for item in stream)
+        stream, classes = real(*args, **kwargs)
+        return (drawn.append(item) or item for item in stream), classes
 
-    monkeypatch.setattr(verify_mod, source, spy)
+    monkeypatch.setattr(cli_mod, "counted_witnesses", spy)
     for limit in (1, 3, total - 1, total, total + 5):
         for fmt in ("text", "json"):
             drawn.clear()
@@ -250,11 +249,16 @@ def test_only_a_standalone_run_freezes_the_collector(runner, tmp_path, monkeypat
 _SAMPLE_CLOSED_FORMS = {"squares5": "count_axis_squares", "squares5-all": "count_all_squares",
                         "open-side": "count_word_paths_closed"}
 
+# Each command's arguments after --problem: a plain render of a word draws no
+# reading, so render highlights the first witness.
+_COMMAND_CASES = {f"{command}-{fmt}": (command, "--format", fmt)
+                  for command in ("count", "verify", "explain", "enumerate")
+                  for fmt in ("text", "json")}
+_COMMAND_CASES["render-highlight"] = ("render", "--highlight", "0", "-o", os.devnull)
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", ["count", "verify", "explain"])
-def test_commands_call_each_closed_form_where_verify_looks_it_up(runner, monkeypatch,
-                                                                 command, fmt):
+
+@pytest.mark.parametrize("args", _COMMAND_CASES.values(), ids=[*_COMMAND_CASES])
+def test_commands_call_each_closed_form_where_verify_looks_it_up(runner, monkeypatch, args):
     # Tests and the traced benchmark replace a closed form in verify's namespace;
     # code that held the function itself would bypass the replacement silently.
     calls = []
@@ -267,11 +271,37 @@ def test_commands_call_each_closed_form_where_verify_looks_it_up(runner, monkeyp
 
     for name in _SAMPLE_CLOSED_FORMS.values():
         monkeypatch.setattr(verify_mod, name, spy(name, getattr(verify_mod, name)))
+    command, *options = args
     for problem, name in _SAMPLE_CLOSED_FORMS.items():
         calls.clear()
-        result = invoke(runner, command, SAMPLES, "--problem", problem, "--format", fmt)
+        result = invoke(runner, command, SAMPLES, "--problem", problem, *options)
         assert result.exit_code == 0, (problem, result.stdout)
         assert calls == [name], problem
+
+
+@pytest.mark.parametrize("args", [*_COMMAND_CASES.values(), ("render", "-o", os.devnull)],
+                         ids=[*_COMMAND_CASES, "render-plain"])
+def test_commands_draw_witnesses_through_counted_witnesses_alone(runner, monkeypatch, args):
+    # verify.counted_witnesses is the one witness stream: enumerate, verify and
+    # render call it once per problem, squares and words alike, and count and
+    # explain enumerate nothing; a plain render of a word draws no reading.
+    calls = []
+    real = verify_mod.counted_witnesses
+
+    def spy(spec, *rest, **kwargs):
+        calls.append(spec.name)
+        return real(spec, *rest, **kwargs)
+
+    for module in (verify_mod, cli_mod, render_mod):
+        monkeypatch.setattr(module, "counted_witnesses", spy)
+    command, *options = args
+    for problem in ("squares5", "squares5-all", "open-side", "open-king"):
+        calls.clear()
+        result = invoke(runner, command, SAMPLES, "--problem", problem, *options)
+        assert result.exit_code == 0, (problem, result.stdout)
+        drawn = command in ("enumerate", "verify") or (
+            command == "render" and ("--highlight" in options or problem.startswith("squares")))
+        assert calls == ([problem] if drawn else []), problem
 
 
 def test_verify_budget_exceeded_exits_2(runner, tmp_path):
@@ -306,8 +336,8 @@ def _small_budget(monkeypatch, budget=1000):
     # Under the default budget an overrunning word search takes seconds; a
     # small one keeps the overrun real without the wait.  count reads word
     # classes off the reading counter, so its budget is lowered too.
-    real = verify_mod.enumerate_witnesses
-    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
+    real = verify_mod.counted_witnesses
+    monkeypatch.setattr(verify_mod, "counted_witnesses",
                         lambda spec, _budget=None, table=None: real(spec, budget, table))
     _small_counter_budget(monkeypatch, budget)
 
@@ -722,10 +752,15 @@ def test_streamed_enumeration_matches_whole_documents(runner, tmp_path, variant,
                 assert result.stdout == _whole_enumerate(spec, fmt, limit), (cols, rows, limit)
 
 
+def _keys(spec, *budget):
+    """The problem's witnesses as ``verify`` tallies them: square keys or readings."""
+    return verify_mod.family_of(spec).keys(verify_mod.counted_witnesses(spec, *budget)[0])
+
+
 def _documented_enumerate(spec, fmt, limit):
     # enumerate's documented output, built whole with json.dumps and f-strings
     # from the library's witness stream.
-    witnesses = list(verify_mod.enumerate_witnesses(spec, None))
+    witnesses = list(_keys(spec, None))
     shown = witnesses[:limit]
     omitted = len(witnesses) - len(shown)
     if spec.kind == "squares":
@@ -762,7 +797,8 @@ def test_enumerate_writes_blocks_as_the_keys_one_by_one(runner, tmp_path, cols, 
     spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
     path = tmp_path / "g.ccspec"
     path.write_text(print_spec([spec]))
-    keys = list(squares_mod.square_keys(LatticeGrid(cols, rows), variant == "all"))
+    keys = list(squares_mod.square_keys(squares_mod.square_blocks(LatticeGrid(cols, rows),
+                                                                  variant == "all")))
     limits = [None, *sorted({1, *(i + 1 for i in block_cuts(keys)), len(keys) + 5} - {0})]
     for limit in limits:
         shown = keys[:limit]
@@ -1623,17 +1659,21 @@ def test_witnesses_running_out_of_memory_as_written_exit_2_naming_the_problem(
     path.write_text("problem t30 { kind: squares cols: 30 rows: 30 variant: all }")
     whole = invoke(runner, "enumerate", path, "--problem", "t30", "--format", fmt).stdout
 
-    real = verify_mod.key_blocks
+    real = cli_mod.counted_witnesses
 
-    def blocks(*args):
+    def blocks(stream):
         # The (k, a) blocks holding the first 20,000 keys, then MemoryError.
-        stream, drawn = real(*args), 0
+        drawn = 0
         for block in stream:
             yield block
             if (drawn := drawn + len(block[2]) * len(block[3])) >= 20000:
                 raise MemoryError
 
-    monkeypatch.setattr(verify_mod, "key_blocks", blocks)
+    def counted(*args):
+        stream, classes = real(*args)
+        return blocks(stream), classes
+
+    monkeypatch.setattr(cli_mod, "counted_witnesses", counted)
     result = invoke(runner, "enumerate", path, "--problem", "t30", "--format", fmt)
     assert (result.exit_code, result.stderr) == (2, "error: problem t30: out of memory\n")
     assert result.stdout and whole.startswith(result.stdout)
@@ -1819,18 +1859,15 @@ def test_a_closed_pipe_exits_2_with_one_error_line(tmp_path):
 
 
 def _small_budget_everywhere(monkeypatch, budget=1000):
-    # Enumerate and render reach a word's enumerator through
-    # verify.counted_witnesses, and a squares problem's blocks through
-    # verify.counted_blocks, which reads verify.key_blocks; render also caps a
-    # figure's size by the default budget, count and explain read word classes
-    # off the reading counter, class_counts caps their listings, and verify
-    # runs under verify_problem's own budget.
-    real = verify_mod.enumerate_witnesses
-    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
-                        lambda spec, _budget=None, table=None: real(spec, budget, table))
-    real_blocks = verify_mod.key_blocks
-    monkeypatch.setattr(verify_mod, "key_blocks",
-                        lambda spec, _budget=None: real_blocks(spec, budget))
+    # Enumerate, render and verify draw every witness through
+    # verify.counted_witnesses; render also caps a figure's size by the
+    # default budget, count and explain read word classes off the reading
+    # counter, class_counts caps their listings, and verify runs under
+    # verify_problem's own budget.
+    real = verify_mod.counted_witnesses
+    for module in (verify_mod, cli_mod, render_mod):
+        monkeypatch.setattr(module, "counted_witnesses",
+                            lambda spec, _budget=None, table=None: real(spec, budget, table))
     monkeypatch.setattr(render_mod, "DEFAULT_ORACLE_BUDGET", budget)
     _small_counter_budget(monkeypatch, budget)
     real_counts = verify_mod.class_counts

@@ -16,6 +16,7 @@ from configcount.squares import (
     count_axis_squares,
     enumerate_all_squares,
     enumerate_axis_squares,
+    square_blocks,
     square_keys,
 )
 
@@ -163,7 +164,7 @@ def test_squares_figure_matches_one_polygon_per_key(cols, rows, variant):
     # the figure drawn key by key, with a size class or a witness highlighted
     # anywhere in a block.
     spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
-    keys = list(square_keys(LatticeGrid(cols, rows), variant == "all"))
+    keys = list(square_keys(square_blocks(LatticeGrid(cols, rows), variant == "all")))
     sizes = sorted({1, min(cols, rows) - 1} & {k for k, *_ in keys})
     highlights = [None, *(("class", k) for k in sizes),
                   *(("witness", i) for i in block_cuts(keys))]
@@ -179,7 +180,7 @@ def test_pieces_cut_rows_longer_than_a_piece(highlight):
     # 5000x3 `axis` has rows of 4,999 and 4,998 squares, longer than a piece.
     spec = ProblemSpec("long", "squares", cols=5000, rows=3, variant="axis")
     pieces = list(render_pieces(spec, highlight=highlight))
-    keys = list(square_keys(LatticeGrid(spec.cols, spec.rows), False))
+    keys = list(square_keys(square_blocks(LatticeGrid(spec.cols, spec.rows), False)))
     assert_same_text("".join(pieces), _figure_key_by_key(spec, keys, 40, highlight), "pieces")
     assert pieces[1].count("<polygon") == render_mod._ELEMENTS < 4999
     assert max(piece.count("\n") for piece in pieces[1:]) <= render_mod._ELEMENTS

@@ -19,7 +19,7 @@ from configcount.verify import (
     VerifyReport,
     build_step_trace,
     class_counts,
-    enumerate_witnesses,
+    counted_witnesses,
     family_of,
     has_registered_closed_form,
     verify_problem,
@@ -187,13 +187,25 @@ def _drop_first(witnesses):
     return witnesses[1:]
 
 
+def _faulted(spec, stream, fault):
+    """``fault`` applied to the listed keys or readings of ``stream``, given back
+    in the stream's shape: a square key as a (k, a) block of one anchor."""
+    witnesses = fault(list(family_of(spec).keys(stream)))
+    if spec.kind == "squares":
+        return [(k, a, range(y, y + 1), range(x, x + 1)) for k, a, y, x in witnesses]
+    return witnesses
+
+
 def _with_faulty_enumeration(monkeypatch, fault):
-    # Every enumeration verify_problem reads, with or without a table it built
-    # itself, goes through verify.enumerate_witnesses; a squares problem's key
-    # stream is listed so the fault can index it.
-    real = verify_mod.enumerate_witnesses
-    monkeypatch.setattr(verify_mod, "enumerate_witnesses",
-                        lambda *args: fault(list(real(*args))))
+    # Every enumeration verify_problem reads goes through verify.counted_witnesses;
+    # its witnesses are listed so the fault can index them.
+    real = verify_mod.counted_witnesses
+
+    def counted(spec, *args):
+        stream, classes = real(spec, *args)
+        return _faulted(spec, stream, fault), classes
+
+    monkeypatch.setattr(verify_mod, "counted_witnesses", counted)
 
 
 def _rows(*rows):
@@ -351,14 +363,14 @@ def test_only_a_stream_out_of_order_is_enumerated_twice(monkeypatch, spec, fault
     # A clean enumeration is one stream, read once; a stream that keeps the
     # order has no duplicate, and only one that breaks it is read again.
     streams = []
-    real = verify_mod.enumerate_witnesses
+    real = verify_mod.counted_witnesses
 
-    def spy(*args):
-        stream = real(*args)
+    def spy(spec, *args):
+        stream, classes = real(spec, *args)
         streams.append(iter(stream) is stream)
-        return stream if fault is None else fault(list(stream))
+        return stream if fault is None else _faulted(spec, stream, fault), classes
 
-    monkeypatch.setattr(verify_mod, "enumerate_witnesses", spy)
+    monkeypatch.setattr(verify_mod, "counted_witnesses", spy)
     report = verify_problem(spec)
     assert streams == [True] * passes
     assert report.verdict == ("PASS" if fault is None else "FAIL")
@@ -381,7 +393,7 @@ def test_streamed_squares_match_a_list_reference(variant):
     for cols in range(1, 13):
         for rows in range(1, 13):
             spec = ProblemSpec("g", "squares", cols=cols, rows=rows, variant=variant)
-            witnesses = list(enumerate_witnesses(spec))
+            witnesses = list(family_of(spec).keys(counted_witnesses(spec)[0]))
             report = verify_problem(spec)
             assert ((_observed(report), report.duplicate_witnesses)
                     == _list_reference(spec, witnesses))
@@ -463,7 +475,7 @@ def test_count_and_explain_build_no_reading(monkeypatch):
     totals = [sum(class_counts(spec).values()) for spec in specs]
     assert [build_step_trace(spec).step_iv_total for spec in specs] == totals
     assert built == []
-    assert totals == [len(list(enumerate_witnesses(spec))) for spec in specs]
+    assert totals == [len(list(counted_witnesses(spec)[0])) for spec in specs]
     assert totals[2] < totals[1] and totals[3] > 0
 
 
